@@ -32,7 +32,7 @@ from .migrator import (
     run_migration,
 )
 from .netsim import LinkSpec
-from .workloads import builtin_profiles, derive_seed, profile_by_name
+from .workloads import builtin_profiles, derive_seed, profile_by_name, stable_index
 
 MB = 1_000_000
 
@@ -177,7 +177,7 @@ def _reference_scenario(
         link=LinkSpec(bandwidth_bps=bandwidth_bps, processing_cap_bps=cap, seed=0),
         cost_model=cost_model,
         scale=scale,
-        seed=derive_seed(seed_base, hash(profile.name) & 0xFFFF),
+        seed=derive_seed(seed_base, stable_index(profile.name)),
     )
 
 

@@ -8,6 +8,17 @@ sender scans the target against the signature and produces a
 target exactly from the basis.  :func:`sync_tree` lifts the same scheme
 to whole file trees.
 
+The engine works in bounded memory.  Signatures take the weak checksums
+of full blocks a slice of rows at a time; the delta scan computes the
+weak checksum of every window start one scan window (``SCAN_WINDOW``
+starts) at a time, in uint32 with window-local offsets, which is exact
+because 2^16 divides 2^32.  Wherever a copy run could continue, the
+block at the scan position is first looked up by strong digest alone,
+so aligned matches skip the rolling scan.  Beyond the signature and
+the literal output, working memory is O(``SCAN_WINDOW`` + block size),
+whatever the file size.  Every delta carries the digest of its target,
+and :func:`apply_delta` checks the rebuilt bytes against it.
+
 Wire accounting is modeled, not framed: signatures cost
 ``blocks * (4 + digest width)`` bytes, each copy op 9 bytes, each
 literal op its (compression-scaled) payload plus 5 bytes, and every file
@@ -18,13 +29,14 @@ off.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .layer_store import ContentDescriptor, FileTree, LiteralContent, materialize_entry
+from .layer_store import ContentDescriptor, FileTree, materialize_entry
 
 WEAK_MOD = 1 << 16
 DIGEST_WIDTH = 16  # blake2b-128, fixed everywhere
@@ -37,6 +49,14 @@ LITERAL_OP_WIRE = 5
 FILE_WIRE_OVERHEAD = 64
 VERIFY_WIRE = DIGEST_WIDTH  # whole-file checksum for forced re-verification
 
+# Window starts per delta-scan window, and bytes per signature slice.
+# Small windows win: a window opens where an aligned check fails, and
+# the aligned matches that follow skip the rest of it, so a larger
+# window computes more weaks the scan never reads.
+SCAN_WINDOW = 1 << 16
+# Low weak bits of the first-stage membership filter in the scan.
+FILTER_BITS = 20
+
 
 class DeltaSyncError(Exception):
     """Base class for synchronization failures."""
@@ -47,7 +67,8 @@ class BasisMismatchError(DeltaSyncError):
 
 
 class CorruptDeltaError(DeltaSyncError):
-    """A delta references blocks outside the basis or has a bad length."""
+    """A delta references blocks outside the basis, has a bad length, or
+    rebuilds bytes that do not match its target digest."""
 
 
 def strong_digest(data: bytes) -> bytes:
@@ -80,44 +101,6 @@ def weak_roll(a: int, b: int, out_byte: int, in_byte: int, window: int) -> tuple
 
 def combine_weak(a: int, b: int) -> int:
     return a + (b << 16)
-
-
-def _prefix_sums(data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix sums of bytes and of index-weighted bytes, in uint64.
-
-    Natural uint64 wraparound is harmless: since 2^16 divides 2^64,
-    reducing mod 2^16 afterwards still gives the exact result.
-    """
-    x = np.frombuffer(data, dtype=np.uint8).astype(np.uint64)
-    n = len(x)
-    prefix = np.zeros(n + 1, dtype=np.uint64)
-    np.cumsum(x, out=prefix[1:])
-    weighted = np.zeros(n + 1, dtype=np.uint64)
-    np.cumsum(np.arange(n, dtype=np.uint64) * x, out=weighted[1:])
-    return prefix, weighted
-
-
-def _weaks_at(prefix: np.ndarray, weighted: np.ndarray, starts: np.ndarray, window: int) -> np.ndarray:
-    """Combined weak checksum of the windows beginning at ``starts``.
-
-    Equivalent to rolling :func:`weak_roll` into each position.
-    """
-    ends = starts + np.uint64(window)
-    span = prefix[ends] - prefix[starts]
-    a = span & np.uint64(0xFFFF)
-    b = (ends * span - (weighted[ends] - weighted[starts])) & np.uint64(0xFFFF)
-    return a + (b << np.uint64(16))
-
-
-def _window_weaks(data: bytes, window: int) -> np.ndarray:
-    """Combined weak checksum of every window position, vectorized."""
-    prefix, weighted = _prefix_sums(data)
-    n = len(data)
-    ends = np.arange(window, n + 1, dtype=np.uint64)
-    span = prefix[window:] - prefix[:-window]
-    a = span & np.uint64(0xFFFF)
-    b = (ends * span - (weighted[window:] - weighted[:-window])) & np.uint64(0xFFFF)
-    return a + (b << np.uint64(16))
 
 
 @dataclass(frozen=True)
@@ -161,12 +144,14 @@ class LiteralOp:
 
 @dataclass(frozen=True)
 class FileDelta:
-    """Instructions reconstructing a target from a basis matching ``basis_digest``."""
+    """Instructions reconstructing a target from a basis matching
+    ``basis_digest``; the rebuilt bytes must match ``target_digest``."""
 
     block_size: int
     ops: tuple[CopyOp | LiteralOp, ...]
     target_length: int
     basis_digest: bytes
+    target_digest: bytes
 
 
 @dataclass
@@ -206,21 +191,24 @@ def compute_signature(data: bytes, block_size: int = DEFAULT_BLOCK_SIZE) -> File
     """
     if block_size < MIN_BLOCK_SIZE:
         raise ValueError(f"block_size must be >= {MIN_BLOCK_SIZE}, got {block_size}")
+    L = block_size
+    view = memoryview(data)
     blocks = []
-    n_full = len(data) // block_size
+    n_full = len(data) // L
     if n_full:
-        prefix, weighted = _prefix_sums(data[: n_full * block_size])
-        starts = np.arange(0, n_full * block_size, block_size, dtype=np.uint64)
-        weaks = _weaks_at(prefix, weighted, starts, block_size)
-        for i in range(n_full):
-            off = i * block_size
-            blocks.append(
-                BlockSignature(
-                    weak=int(weaks[i]), strong=strong_digest(data[off:off + block_size])
-                )
-            )
-    if len(data) % block_size:
-        tail = data[n_full * block_size:]
+        # Full blocks as rows, a bounded slice of rows at a time: a is
+        # the row sum and b the row dot product with weights L..1.
+        rows = np.frombuffer(data, dtype=np.uint8, count=n_full * L).reshape(n_full, L)
+        weights = np.arange(L, 0, -1, dtype=np.uint32)
+        step = max(1, SCAN_WINDOW // L)
+        for first in range(0, n_full, step):
+            chunk = rows[first:first + step]
+            a = chunk.sum(axis=1, dtype=np.uint32) & 0xFFFF
+            b = (chunk @ weights) & 0xFFFF
+            for i, weak in enumerate((a | (b << 16)).tolist(), first):
+                blocks.append(BlockSignature(weak=weak, strong=strong_digest(view[i * L:(i + 1) * L])))
+    if len(data) % L:
+        tail = view[n_full * L:]
         a, b = weak_checksum(tail)
         blocks.append(BlockSignature(weak=combine_weak(a, b), strong=strong_digest(tail)))
     return FileSignature(
@@ -235,6 +223,33 @@ def _charged_literal(length: int, wire_ratio: float) -> int:
     return math.ceil(length * wire_ratio)
 
 
+def _scan_window(
+    target: bytes, start: int, stop: int, L: int, known: np.ndarray, filt: np.ndarray
+) -> list[int]:
+    """Window starts in ``[start, stop)`` whose weak checksum is in ``known``.
+
+    Reads target bytes ``[start, stop + L - 1)`` only, with offsets
+    local to the window.  With ``P`` the prefix sums of the bytes and
+    ``S`` those of ``P``, the window at ``i`` has ``a = P[i+L] - P[i]``
+    and ``b = S[i+L] - S[i] - L * P[i]``, since each byte ``x[t]`` is
+    counted once per ``k`` in ``t < k <= i+L``.  The sums wrap in uint32,
+    which is exact because 2^16 divides 2^32.  Candidates pass the
+    low-bit membership filter ``filt`` and then an exact lookup in the
+    sorted array ``known``.
+    """
+    x = np.frombuffer(target, dtype=np.uint8, count=stop - start + L - 1, offset=start)
+    P = np.zeros(len(x) + 1, dtype=np.uint32)
+    np.cumsum(x, dtype=np.uint32, out=P[1:])
+    S = np.cumsum(P, dtype=np.uint32)
+    a = P[L:] - P[:-L]
+    b = S[L:] - S[:-L] - P[:-L] * np.uint32(L)
+    weaks = (a & 0xFFFF) | (b << 16)
+    hits = np.flatnonzero(filt[weaks & ((1 << FILTER_BITS) - 1)])
+    hit_weaks = weaks[hits]
+    slots = np.minimum(np.searchsorted(known, hit_weaks), len(known) - 1)
+    return (hits[known[slots] == hit_weaks] + start).tolist()
+
+
 def compute_delta(
     sig: FileSignature,
     target: bytes,
@@ -243,11 +258,23 @@ def compute_delta(
 ) -> tuple[FileDelta, SyncStats]:
     """Delta that rebuilds ``target`` from any basis matching ``sig``.
 
-    Greedy longest-run matching: candidate positions come from a weak
-    checksum lookup, are confirmed by strong digest (earliest basis
-    block wins when several share a weak value), and consecutive block
-    matches merge into a single copy run.  Unmatched bytes become
-    literals, so the worst case is an all-literal delta.
+    Greedy longest-run matching: the scan takes the first target
+    position whose window matches a full basis block by weak checksum
+    and strong digest (earliest basis block wins when several match),
+    and consecutive block matches merge into a single copy run.
+    Unmatched bytes become literals, so the worst case is an
+    all-literal delta.
+
+    Wherever a copy run could continue (at the start, and right after
+    each match) the window at the scan position is first looked up by
+    strong digest alone, which skips the rolling scan for aligned
+    matches.  The ops are the same as a plain greedy scan's: equal
+    digests mean equal bytes and so equal weak checksums, and the
+    lookup keeps the earliest block per digest.  Otherwise the target is
+    scanned one window of ``SCAN_WINDOW`` starts at a time (see
+    :func:`_scan_window`), so beyond the signature and the literal
+    output, working memory is O(``SCAN_WINDOW`` + block size) for any
+    file size.
 
     ``wire_ratio`` scales literal payloads on the wire to model
     compression; the reconstruction itself is always byte-exact.
@@ -256,18 +283,19 @@ def compute_delta(
         raise ValueError("wire_ratio must be positive")
     L = sig.block_size
     n = len(target)
+    view = memoryview(target)
     ops: list[CopyOp | LiteralOp] = []
     stats = SyncStats(wire_bytes=sig.wire_bytes + FILE_WIRE_OVERHEAD, scanned_bytes=n)
 
     # Only full-size blocks participate in the mid-stream scan; a short
     # final block is matched against the target tail afterwards.
-    table: dict[int, list[int]] = {}
     full_blocks = len(sig.blocks)
     short_len = sig.total_length % L
     if short_len and sig.blocks:
         full_blocks -= 1
+    first_block: dict[bytes, int] = {}
     for i in range(full_blocks):
-        table.setdefault(sig.blocks[i].weak, []).append(i)
+        first_block.setdefault(sig.blocks[i].strong, i)
 
     def emit_literal(chunk: bytes) -> None:
         ops.append(LiteralOp(data=chunk))
@@ -285,42 +313,38 @@ def compute_delta(
 
     pos = 0
     lit_start = 0
-    if table and n >= L:
-        weaks = _window_weaks(target, L)
-        # Cheap first-stage membership filter on the low weak bits; the
-        # exact weak and the strong digest are confirmed per candidate.
-        mask = np.uint64((1 << 20) - 1)
-        filt = np.zeros(1 << 20, dtype=bool)
-        known = np.fromiter(table.keys(), dtype=np.uint64, count=len(table))
-        filt[(known & mask).astype(np.int64)] = True
-        candidates = np.flatnonzero(filt[(weaks & mask).astype(np.int64)]).tolist()
-        n_cand = len(candidates)
-        ci = 0
-        while ci < n_cand:
-            c = candidates[ci]
-            if c < pos:
-                ci += 1
-                continue
-            block_ids = table.get(int(weaks[c]))
-            if block_ids is None:
-                ci += 1
-                continue
-            digest = strong_digest(target[c:c + L])
-            matched = -1
-            for j in block_ids:
-                if sig.blocks[j].strong == digest:
-                    matched = j
+    last_start = n - L
+    if first_block and last_start >= 0:
+        known = np.unique(np.fromiter(
+            (sig.blocks[i].weak for i in range(full_blocks)), dtype=np.uint32, count=full_blocks))
+        filt = np.zeros(1 << FILTER_BITS, dtype=bool)
+        filt[known & ((1 << FILTER_BITS) - 1)] = True
+        candidates: list[int] = []  # weak matches among the window's starts
+        window_end = 0
+        while pos <= last_start:
+            if pos == lit_start:
+                j = first_block.get(strong_digest(view[pos:pos + L]))
+                if j is not None:
+                    emit_copy(j, 1)
+                    pos = lit_start = pos + L
+                    continue
+            if pos >= window_end:
+                window_end = min(pos + SCAN_WINDOW, last_start + 1)
+                candidates = _scan_window(target, pos, window_end, L, known, filt)
+            ci = bisect.bisect_left(candidates, pos)
+            while ci < len(candidates):
+                c = candidates[ci]
+                j = first_block.get(strong_digest(view[c:c + L]))
+                if j is not None:
                     break
-            if matched < 0:
                 ci += 1
+            else:
+                pos = window_end
                 continue
             if lit_start < c:
                 emit_literal(target[lit_start:c])
-            emit_copy(matched, 1)
-            pos = c + L
-            lit_start = pos
-            while ci < n_cand and candidates[ci] < pos:
-                ci += 1
+            emit_copy(j, 1)
+            pos = lit_start = c + L
 
     # Tail: the short final basis block can only match the very end of
     # the target, where the remaining bytes have exactly its length.
@@ -341,6 +365,7 @@ def compute_delta(
         ops=tuple(ops),
         target_length=n,
         basis_digest=sig.content_digest,
+        target_digest=strong_digest(target),
     )
     return delta, stats
 
@@ -350,8 +375,8 @@ def apply_delta(basis: bytes, delta: FileDelta) -> bytes:
 
     Raises :class:`BasisMismatchError` if ``basis`` is not the file the
     delta was computed against, and :class:`CorruptDeltaError` if the
-    delta references blocks outside the basis or produces the wrong
-    length.
+    delta references blocks outside the basis, or the rebuilt bytes have
+    the wrong length or do not match ``delta.target_digest``.
     """
     if strong_digest(basis) != delta.basis_digest:
         raise BasisMismatchError("basis digest does not match delta.basis_digest")
@@ -374,6 +399,8 @@ def apply_delta(basis: bytes, delta: FileDelta) -> bytes:
         raise CorruptDeltaError(
             f"reconstructed {len(out)} bytes, delta declares {delta.target_length}"
         )
+    if strong_digest(out) != delta.target_digest:
+        raise CorruptDeltaError("rebuilt bytes do not match delta.target_digest")
     return bytes(out)
 
 
@@ -469,11 +496,12 @@ def sync_tree(
 
 
 def apply_tree_delta(basis: FileTree, delta: TreeDelta) -> FileTree:
-    """Apply a tree delta, verifying every patched file byte-for-byte.
+    """Apply a tree delta, verifying every patched file.
 
     Patched entries replay the real :func:`apply_delta` against the
-    basis bytes and check the result against the target content before
-    adopting it; a mismatch raises :class:`CorruptDeltaError`.
+    basis bytes, which checks the rebuilt bytes against the delta's
+    target digest before the target is adopted; a mismatch raises
+    :class:`CorruptDeltaError`.
     """
     out = dict(basis.items())
     for path, op in delta.entries:
@@ -487,8 +515,6 @@ def apply_tree_delta(basis: FileTree, delta: TreeDelta) -> FileTree:
             basis_entry = out.get(path)
             if basis_entry is None:
                 raise CorruptDeltaError(f"patch for {path!r} but basis has no such file")
-            rebuilt = apply_delta(materialize_entry(path, basis_entry), op.delta)
-            if rebuilt != materialize_entry(path, op.target):
-                raise CorruptDeltaError(f"patched content mismatch for {path!r}")
+            apply_delta(materialize_entry(path, basis_entry), op.delta)
             out[path] = op.target
     return FileTree(out)

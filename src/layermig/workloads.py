@@ -10,6 +10,7 @@ workload checkpoints roughly 100 MB of RAM but ships about 10 MB).
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -153,6 +154,13 @@ def load_profiles(path) -> list[AppProfile]:
 
 def derive_seed(base: int, index: int) -> int:
     return (base * 0x9E3779B97F4A7C15 + index * 0xBF58476D1CE4E5B9 + 1) & 0xFFFFFFFFFFFFFFFF
+
+
+def stable_index(*parts: object) -> int:
+    """16-bit index from a blake2b digest of ``parts``; unlike ``hash()``
+    it does not change with ``PYTHONHASHSEED``."""
+    material = "\x1f".join(str(p) for p in parts).encode()
+    return int.from_bytes(hashlib.blake2b(material, digest_size=2).digest(), "big")
 
 
 def scenario_matrix(

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import layermig
 from layermig.cli import main
 
 FD_CONFIG = {
@@ -148,6 +153,32 @@ def test_reproduce_fig5_emits_both_sweeps(tmp_path):
     bw = read_csv(out_dir / "fig5_bandwidth.csv")
     assert len(ram) == 1 + 7 + 6  # container and vm reference points
     assert len(bw) == 1 + 8 + 8
+
+
+REFERENCE_SEEDS = """
+from layermig.cli import _reference_scenario
+from layermig.guest import Virtualization
+from layermig.migrator import default_cost_model
+from layermig.workloads import builtin_profiles
+calibration = {kind: (default_cost_model(kind), 1e9) for kind in Virtualization}
+print([_reference_scenario(Virtualization.CONTAINER, profile, "three_layer_app_found",
+                           calibration, seed_base=7, scale=1.0).seed
+       for profile in builtin_profiles()])
+"""
+
+
+def test_reference_scenario_seeds_ignore_hash_seed():
+    # hash() of a str is salted per process by PYTHONHASHSEED; the seeds
+    # of the reproduced scenarios must not be.
+    src = str(Path(layermig.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", REFERENCE_SEEDS], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(set(json.loads(outputs[0]))) == len(layermig.builtin_profiles())
 
 
 def test_reproduce_missing_calibration_exits_4(tmp_path):

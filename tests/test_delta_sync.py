@@ -1,12 +1,17 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layermig import delta_sync
 from layermig.delta_sync import (
     COPY_OP_WIRE,
     FILE_WIRE_OVERHEAD,
     LITERAL_OP_WIRE,
+    MIN_BLOCK_SIZE,
     SIG_BYTES_PER_BLOCK,
     BasisMismatchError,
     CopyOp,
@@ -16,6 +21,7 @@ from layermig.delta_sync import (
     FileDelta,
     LiteralOp,
     Patched,
+    SyncStats,
     Unchanged,
     apply_delta,
     apply_tree_delta,
@@ -195,6 +201,7 @@ def test_apply_rejects_out_of_range_copy():
         ops=(CopyOp(first_block=4, block_count=1),),
         target_length=1024,
         basis_digest=strong_digest(basis),
+        target_digest=strong_digest(basis[:1024]),
     )
     with pytest.raises(CorruptDeltaError):
         apply_delta(basis, delta)
@@ -206,8 +213,172 @@ def test_apply_all_literal_to_empty_basis():
         ops=(LiteralOp(data=b"hello world"),),
         target_length=11,
         basis_digest=strong_digest(b""),
+        target_digest=strong_digest(b"hello world"),
     )
     assert apply_delta(b"", delta) == b"hello world"
+
+
+def test_apply_rejects_tampered_literal():
+    basis = rng(17).bytes(8192)
+    target = bytearray(basis)
+    target[3000:3100] = rng(18).bytes(100)
+    delta, _ = compute_delta(compute_signature(basis, 1024), bytes(target))
+    i = next(k for k, op in enumerate(delta.ops) if isinstance(op, LiteralOp))
+    data = bytearray(delta.ops[i].data)
+    data[len(data) // 2] ^= 1
+    ops = delta.ops[:i] + (LiteralOp(data=bytes(data)),) + delta.ops[i + 1:]
+    with pytest.raises(CorruptDeltaError):
+        apply_delta(basis, replace(delta, ops=ops))
+
+
+# --- oracle: the plain greedy scan ----------------------------------------------
+
+
+def reference_delta(basis, target, L):
+    """Ops and stats of a plain greedy scan that rolls one byte at a time.
+
+    A dict maps each full basis block's weak checksum to its block ids;
+    at each position whose weak checksum is known, the earliest block
+    with the same strong digest wins.  The short final basis block can
+    only match the end of the target.
+    """
+    n = len(target)
+    table = {}
+    for i in range(len(basis) // L):
+        table.setdefault(combine_weak(*weak_checksum(basis[i * L:(i + 1) * L])), []).append(i)
+    n_blocks = -(-len(basis) // L)
+    ops = []
+    stats = SyncStats(wire_bytes=n_blocks * SIG_BYTES_PER_BLOCK + FILE_WIRE_OVERHEAD,
+                      scanned_bytes=n)
+
+    def literal(chunk):
+        ops.append(LiteralOp(data=chunk))
+        stats.literal_bytes += len(chunk)
+        stats.wire_bytes += len(chunk) + LITERAL_OP_WIRE
+
+    def copy(block):
+        last = ops[-1] if ops else None
+        if isinstance(last, CopyOp) and last.first_block + last.block_count == block:
+            ops[-1] = CopyOp(first_block=last.first_block, block_count=last.block_count + 1)
+        else:
+            ops.append(CopyOp(first_block=block, block_count=1))
+            stats.wire_bytes += COPY_OP_WIRE
+
+    pos = lit_start = 0
+    weak = None
+    while pos + L <= n:
+        if weak is None:
+            weak = weak_checksum(target[pos:pos + L])
+        ids = table.get(combine_weak(*weak), [])
+        digest = strong_digest(target[pos:pos + L]) if ids else None
+        match = next((j for j in ids if strong_digest(basis[j * L:(j + 1) * L]) == digest), None)
+        if match is None:
+            if pos + L < n:
+                weak = weak_roll(*weak, target[pos], target[pos + L], L)
+            pos += 1
+            continue
+        if lit_start < pos:
+            literal(target[lit_start:pos])
+        copy(match)
+        pos = lit_start = pos + L
+        weak = None
+    short = len(basis) % L
+    if short and n - lit_start >= short and target[n - short:] == basis[-short:]:
+        if lit_start < n - short:
+            literal(target[lit_start:n - short])
+        copy(n_blocks - 1)
+    elif lit_start < n:
+        literal(target[lit_start:])
+    return tuple(ops), stats
+
+
+def edited(g, data, edits, alphabet):
+    """``data`` with each (fraction, length, insert) edit applied in turn."""
+    out = bytearray(data)
+    for where, length, insert in edits:
+        pos = int(where * len(out))
+        if insert:
+            out[pos:pos] = g.integers(0, alphabet, length, dtype=np.uint8).tobytes()
+        else:
+            del out[pos:pos + length]
+    return bytes(out)
+
+
+def assert_matches_reference(basis, target, L):
+    delta, stats = compute_delta(compute_signature(basis, L), target)
+    assert (delta.ops, stats) == reference_delta(basis, target, L)
+    assert apply_delta(basis, delta) == target
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    block_size=st.integers(MIN_BLOCK_SIZE, 1024),
+    window_blocks=st.sampled_from([2, 3]),
+    n_blocks=st.integers(0, 12),
+    extra=st.floats(0, 1, exclude_max=True),
+    alphabet=st.sampled_from([1, 2, 256]),
+    random_target=st.booleans(),
+    edits=st.lists(st.tuples(st.floats(0, 1), st.integers(1, 2048), st.booleans()), max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scan_matches_greedy_reference(block_size, window_blocks, n_blocks, extra, alphabet,
+                                       random_target, edits, seed):
+    # Windows of two or three blocks put many seams, and many handovers
+    # from the aligned check to the rolling scan, in a short target.
+    g = rng(seed)
+    length = n_blocks * block_size + int(extra * block_size)
+    basis = g.integers(0, alphabet, length, dtype=np.uint8).tobytes()
+    if random_target:
+        target = g.integers(0, alphabet, length, dtype=np.uint8).tobytes()
+    else:
+        target = edited(g, basis, [(w, n % (2 * block_size) + 1, i) for w, n, i in edits],
+                        alphabet)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(delta_sync, "SCAN_WINDOW", window_blocks * block_size)
+        assert_matches_reference(basis, target, block_size)
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_scan_matches_reference_at_real_window_seams(shift):
+    # An unmatched run of more than two scan windows, after which the basis
+    # resumes at an unaligned offset so that the first match starts one
+    # byte before, at, or one byte after the seam of the second and third
+    # windows; unaligned inserts and deletes follow in later windows.
+    W, L = delta_sync.SCAN_WINDOW, 512
+    g = rng(40)
+    basis = g.bytes(2 * W)
+    resume = 4 * L + 100
+    gap = 2 * W - L + 100 + shift  # first match starts at 4 * L + 2 * W + shift
+    target = basis[:4 * L] + g.bytes(gap) + edited(
+        g, basis[resume:], [(0.3, 7, True), (0.6, 300, False), (0.9, 1, True)], 256)
+    assert len(target) >= 3 * W
+    assert_matches_reference(basis, target, L)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the tracemalloc peak of the call alone."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_signature_and_delta_memory_is_bounded():
+    # 16 MiB with 5% of its 4 KiB pages rewritten: the working memory of
+    # both calls is bounded by the scan window, not by the file size.
+    n, page, bound = 16 * 2**20, 4096, 16 * 10**6
+    g = rng(50)
+    basis = g.bytes(n)
+    target = bytearray(basis)
+    for p in g.choice(n // page, size=n // page // 20, replace=False):
+        target[p * page:(p + 1) * page] = g.bytes(page)
+    target = bytes(target)
+    sig, sig_peak = traced_peak(compute_signature, basis)
+    (delta, _), delta_peak = traced_peak(compute_delta, sig, target)
+    assert sig_peak < bound
+    assert delta_peak < bound
+    assert apply_delta(basis, delta) == target
 
 
 @settings(max_examples=80, deadline=None)
@@ -319,6 +490,21 @@ def test_apply_tree_delta_verifies_patches():
     wrong = tree_of({"f.bin": SyntheticContent(seed=99, length=2048)})
     with pytest.raises((BasisMismatchError, CorruptDeltaError)):
         apply_tree_delta(wrong, delta)
+
+
+def test_apply_tree_delta_renders_only_the_basis(monkeypatch):
+    # The receiver checks a patch against the delta's target digest; it
+    # has no way to render the sender's target.
+    basis = tree_of({"f.bin": SyntheticContent(seed=1, length=4096)})
+    target = tree_of({"f.bin": SyntheticContent(seed=1, length=4096, epoch=2)})
+    delta, stats = sync_tree(basis, target, 1024)
+    assert stats.files_patched == 1
+    rendered = []
+    real = delta_sync.materialize_entry
+    monkeypatch.setattr(delta_sync, "materialize_entry",
+                        lambda path, entry: rendered.append(entry) or real(path, entry))
+    assert apply_tree_delta(basis, delta) == target
+    assert rendered == [basis.get("f.bin")]
 
 
 def test_sync_tree_verify_unchanged_charges_scan():
