@@ -8,6 +8,18 @@ downtimes, minimizing squared relative error.  The optimizer is a
 deterministic coordinate descent with golden-section line searches and
 a fixed iteration budget, so refitting identical inputs always yields
 an identical calibration file.
+
+The objective is built once per fit from those simulator runs: every
+distinct stage record gets one row, its wire, scanned and local bytes
+sit in float64 arrays grouped by stage family (sync, clone, suspend,
+restore, other), each total or downtime cell is a row of record
+indices, and the observations' measured values are a vector.  One
+evaluation computes every record's predicted seconds with a few
+elementwise operations per family, then the cell totals and the error
+sum.  Both sums are taken with ``np.cumsum``, which adds strictly left
+to right like a Python ``for`` loop or ``sum()``; ``np.sum``, ``@`` and
+``dot`` add pairwise or in BLAS order and would change the last bits of
+the objective, hence the golden-section path and the fitted values.
 """
 
 from __future__ import annotations
@@ -16,8 +28,11 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .guest import GuestSpec, Virtualization, container_spec, vm_spec
 from .migrator import (
+    DOWNTIME_STAGES,
     CostModel,
     DestinationState,
     MigrationMode,
@@ -43,13 +58,6 @@ CONFIG_DESTS = {
         MigrationMode.THREE_LAYER,
         DestinationState(has_base=True, has_app=True),
     ),
-}
-
-DOWNTIME = {
-    Stage.SUSPEND_INSTANCE,
-    Stage.SYNC_INSTANCE_FILESYSTEM,
-    Stage.SYNC_INSTANCE_MEMORY,
-    Stage.RESTORE_INSTANCE,
 }
 
 # (name, lower bound, upper bound); rates in bytes/s, times in seconds.
@@ -102,27 +110,113 @@ def _extract_features(
     return features
 
 
-def _predict_stage(params: dict[str, float], record: StageRecord, link: LinkSpec) -> float:
-    stage = record.stage
-    effective = min(link.bandwidth_bps, params["processing_cap"])
-    if stage in (
+def _observations(reference: dict, kind: str, profiles, features) -> tuple[list, list]:
+    """The fit's observations over the simulator runs ``features``.
+
+    Stage observations are ``(profile name, record, measured seconds)``
+    for each measured stage of the three-layer, app-not-found runs; cell
+    observations are ``(records, downtime only, measured seconds)`` for
+    each measured total or downtime of a configuration.
+    """
+    stages_ref = reference.get("fig4_stages", {}).get(kind, {})
+    cells_ref = reference.get("table1", {}).get(kind, {})
+    stage_obs = []
+    for profile in profiles:
+        measured = stages_ref[profile.name]
+        for record in features[profile.name]["three_layer_app_not_found"]:
+            value = measured.get(record.stage.value)
+            if value:
+                stage_obs.append((profile.name, record, float(value)))
+    cell_obs = []
+    for profile in profiles:
+        for config, values in cells_ref.get(profile.name, {}).items():
+            records = features[profile.name].get(config)
+            if not records:
+                continue
+            if values.get("total_s"):
+                cell_obs.append((records, False, float(values["total_s"])))
+            if values.get("downtime_s"):
+                cell_obs.append((records, True, float(values["downtime_s"])))
+    return stage_obs, cell_obs
+
+
+SYNC_STAGES = frozenset(
+    {
         Stage.SYNC_BASE_FILESYSTEM,
         Stage.SYNC_APP_FILESYSTEM,
         Stage.SYNC_INSTANCE_FILESYSTEM,
         Stage.SYNC_INSTANCE_MEMORY,
-    ):
-        return (
-            params["stage_fixed_overhead"]
-            + record.wire_bytes * 8.0 / effective
-            + record.scanned_bytes / params["scan_rate"]
+    }
+)
+CLONE_STAGES = frozenset({Stage.CLONE_BASE_AS_APP, Stage.CLONE_APP_AS_INSTANCE})
+
+
+class _Objective:
+    """Mean squared relative error of fixed observations, as arrays.
+
+    Built once per fit; see the module docstring for why every sum is a
+    ``np.cumsum``.
+    """
+
+    def __init__(self, stage_obs: list, cell_obs: list, link: LinkSpec):
+        rows: dict[StageRecord, int] = {}
+        stage_rows = [rows.setdefault(r, len(rows)) for _, r, _ in stage_obs]
+        cell_rows = [
+            [rows.setdefault(r, len(rows)) for r in records
+             if not downtime_only or r.stage in DOWNTIME_STAGES]
+            for records, downtime_only, _ in cell_obs
+        ]
+        # Row ``pad`` of the prediction vector holds 0.0 and fills the
+        # cell matrix past each cell's last record.
+        self.pad = len(rows)
+        self.cells = np.full((len(cell_rows), max([1] + [len(r) for r in cell_rows])), self.pad)
+        for i, r in enumerate(cell_rows):
+            self.cells[i, : len(r)] = r
+        self.stage_rows = np.array(stage_rows, dtype=np.intp)
+        self.measured = np.array([m for *_, m in stage_obs] + [m for *_, m in cell_obs])
+        self.bandwidth = link.bandwidth_bps
+
+        records = list(rows)
+        wire = np.array([r.wire_bytes for r in records], dtype=np.float64)
+        scanned = np.array([r.scanned_bytes for r in records], dtype=np.float64)
+        local = np.array([r.local_bytes for r in records], dtype=np.float64)
+
+        def family(stages) -> np.ndarray:
+            return np.array([i for i, r in enumerate(records) if r.stage in stages], dtype=np.intp)
+
+        self.sync = family(SYNC_STAGES)
+        self.sync_bits = wire[self.sync] * 8.0
+        self.sync_scanned = scanned[self.sync]
+        self.clone = family(CLONE_STAGES)
+        self.clone_local = local[self.clone]
+        self.suspend = family({Stage.SUSPEND_INSTANCE})
+        self.suspend_local = local[self.suspend]
+        self.restore = family({Stage.RESTORE_INSTANCE})
+        self.restore_local = local[self.restore]
+        self.other = family(
+            set(Stage) - SYNC_STAGES - CLONE_STAGES - {Stage.SUSPEND_INSTANCE, Stage.RESTORE_INSTANCE}
         )
-    if stage in (Stage.CLONE_BASE_AS_APP, Stage.CLONE_APP_AS_INSTANCE):
-        return record.local_bytes / params["clone_rate"]
-    if stage is Stage.SUSPEND_INSTANCE:
-        return params["suspend_fixed"] + params["suspend_per_byte"] * record.local_bytes
-    if stage is Stage.RESTORE_INSTANCE:
-        return params["restore_fixed"] + params["restore_per_byte"] * record.local_bytes
-    return params["other_tasks_fixed"]
+
+    def evaluate(self, params: dict[str, float]) -> tuple[np.ndarray, np.ndarray]:
+        """Predicted seconds and relative error of each stage observation, then each cell."""
+        pred = np.zeros(self.pad + 1)
+        effective = min(self.bandwidth, params["processing_cap"])
+        pred[self.sync] = (
+            params["stage_fixed_overhead"]
+            + self.sync_bits / effective
+            + self.sync_scanned / params["scan_rate"]
+        )
+        pred[self.clone] = self.clone_local / params["clone_rate"]
+        pred[self.suspend] = params["suspend_fixed"] + params["suspend_per_byte"] * self.suspend_local
+        pred[self.restore] = params["restore_fixed"] + params["restore_per_byte"] * self.restore_local
+        pred[self.other] = params["other_tasks_fixed"]
+        totals = np.cumsum(pred[self.cells], axis=1)[:, -1]
+        predicted = np.concatenate((pred[self.stage_rows], totals))
+        return predicted, (predicted - self.measured) / self.measured
+
+    def __call__(self, params: dict[str, float]) -> float:
+        _, rel = self.evaluate(params)
+        return float(np.cumsum(rel * rel)[-1] / len(rel))
 
 
 @dataclass
@@ -152,7 +246,6 @@ def fit_cost_model(
 
     kind = virtualization.value
     stages_ref = reference.get("fig4_stages", {}).get(kind, {})
-    cells_ref = reference.get("table1", {}).get(kind, {})
     if not stages_ref:
         raise CalibrationError(f"reference contains no stage measurements for {kind!r}")
 
@@ -164,44 +257,12 @@ def fit_cost_model(
     link = reference_link()
     features = _extract_features(spec, profiles, link)
 
-    stage_obs: list[tuple[StageRecord, float]] = []
-    for profile in profiles:
-        measured = stages_ref[profile.name]
-        for record in features[profile.name]["three_layer_app_not_found"]:
-            value = measured.get(record.stage.value)
-            if value:
-                stage_obs.append((record, float(value)))
+    stage_obs, cell_obs = _observations(reference, kind, profiles, features)
     if len(stage_obs) < len(PARAM_SPACE):
         raise CalibrationError(
             f"{len(stage_obs)} stage observations cannot determine {len(PARAM_SPACE)} parameters"
         )
-
-    cell_obs: list[tuple[tuple[StageRecord, ...], bool, float]] = []
-    for profile in profiles:
-        ref_cells = cells_ref.get(profile.name, {})
-        for config, values in ref_cells.items():
-            records = features[profile.name].get(config)
-            if not records:
-                continue
-            if values.get("total_s"):
-                cell_obs.append((records, False, float(values["total_s"])))
-            if values.get("downtime_s"):
-                cell_obs.append((records, True, float(values["downtime_s"])))
-
-    def objective(params: dict[str, float]) -> float:
-        err = 0.0
-        for record, measured in stage_obs:
-            rel = (_predict_stage(params, record, link) - measured) / measured
-            err += rel * rel
-        for records, downtime_only, measured in cell_obs:
-            total = sum(
-                _predict_stage(params, r, link)
-                for r in records
-                if not downtime_only or r.stage in DOWNTIME
-            )
-            rel = (total - measured) / measured
-            err += rel * rel
-        return err / (len(stage_obs) + len(cell_obs))
+    objective = _Objective(stage_obs, cell_obs, link)
 
     initial = default_cost_model(virtualization).to_dict()
     params = {name: initial[name] for name, _, _ in PARAM_SPACE}
@@ -239,21 +300,18 @@ def fit_cost_model(
             line_search(name, lo, hi)
 
     final = objective(params)
-    residuals = []
-    within = 0
-    for record, measured in stage_obs:
-        predicted = _predict_stage(params, record, link)
-        rel = (predicted - measured) / measured
-        if abs(rel) <= 0.30:
-            within += 1
-        residuals.append(
-            {
-                "stage": record.stage.value,
-                "measured_s": measured,
-                "predicted_s": round(predicted, 4),
-                "relative_error": round(rel, 4),
-            }
-        )
+    n = len(stage_obs)
+    predicted, rel = objective.evaluate(params)
+    residuals = [
+        {
+            "profile": name,
+            "stage": record.stage.value,
+            "measured_s": measured,
+            "predicted_s": round(float(p), 4),
+            "relative_error": round(float(e), 4),
+        }
+        for (name, record, measured), p, e in zip(stage_obs, predicted[:n], rel[:n])
+    ]
 
     cap = params.pop("processing_cap")
     return FitResult(
@@ -261,7 +319,7 @@ def fit_cost_model(
         processing_cap_bps=cap,
         objective=final,
         stage_residuals=residuals,
-        within_30pct=within / len(stage_obs),
+        within_30pct=int(np.count_nonzero(np.abs(rel[:n]) <= 0.30)) / n,
     )
 
 
@@ -273,6 +331,7 @@ def calibration_to_dict(results: dict[Virtualization, FitResult]) -> dict:
             "processing_cap_bps": result.processing_cap_bps,
             "fit": {
                 "objective": result.objective,
+                "stage_residuals": result.stage_residuals,
                 "stage_residuals_within_30pct": result.within_30pct,
             },
         }

@@ -312,7 +312,7 @@ def cmd_calibrate(args) -> int:
         worst = sorted(result.stage_residuals, key=lambda r: -abs(r["relative_error"]))[:3]
         for row in worst:
             print(
-                f"  worst: {row['stage']} measured={row['measured_s']}s "
+                f"  worst: {row['profile']} {row['stage']} measured={row['measured_s']}s "
                 f"predicted={row['predicted_s']}s err={row['relative_error']:+.1%}"
             )
     print(f"wrote {args.out}")

@@ -382,10 +382,12 @@ def apply_delta(basis: bytes, delta: FileDelta) -> bytes:
         raise BasisMismatchError("basis digest does not match delta.basis_digest")
     L = delta.block_size
     n_blocks = math.ceil(len(basis) / L)
-    out = bytearray()
+    # Copies are views into the basis, so the target is built once, by the join.
+    view = memoryview(basis)
+    parts = []
     for op in delta.ops:
         if isinstance(op, LiteralOp):
-            out.extend(op.data)
+            parts.append(op.data)
         else:
             if op.first_block < 0 or op.block_count < 1 or op.first_block + op.block_count > n_blocks:
                 raise CorruptDeltaError(
@@ -394,14 +396,15 @@ def apply_delta(basis: bytes, delta: FileDelta) -> bytes:
                 )
             start = op.first_block * L
             end = min(start + op.block_count * L, len(basis))
-            out.extend(basis[start:end])
+            parts.append(view[start:end])
+    out = b"".join(parts)
     if len(out) != delta.target_length:
         raise CorruptDeltaError(
             f"reconstructed {len(out)} bytes, delta declares {delta.target_length}"
         )
     if strong_digest(out) != delta.target_digest:
         raise CorruptDeltaError("rebuilt bytes do not match delta.target_digest")
-    return bytes(out)
+    return out
 
 
 # --- tree-level synchronization -------------------------------------------

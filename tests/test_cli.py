@@ -181,6 +181,19 @@ def test_reference_scenario_seeds_ignore_hash_seed():
     assert len(set(json.loads(outputs[0]))) == len(layermig.builtin_profiles())
 
 
+def test_reproduce_csvs_ignore_hash_seed(tmp_path):
+    src = str(Path(layermig.__file__).resolve().parents[1])
+    tables = []
+    for hash_seed in ("1", "2"):
+        out_dir = tmp_path / hash_seed
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-m", "layermig.cli", "reproduce", "--target", "table1",
+                        "--scale", "0.01", "--out-dir", str(out_dir)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        tables.append({path.name: path.read_bytes() for path in sorted(out_dir.glob("*.csv"))})
+    assert tables[0] and tables[0] == tables[1]
+
+
 def test_reproduce_missing_calibration_exits_4(tmp_path):
     code = main(["reproduce", "--target", "table1", "--out-dir", str(tmp_path / "rep"),
                  "--calibration", str(tmp_path / "missing.json")])

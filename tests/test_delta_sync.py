@@ -381,6 +381,16 @@ def test_signature_and_delta_memory_is_bounded():
     assert apply_delta(basis, delta) == target
 
 
+def test_apply_delta_builds_the_target_once():
+    # An 8 MiB identical pair is one copy run: rebuilding it holds the
+    # target once, not a working buffer plus a copy of it.
+    data = rng(51).bytes(8 * 2**20)
+    delta, _ = compute_delta(compute_signature(data), data)
+    rebuilt, peak = traced_peak(apply_delta, data, delta)
+    assert rebuilt == data
+    assert peak < 1.25 * len(data)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     basis=st.binary(max_size=6000),
