@@ -506,18 +506,19 @@ def apply_tree_delta(basis: FileTree, delta: TreeDelta) -> FileTree:
     target digest before the target is adopted; a mismatch raises
     :class:`CorruptDeltaError`.
     """
-    out = dict(basis.items())
+    deleted: list[str] = []
+    changed: dict[str, ContentDescriptor] = {}
     for path, op in delta.entries:
         if isinstance(op, Unchanged):
             continue
         if isinstance(op, Deleted):
-            out.pop(path, None)
+            deleted.append(path)
         elif isinstance(op, Created):
-            out[path] = op.target
+            changed[path] = op.target
         else:
-            basis_entry = out.get(path)
+            basis_entry = basis.get(path)
             if basis_entry is None:
                 raise CorruptDeltaError(f"patch for {path!r} but basis has no such file")
             apply_delta(materialize_entry(path, basis_entry), op.delta)
-            out[path] = op.target
-    return FileTree(out)
+            changed[path] = op.target
+    return basis.without(deleted).with_entries(changed)

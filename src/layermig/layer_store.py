@@ -126,22 +126,27 @@ def materialize_entry(path: str, entry: ContentDescriptor) -> bytes:
     return _page_run_bytes(entry.seed, entry.page_size, entry.start_page, epochs)
 
 
-def entry_length(entry: ContentDescriptor) -> int:
-    return entry.length
-
-
 # --- file trees --------------------------------------------------------------
 
 
 def normalize_path(path: str) -> str:
     norm = posixpath.normpath(path.replace("\\", "/")).lstrip("/")
-    if norm in ("", ".") or norm.startswith("..") or "/../" in norm:
+    if norm in ("", ".", "..") or norm.startswith("../"):
         raise ValueError(f"invalid tree path: {path!r}")
     return norm
 
 
 class FileTree:
-    """Immutable map of normalized path -> content descriptor."""
+    """Immutable map of normalized path -> content descriptor.
+
+    Invariant: every path is normalized (see :func:`normalize_path`) and
+    the entries are held in sorted path order.  Only the constructor and
+    the ``extra`` paths of :meth:`with_entries` normalize entries, and
+    ``with_entries`` sorts only when it adds a path.  :meth:`without`,
+    :meth:`subtree` and :meth:`split` filter entries that already hold
+    the invariant, so they keep its order and normalize only the paths
+    they are asked about.
+    """
 
     __slots__ = ("_entries",)
 
@@ -150,6 +155,13 @@ class FileTree:
         for path, entry in (entries or {}).items():
             normed[normalize_path(path)] = entry
         self._entries = dict(sorted(normed.items()))
+
+    @classmethod
+    def _of(cls, entries: dict[str, ContentDescriptor]) -> "FileTree":
+        """Adopt entries that already hold the invariant, as they are."""
+        tree = cls.__new__(cls)
+        tree._entries = entries
+        return tree
 
     def get(self, path: str) -> ContentDescriptor | None:
         return self._entries.get(path)
@@ -178,17 +190,21 @@ class FileTree:
 
     def with_entries(self, extra: Mapping[str, ContentDescriptor]) -> "FileTree":
         merged = dict(self._entries)
+        added = False
         for path, entry in extra.items():
-            merged[normalize_path(path)] = entry
-        return FileTree(merged)
+            path = normalize_path(path)
+            added = added or path not in merged
+            merged[path] = entry
+        return FileTree._of(dict(sorted(merged.items())) if added else merged)
 
     def without(self, paths: list[str]) -> "FileTree":
-        drop = {normalize_path(p) for p in paths}
-        return FileTree({p: e for p, e in self._entries.items() if p not in drop})
+        # A held path is already normalized; only other spellings need it.
+        drop = {p if p in self._entries else normalize_path(p) for p in paths}
+        return FileTree._of({p: e for p, e in self._entries.items() if p not in drop})
 
     def subtree(self, prefix: str) -> "FileTree":
         prefix = normalize_path(prefix) + "/"
-        return FileTree({p: e for p, e in self._entries.items() if p.startswith(prefix)})
+        return FileTree._of({p: e for p, e in self._entries.items() if p.startswith(prefix)})
 
     def split(self, prefix: str) -> tuple["FileTree", "FileTree"]:
         """(entries under prefix/, everything else)."""
@@ -197,7 +213,7 @@ class FileTree:
         outside = {}
         for p, e in self._entries.items():
             (inside if p.startswith(prefix) else outside)[p] = e
-        return FileTree(inside), FileTree(outside)
+        return FileTree._of(inside), FileTree._of(outside)
 
     def is_superset_of(self, other: "FileTree") -> bool:
         return all(self._entries.get(p) == e for p, e in other.items())
@@ -225,10 +241,6 @@ def tree_manifest(tree: FileTree) -> list[dict]:
             row["kind"] = "literal"
         rows.append(row)
     return rows
-
-
-def manifest_json(tree: FileTree) -> str:
-    return json.dumps(tree_manifest(tree), indent=2, sort_keys=True)
 
 
 def synthetic_files(
@@ -291,16 +303,16 @@ class Layer:
 def clone_layer(layer: Layer, new_kind: LayerKind, *, clone_id: str | None = None) -> Layer:
     """Duplicate a layer one level up (base->app, app->instance, base->instance).
 
-    The clone shares no mutable state with the source: trees are
-    immutable and copied, so later extensions of the clone never touch
-    the original.
+    The clone shares the source's tree rather than copying it: trees are
+    immutable, so later extensions of the clone build new trees and never
+    touch the original.
     """
     if (layer.kind, new_kind) not in _VALID_CLONES:
         raise ValueError(f"cannot clone {layer.kind.value} layer as {new_kind.value}")
     return Layer(
         id=clone_id or f"{new_kind.value}:{layer.id}",
         kind=new_kind,
-        tree=FileTree(dict(layer.tree.items())),
+        tree=layer.tree,
         parent_id=layer.id,
     )
 

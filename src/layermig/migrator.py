@@ -384,7 +384,7 @@ def run_migration(scenario: MigrationScenario) -> MigrationOutcome:
 
         elif stage is Stage.CLONE_BASE_AS_APP:
             assert dest_base_tree is not None
-            dest_app_tree = FileTree(dict(dest_base_tree.items()))
+            dest_app_tree = dest_base_tree
             records.append(
                 StageRecord(stage, dest_base_tree.total_length / cm.clone_rate, 0,
                             local_bytes=dest_base_tree.total_length)
@@ -398,7 +398,7 @@ def run_migration(scenario: MigrationScenario) -> MigrationOutcome:
         elif stage is Stage.CLONE_APP_AS_INSTANCE:
             lower = dest_app_tree if mode is MigrationMode.THREE_LAYER else dest_base_tree
             assert lower is not None
-            dest_instance_tree = FileTree(dict(lower.items()))
+            dest_instance_tree = lower
             records.append(
                 StageRecord(stage, lower.total_length / cm.clone_rate, 0,
                             local_bytes=lower.total_length)

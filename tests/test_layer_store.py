@@ -2,8 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from layermig.delta_sync import compute_delta, compute_signature
+from layermig.delta_sync import (
+    Created,
+    Deleted,
+    Patched,
+    apply_tree_delta,
+    compute_delta,
+    compute_signature,
+    sync_tree,
+)
 from layermig.layer_store import (
     DEFAULT_CHUNK_SIZE,
     FileTree,
@@ -64,6 +74,18 @@ def test_path_normalization():
         normalize_path("a/../../b")
 
 
+@pytest.mark.parametrize("path,norm", [("..foo/bar", "..foo/bar"), ("a/..b", "a/..b"),
+                                       ("./..foo", "..foo")])
+def test_path_normalization_keeps_names_that_begin_with_dots(path, norm):
+    assert normalize_path(path) == norm
+
+
+@pytest.mark.parametrize("path", ["../x", "a/../../b", "..", "a/..", "/"])
+def test_path_normalization_rejects_escapes_and_empty_paths(path):
+    with pytest.raises(ValueError):
+        normalize_path(path)
+
+
 def test_tree_iteration_is_sorted():
     tree = FileTree({
         "z/last.bin": LiteralContent(b"1"),
@@ -111,6 +133,11 @@ def test_clone_layer_rejects_invalid_transition():
         clone_layer(app, LayerKind.APPLICATION)
 
 
+def test_clone_layer_shares_the_tree():
+    base = make_layer()
+    assert clone_layer(base, LayerKind.APPLICATION).tree is base.tree
+
+
 def test_clone_extension_does_not_touch_source():
     base = make_layer()
     clone = clone_layer(base, LayerKind.APPLICATION)
@@ -141,6 +168,107 @@ def test_superset_invariant_checked_exhaustively():
     app_tree = app.tree.with_entries({"app/a.bin": SyntheticContent(seed=3, length=100)})
     for path, entry in base.tree.items():
         assert app_tree.get(path) == entry
+
+
+# --- derived trees: oracle against building from scratch -----------------------
+
+# Each reference builds its result the way every derived tree used to be
+# built: a plain dict of the wanted entries, validated and sorted by the
+# FileTree constructor.
+
+
+def ref_with_entries(tree, extra):
+    merged = dict(tree.items())
+    for path, entry in extra.items():
+        merged[normalize_path(path)] = entry
+    return FileTree(merged)
+
+
+def ref_without(tree, paths):
+    drop = {normalize_path(p) for p in paths}
+    return FileTree({p: e for p, e in tree.items() if p not in drop})
+
+
+def ref_subtree(tree, prefix):
+    prefix = normalize_path(prefix) + "/"
+    return FileTree({p: e for p, e in tree.items() if p.startswith(prefix)})
+
+
+def ref_split(tree, prefix):
+    prefix = normalize_path(prefix) + "/"
+    inside = {}
+    outside = {}
+    for p, e in tree.items():
+        (inside if p.startswith(prefix) else outside)[p] = e
+    return FileTree(inside), FileTree(outside)
+
+
+def ref_apply_tree_delta(basis, delta):
+    out = dict(basis.items())
+    for path, op in delta.entries:
+        if isinstance(op, Deleted):
+            out.pop(path, None)
+        elif isinstance(op, (Created, Patched)):
+            out[path] = op.target
+    return FileTree(out)
+
+
+def assert_same_tree(tree, ref):
+    assert tree == ref
+    assert tree.paths() == ref.paths()
+    assert list(tree.items()) == list(ref.items())
+
+
+_NAMES = st.sampled_from(["a", "b", "b.bin", "..c", "d"])
+_SEPS = st.sampled_from(["/", "//", "/./"])
+
+
+@st.composite
+def spellings(draw):
+    """Unnormalized spellings of valid paths: a leading "/" or "./",
+    doubled separators, "." components and a trailing slash."""
+    names = draw(st.lists(_NAMES, min_size=1, max_size=3))
+    path = names[0]
+    for name in names[1:]:
+        path += draw(_SEPS) + name
+    return draw(st.sampled_from(["", "/", "./"])) + path + draw(st.sampled_from(["", "/"]))
+
+
+SPELLINGS = spellings()
+CONTENT = st.sampled_from([b"", b"x", b"xy", b"yx" * 40]).map(LiteralContent)
+ENTRIES = st.dictionaries(SPELLINGS, CONTENT, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=ENTRIES, extra=ENTRIES, drop=st.lists(SPELLINGS, max_size=6), prefix=SPELLINGS)
+def test_derived_trees_match_trees_built_from_scratch(base, extra, drop, prefix):
+    tree = FileTree(base)
+    assert_same_tree(tree.with_entries(extra), ref_with_entries(tree, extra))
+    assert_same_tree(tree.without(drop), ref_without(tree, drop))
+    assert_same_tree(tree.subtree(prefix), ref_subtree(tree, prefix))
+    inside, outside = tree.split(prefix)
+    ref_inside, ref_outside = ref_split(tree, prefix)
+    assert_same_tree(inside, ref_inside)
+    assert_same_tree(outside, ref_outside)
+
+
+@settings(max_examples=150, deadline=None)
+@given(basis=ENTRIES, target=ENTRIES)
+def test_apply_tree_delta_matches_tree_built_from_scratch(basis, target):
+    basis, target = FileTree(basis), FileTree(target)
+    delta, _ = sync_tree(basis, target)
+    synced = apply_tree_delta(basis, delta)
+    assert_same_tree(synced, ref_apply_tree_delta(basis, delta))
+    assert_same_tree(synced, target)
+
+
+def test_with_entries_normalizes_only_its_extra_paths():
+    tree = FileTree({"a/b": LiteralContent(b"1")})
+    merged = tree.with_entries({"/z//y": LiteralContent(b"2"), "./a/./b": LiteralContent(b"3")})
+    assert merged.paths() == ["a/b", "z/y"]
+    assert merged.get("a/b") == LiteralContent(b"3")
+    with pytest.raises(ValueError):
+        tree.with_entries({"../x": LiteralContent(b"4")})
 
 
 # --- memory images ----------------------------------------------------------------
