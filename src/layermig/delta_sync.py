@@ -8,16 +8,25 @@ sender scans the target against the signature and produces a
 target exactly from the basis.  :func:`sync_tree` lifts the same scheme
 to whole file trees.
 
-The engine works in bounded memory.  Signatures take the weak checksums
-of full blocks a slice of rows at a time; the delta scan computes the
-weak checksum of every window start one scan window (``SCAN_WINDOW``
-starts) at a time, in uint32 with window-local offsets, which is exact
-because 2^16 divides 2^32.  Wherever a copy run could continue, the
-block at the scan position is first looked up by strong digest alone,
-so aligned matches skip the rolling scan.  Beyond the signature and
-the literal output, working memory is O(``SCAN_WINDOW`` + block size),
-whatever the file size.  Every delta carries the digest of its target,
-and :func:`apply_delta` checks the rebuilt bytes against it.
+The engine works in bounded memory.  Files stream through it
+``READ_CHUNK`` bytes at a time: :func:`sync_tree` compares, signs and
+scans tree entries by rendering one byte range at a time, and
+:func:`apply_tree_delta` reads only the basis ranges each copy needs and
+digests the rebuilt bytes as they are produced, so no basis, target or
+rebuilt file is held whole.  Signatures take the weak checksums of full
+blocks a slice of rows at a time, carrying blocks across chunk seams;
+the delta scan computes the weak checksum of every window start one
+scan window (``SCAN_WINDOW`` starts) at a time, in uint32 with
+window-local offsets, which is exact because 2^16 divides 2^32.
+Wherever a copy run could continue, the block at the scan position is
+first looked up by strong digest alone, so aligned matches skip the
+rolling scan.  Beyond the signature and the literal output, working
+memory is O(``READ_CHUNK`` + ``SCAN_WINDOW`` + block size), whatever
+the file size; only a literal is held whole, as its op carries it.
+Every delta carries the digest of its target, and the receiver checks
+the rebuilt bytes against it.  The bytes API (:func:`apply_delta`, and
+bytes passed to :func:`compute_signature` and :func:`compute_delta`)
+runs the same code over views of the caller's buffers.
 
 Wire accounting is modeled, not framed: signatures cost
 ``blocks * (4 + digest width)`` bytes, each copy op 9 bytes, each
@@ -33,6 +42,7 @@ import bisect
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -56,6 +66,13 @@ VERIFY_WIRE = DIGEST_WIDTH  # whole-file checksum for forced re-verification
 SCAN_WINDOW = 1 << 16
 # Low weak bits of the first-stage membership filter in the scan.
 FILTER_BITS = 20
+# Bytes per read when a file streams through the engine: the tree
+# sync's equal-content check, signatures, delta scans and rebuilds all
+# read their file this many bytes at a time.
+READ_CHUNK = 1 << 18
+
+# A file to read: its length, and a function returning bytes [start, stop).
+Source = tuple[int, Callable[[int, int], bytes]]
 
 
 class DeltaSyncError(Exception):
@@ -183,39 +200,83 @@ class SyncStats:
         self.files_deleted += other.files_deleted
 
 
-def compute_signature(data: bytes, block_size: int = DEFAULT_BLOCK_SIZE) -> FileSignature:
+def _bytes_source(data: bytes) -> Source:
+    view = memoryview(data)
+    return len(view), lambda start, stop: view[start:stop]
+
+
+def _entry_source(path: str, entry: ContentDescriptor) -> Source:
+    return entry.length, lambda start, stop: materialize_entry(path, entry, start, stop)
+
+
+def _pieces(source: Source) -> Iterator[bytes]:
+    """The source's bytes, front to back, ``READ_CHUNK`` at a time."""
+    length, read = source
+    for start in range(0, length, READ_CHUNK):
+        yield read(start, min(start + READ_CHUNK, length))
+
+
+def _add_full_blocks(blocks: list[BlockSignature], data: memoryview, L: int) -> None:
+    """Append the signatures of ``data``'s whole blocks.
+
+    Full blocks are rows, taken a bounded slice of rows at a time: a is
+    the row sum and b the row dot product with weights L..1.
+    """
+    n_full = len(data) // L
+    if not n_full:
+        return
+    rows = np.frombuffer(data, dtype=np.uint8, count=n_full * L).reshape(n_full, L)
+    weights = np.arange(L, 0, -1, dtype=np.uint32)
+    step = max(1, SCAN_WINDOW // L)
+    for first in range(0, n_full, step):
+        part = rows[first:first + step]
+        a = part.sum(axis=1, dtype=np.uint32) & 0xFFFF
+        b = (part @ weights) & 0xFFFF
+        for i, weak in enumerate((a | (b << 16)).tolist(), first):
+            blocks.append(BlockSignature(weak=weak, strong=strong_digest(data[i * L:(i + 1) * L])))
+
+
+def compute_signature(
+    data: bytes | Iterable[bytes], block_size: int = DEFAULT_BLOCK_SIZE
+) -> FileSignature:
     """Signature of ``data``: one (weak, strong) pair per block.
 
-    The last block may be short.  Deterministic: same bytes and block
-    size always give a bit-identical signature.
+    ``data`` is the basis as bytes, or as an iterable of its consecutive
+    chunks, of any sizes; a block cut by a chunk seam is carried over to
+    the next chunk, so the signature is the same either way.  The last
+    block may be short.  Deterministic: same bytes and block size always
+    give a bit-identical signature.
     """
     if block_size < MIN_BLOCK_SIZE:
         raise ValueError(f"block_size must be >= {MIN_BLOCK_SIZE}, got {block_size}")
     L = block_size
-    view = memoryview(data)
-    blocks = []
-    n_full = len(data) // L
-    if n_full:
-        # Full blocks as rows, a bounded slice of rows at a time: a is
-        # the row sum and b the row dot product with weights L..1.
-        rows = np.frombuffer(data, dtype=np.uint8, count=n_full * L).reshape(n_full, L)
-        weights = np.arange(L, 0, -1, dtype=np.uint32)
-        step = max(1, SCAN_WINDOW // L)
-        for first in range(0, n_full, step):
-            chunk = rows[first:first + step]
-            a = chunk.sum(axis=1, dtype=np.uint32) & 0xFFFF
-            b = (chunk @ weights) & 0xFFFF
-            for i, weak in enumerate((a | (b << 16)).tolist(), first):
-                blocks.append(BlockSignature(weak=weak, strong=strong_digest(view[i * L:(i + 1) * L])))
-    if len(data) % L:
-        tail = view[n_full * L:]
-        a, b = weak_checksum(tail)
-        blocks.append(BlockSignature(weak=combine_weak(a, b), strong=strong_digest(tail)))
+    chunks = (data,) if isinstance(data, (bytes, bytearray, memoryview)) else data
+    blocks: list[BlockSignature] = []
+    content = hashlib.blake2b(digest_size=DIGEST_WIDTH)
+    total = 0
+    carry = b""  # the start of a block cut by the last seam
+    for chunk in chunks:
+        content.update(chunk)
+        total += len(chunk)
+        view = memoryview(chunk)
+        if carry:
+            need = L - len(carry)
+            carry += view[:need]
+            view = view[need:]
+            if len(carry) < L:
+                continue
+            _add_full_blocks(blocks, memoryview(carry), L)
+        whole = len(view) - len(view) % L
+        _add_full_blocks(blocks, view[:whole], L)
+        carry = bytes(view[whole:])
+    if carry:
+        a, b = weak_checksum(carry)
+        blocks.append(BlockSignature(weak=combine_weak(a, b), strong=strong_digest(carry)))
     return FileSignature(
         block_size=block_size,
         blocks=tuple(blocks),
-        total_length=len(data),
-        content_digest=strong_digest(data),
+        total_length=total,
+        content_digest=content.digest(),
     )
 
 
@@ -224,20 +285,20 @@ def _charged_literal(length: int, wire_ratio: float) -> int:
 
 
 def _scan_window(
-    target: bytes, start: int, stop: int, L: int, known: np.ndarray, filt: np.ndarray
+    window: bytes, start: int, L: int, known: np.ndarray, filt: np.ndarray
 ) -> list[int]:
-    """Window starts in ``[start, stop)`` whose weak checksum is in ``known``.
+    """Window starts whose weak checksum is in ``known``.
 
-    Reads target bytes ``[start, stop + L - 1)`` only, with offsets
-    local to the window.  With ``P`` the prefix sums of the bytes and
-    ``S`` those of ``P``, the window at ``i`` has ``a = P[i+L] - P[i]``
-    and ``b = S[i+L] - S[i] - L * P[i]``, since each byte ``x[t]`` is
-    counted once per ``k`` in ``t < k <= i+L``.  The sums wrap in uint32,
-    which is exact because 2^16 divides 2^32.  Candidates pass the
-    low-bit membership filter ``filt`` and then an exact lookup in the
-    sorted array ``known``.
+    ``window`` holds target bytes ``[start, stop + L - 1)`` for the
+    starts ``[start, stop)``, and offsets are local to it.  With ``P``
+    the prefix sums of the bytes and ``S`` those of ``P``, the window at
+    ``i`` has ``a = P[i+L] - P[i]`` and ``b = S[i+L] - S[i] - L * P[i]``,
+    since each byte ``x[t]`` is counted once per ``k`` in ``t < k <= i+L``.
+    The sums wrap in uint32, which is exact because 2^16 divides 2^32.
+    Candidates pass the low-bit membership filter ``filt`` and then an
+    exact lookup in the sorted array ``known``.
     """
-    x = np.frombuffer(target, dtype=np.uint8, count=stop - start + L - 1, offset=start)
+    x = np.frombuffer(window, dtype=np.uint8)
     P = np.zeros(len(x) + 1, dtype=np.uint32)
     np.cumsum(x, dtype=np.uint32, out=P[1:])
     S = np.cumsum(P, dtype=np.uint32)
@@ -250,13 +311,69 @@ def _scan_window(
     return (hits[known[slots] == hit_weaks] + start).tolist()
 
 
+class _ForwardReader:
+    """A source read once, front to back, ``READ_CHUNK`` bytes at a time.
+
+    Digests each piece as it reads it.  Pieces that end at or before
+    ``keep`` are dropped when the next piece is read; the caller keeps
+    ``keep`` at the first offset it will still ask for.
+    """
+
+    def __init__(self, source: Source):
+        self.length, self._read = source
+        self.keep = 0
+        self._chunk = READ_CHUNK
+        self._pieces: list[memoryview] = []
+        self._first = 0  # index of the first held piece
+        self._end = 0  # bytes read so far
+        self._digest = hashlib.blake2b(digest_size=DIGEST_WIDTH)
+
+    def _fill(self, stop: int) -> None:
+        drop = self.keep // self._chunk - self._first
+        if drop > 0:
+            del self._pieces[:drop]
+            self._first += drop
+        while self._end < stop:
+            end = min(self._end + self._chunk, self.length)
+            piece = self._read(self._end, end)
+            self._digest.update(piece)
+            self._pieces.append(memoryview(piece))
+            self._end = end
+
+    def get(self, start: int, stop: int) -> bytes | memoryview:
+        """Bytes ``[start, stop)``, with ``keep <= start < stop``: a view
+        when one piece holds them."""
+        if stop > self._end:
+            self._fill(stop)
+        c = self._chunk
+        first = start // c
+        base = first * c
+        if stop <= base + c:
+            return self._pieces[first - self._first][start - base:stop - base]
+        last = (stop - 1) // c
+        parts = self._pieces[first - self._first:last - self._first + 1]
+        parts[0] = parts[0][start - base:]
+        parts[-1] = parts[-1][:stop - last * c]
+        return b"".join(parts)
+
+    def digest(self) -> bytes:
+        """Digest of the whole source, reading what is left of it."""
+        self._fill(self.length)
+        return self._digest.digest()
+
+
 def compute_delta(
     sig: FileSignature,
-    target: bytes,
+    target: bytes | Source,
     *,
     wire_ratio: float = 1.0,
 ) -> tuple[FileDelta, SyncStats]:
     """Delta that rebuilds ``target`` from any basis matching ``sig``.
+
+    ``target`` is bytes, or a ``(length, read)`` source whose
+    ``read(start, stop)`` returns bytes ``[start, stop)``; either way it
+    is read forward once, ``READ_CHUNK`` bytes at a time, and the target
+    digest is taken as it is read.
 
     Greedy longest-run matching: the scan takes the first target
     position whose window matches a full basis block by weak checksum
@@ -272,18 +389,20 @@ def compute_delta(
     digests mean equal bytes and so equal weak checksums, and the
     lookup keeps the earliest block per digest.  Otherwise the target is
     scanned one window of ``SCAN_WINDOW`` starts at a time (see
-    :func:`_scan_window`), so beyond the signature and the literal
-    output, working memory is O(``SCAN_WINDOW`` + block size) for any
-    file size.
+    :func:`_scan_window`).  Only the pending literal bytes and the read
+    pieces the scan window reaches are held, so beyond the signature and
+    the literal output, working memory is O(``READ_CHUNK`` +
+    ``SCAN_WINDOW`` + block size) for any file size.
 
     ``wire_ratio`` scales literal payloads on the wire to model
     compression; the reconstruction itself is always byte-exact.
     """
     if wire_ratio <= 0:
         raise ValueError("wire_ratio must be positive")
+    reader = _ForwardReader(target if isinstance(target, tuple) else _bytes_source(target))
+    read = reader.get
     L = sig.block_size
-    n = len(target)
-    view = memoryview(target)
+    n = reader.length
     ops: list[CopyOp | LiteralOp] = []
     stats = SyncStats(wire_bytes=sig.wire_bytes + FILE_WIRE_OVERHEAD, scanned_bytes=n)
 
@@ -297,8 +416,8 @@ def compute_delta(
     for i in range(full_blocks):
         first_block.setdefault(sig.blocks[i].strong, i)
 
-    def emit_literal(chunk: bytes) -> None:
-        ops.append(LiteralOp(data=chunk))
+    def emit_literal(chunk: bytes | memoryview) -> None:
+        ops.append(LiteralOp(data=bytes(chunk)))
         charged = _charged_literal(len(chunk), wire_ratio)
         stats.literal_bytes += charged
         stats.wire_bytes += charged + LITERAL_OP_WIRE
@@ -323,18 +442,18 @@ def compute_delta(
         window_end = 0
         while pos <= last_start:
             if pos == lit_start:
-                j = first_block.get(strong_digest(view[pos:pos + L]))
+                j = first_block.get(strong_digest(read(pos, pos + L)))
                 if j is not None:
                     emit_copy(j, 1)
-                    pos = lit_start = pos + L
+                    pos = lit_start = reader.keep = pos + L
                     continue
             if pos >= window_end:
                 window_end = min(pos + SCAN_WINDOW, last_start + 1)
-                candidates = _scan_window(target, pos, window_end, L, known, filt)
+                candidates = _scan_window(read(pos, window_end + L - 1), pos, L, known, filt)
             ci = bisect.bisect_left(candidates, pos)
             while ci < len(candidates):
                 c = candidates[ci]
-                j = first_block.get(strong_digest(view[c:c + L]))
+                j = first_block.get(strong_digest(read(c, c + L)))
                 if j is not None:
                     break
                 ci += 1
@@ -342,32 +461,88 @@ def compute_delta(
                 pos = window_end
                 continue
             if lit_start < c:
-                emit_literal(target[lit_start:c])
+                emit_literal(read(lit_start, c))
             emit_copy(j, 1)
-            pos = lit_start = c + L
+            pos = lit_start = reader.keep = c + L
 
     # Tail: the short final basis block can only match the very end of
     # the target, where the remaining bytes have exactly its length.
     tail_done = False
     if short_len and n - lit_start >= short_len:
-        tail = target[n - short_len:]
+        tail = read(n - short_len, n)
         last = sig.blocks[-1]
         if combine_weak(*weak_checksum(tail)) == last.weak and strong_digest(tail) == last.strong:
             if lit_start < n - short_len:
-                emit_literal(target[lit_start:n - short_len])
+                emit_literal(read(lit_start, n - short_len))
             emit_copy(len(sig.blocks) - 1, 1)
             tail_done = True
     if not tail_done and lit_start < n:
-        emit_literal(target[lit_start:])
+        emit_literal(read(lit_start, n))
 
     delta = FileDelta(
         block_size=L,
         ops=tuple(ops),
         target_length=n,
         basis_digest=sig.content_digest,
-        target_digest=strong_digest(target),
+        target_digest=reader.digest(),
     )
     return delta, stats
+
+
+def _rebuilt(basis: Source, delta: FileDelta) -> Iterator[bytes | memoryview]:
+    """The target ``delta`` rebuilds from ``basis``, in pieces of at most
+    ``READ_CHUNK`` bytes copied from the basis, and whole literals.
+
+    The basis is digested front to back as the copies read it, and the
+    gaps between them are read for the digest alone, so a basis whose
+    copies come in order is read once.  Each copy's block range is
+    checked before its pieces; after the last piece come the checks of
+    the basis digest, the length and the target digest.
+    """
+    length, read = basis
+    L = delta.block_size
+    n_blocks = math.ceil(length / L)
+    content = hashlib.blake2b(digest_size=DIGEST_WIDTH)
+    digested = 0  # basis bytes [0, digested) are in ``content``
+
+    def basis_pieces(start: int, stop: int) -> Iterator[bytes]:
+        nonlocal digested
+        for s in range(digested, start, READ_CHUNK):
+            content.update(read(s, min(s + READ_CHUNK, start)))
+        digested = max(digested, start)
+        for s in range(start, stop, READ_CHUNK):
+            e = min(s + READ_CHUNK, stop)
+            piece = read(s, e)
+            if e > digested:
+                content.update(memoryview(piece)[digested - s:])
+                digested = e
+            yield piece
+
+    rebuilt = hashlib.blake2b(digest_size=DIGEST_WIDTH)
+    size = 0
+    for op in delta.ops:
+        if isinstance(op, LiteralOp):
+            pieces = (op.data,)
+        else:
+            if op.first_block < 0 or op.block_count < 1 or op.first_block + op.block_count > n_blocks:
+                raise CorruptDeltaError(
+                    f"copy of blocks [{op.first_block}, {op.first_block + op.block_count}) "
+                    f"outside basis with {n_blocks} blocks"
+                )
+            start = op.first_block * L
+            pieces = basis_pieces(start, min(start + op.block_count * L, length))
+        for piece in pieces:
+            rebuilt.update(piece)
+            size += len(piece)
+            yield piece
+    for _ in basis_pieces(length, length):
+        pass
+    if content.digest() != delta.basis_digest:
+        raise BasisMismatchError("basis digest does not match delta.basis_digest")
+    if size != delta.target_length:
+        raise CorruptDeltaError(f"reconstructed {size} bytes, delta declares {delta.target_length}")
+    if rebuilt.digest() != delta.target_digest:
+        raise CorruptDeltaError("rebuilt bytes do not match delta.target_digest")
 
 
 def apply_delta(basis: bytes, delta: FileDelta) -> bytes:
@@ -378,33 +553,8 @@ def apply_delta(basis: bytes, delta: FileDelta) -> bytes:
     delta references blocks outside the basis, or the rebuilt bytes have
     the wrong length or do not match ``delta.target_digest``.
     """
-    if strong_digest(basis) != delta.basis_digest:
-        raise BasisMismatchError("basis digest does not match delta.basis_digest")
-    L = delta.block_size
-    n_blocks = math.ceil(len(basis) / L)
     # Copies are views into the basis, so the target is built once, by the join.
-    view = memoryview(basis)
-    parts = []
-    for op in delta.ops:
-        if isinstance(op, LiteralOp):
-            parts.append(op.data)
-        else:
-            if op.first_block < 0 or op.block_count < 1 or op.first_block + op.block_count > n_blocks:
-                raise CorruptDeltaError(
-                    f"copy of blocks [{op.first_block}, {op.first_block + op.block_count}) "
-                    f"outside basis with {n_blocks} blocks"
-                )
-            start = op.first_block * L
-            end = min(start + op.block_count * L, len(basis))
-            parts.append(view[start:end])
-    out = b"".join(parts)
-    if len(out) != delta.target_length:
-        raise CorruptDeltaError(
-            f"reconstructed {len(out)} bytes, delta declares {delta.target_length}"
-        )
-    if strong_digest(out) != delta.target_digest:
-        raise CorruptDeltaError("rebuilt bytes do not match delta.target_digest")
-    return out
+    return b"".join(_rebuilt(_bytes_source(basis), delta))
 
 
 # --- tree-level synchronization -------------------------------------------
@@ -453,14 +603,15 @@ def sync_tree(
     quick check; with ``verify_unchanged`` they are additionally charged
     a full read plus a whole-file checksum on the wire, which models a
     sync engine that cannot trust metadata (VM image trees).  Content
-    that differs goes through :func:`compute_delta` for real.
+    that differs goes through :func:`compute_delta` for real.  Entries
+    whose descriptors differ are rendered ``READ_CHUNK`` bytes at a
+    time, so no file is ever rendered whole: the basis once, for its
+    signature, compared chunk by chunk with the target on the way (see
+    :class:`_ComparedBasis`), and the target once more for the scan.
     """
     stats = SyncStats()
     entries: list[tuple[str, FileOp]] = []
-    paths = sorted(set(basis.paths()) | set(target.paths()))
-    for path in paths:
-        b = basis.get(path)
-        t = target.get(path)
+    for path, b, t in _paired(basis, target):
         if t is None:
             entries.append((path, Deleted()))
             stats.files_deleted += 1
@@ -482,29 +633,71 @@ def sync_tree(
                 stats.wire_bytes += VERIFY_WIRE
                 stats.scanned_bytes += t.length
             continue
-        basis_bytes = materialize_entry(path, b)
-        target_bytes = materialize_entry(path, t)
-        if basis_bytes == target_bytes:
+        target_source = _entry_source(path, t)
+        basis = _ComparedBasis(_entry_source(path, b), target_source)
+        sig = compute_signature(basis, block_size)
+        if basis.equal:
             entries.append((path, Unchanged()))
             stats.files_unchanged += 1
             stats.wire_bytes += FILE_WIRE_OVERHEAD + VERIFY_WIRE
             stats.scanned_bytes += t.length
             continue
-        sig = compute_signature(basis_bytes, block_size)
-        delta, fstats = compute_delta(sig, target_bytes, wire_ratio=t.wire_ratio)
+        delta, fstats = compute_delta(sig, target_source, wire_ratio=t.wire_ratio)
         entries.append((path, Patched(delta=delta, target=t)))
         stats.files_patched += 1
         stats.merge(fstats)
     return TreeDelta(block_size=block_size, entries=tuple(entries)), stats
 
 
+class _ComparedBasis:
+    """The basis's pieces, compared chunk by chunk with the target's
+    while they are equal.
+
+    Iterating it once renders the basis once, for its signature, and
+    the target only up to the first piece that differs; ``equal`` then
+    tells whether the contents are the same.
+    """
+
+    def __init__(self, basis: Source, target: Source):
+        self._basis, self._target = basis, target
+        self.equal = basis[0] == target[0]
+
+    def __iter__(self) -> Iterator[bytes]:
+        target_pieces = _pieces(self._target)
+        for piece in _pieces(self._basis):
+            self.equal = self.equal and piece == next(target_pieces)
+            yield piece
+
+
+def _paired(
+    basis: FileTree, target: FileTree
+) -> Iterator[tuple[str, ContentDescriptor | None, ContentDescriptor | None]]:
+    """``(path, basis entry, target entry)`` for every path of either
+    tree, in sorted order, with ``None`` for the tree that lacks it: one
+    merge walk over the two trees' sorted entries."""
+    b_items, t_items = basis.items(), target.items()
+    b, t = next(b_items, None), next(t_items, None)
+    while b is not None or t is not None:
+        if t is None or (b is not None and b[0] < t[0]):
+            yield b[0], b[1], None
+            b = next(b_items, None)
+        elif b is None or t[0] < b[0]:
+            yield t[0], None, t[1]
+            t = next(t_items, None)
+        else:
+            yield b[0], b[1], t[1]
+            b, t = next(b_items, None), next(t_items, None)
+
+
 def apply_tree_delta(basis: FileTree, delta: TreeDelta) -> FileTree:
     """Apply a tree delta, verifying every patched file.
 
-    Patched entries replay the real :func:`apply_delta` against the
-    basis bytes, which checks the rebuilt bytes against the delta's
-    target digest before the target is adopted; a mismatch raises
-    :class:`CorruptDeltaError`.
+    Patched entries replay the delta against the basis entry, streamed
+    through the same checks as :func:`apply_delta`: the basis is read a
+    chunk at a time, copies read only their basis ranges, and the
+    rebuilt bytes are digested as they are produced, never held whole.
+    The target is adopted only once they match the delta's target
+    digest; a mismatch raises :class:`CorruptDeltaError`.
     """
     deleted: list[str] = []
     changed: dict[str, ContentDescriptor] = {}
@@ -519,6 +712,7 @@ def apply_tree_delta(basis: FileTree, delta: TreeDelta) -> FileTree:
             basis_entry = basis.get(path)
             if basis_entry is None:
                 raise CorruptDeltaError(f"patch for {path!r} but basis has no such file")
-            apply_delta(materialize_entry(path, basis_entry), op.delta)
+            for _ in _rebuilt(_entry_source(path, basis_entry), op.delta):
+                pass
             changed[path] = op.target
     return basis.without(deleted).with_entries(changed)

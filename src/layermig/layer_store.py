@@ -32,15 +32,19 @@ def _stream_key(*parts: object) -> np.ndarray:
 
 
 def _stream_bytes(key: np.ndarray, length: int, offset: int = 0) -> bytes:
-    """Deterministic pseudo-random bytes at a 32-byte-aligned offset."""
-    if length == 0:
+    """``length`` deterministic pseudo-random bytes of the stream keyed by
+    ``key``, from byte ``offset`` on.
+
+    Philox yields 32 bytes per counter increment, so the render starts
+    at the counter of the 32-byte block holding ``offset`` and trims the
+    bytes before it: any range equals the same slice of a render from 0.
+    """
+    if length <= 0:
         return b""
-    if offset % _STREAM_BLOCK:
-        raise ValueError("stream offset must be 32-byte aligned")
+    skip = offset % _STREAM_BLOCK
     bg = np.random.Philox(key=key, counter=offset // _STREAM_BLOCK)
-    n_words = math.ceil(length / 8)
-    raw = bg.random_raw(n_words).astype("<u8").tobytes()
-    return raw[:length]
+    words = bg.random_raw(math.ceil((skip + length) / 8)).astype("<u8", copy=False)
+    return words.view(np.uint8)[skip:skip + length].tobytes()
 
 
 # --- content descriptors ----------------------------------------------------
@@ -100,30 +104,50 @@ class MemoryChunkContent:
 ContentDescriptor = LiteralContent | SyntheticContent | MemoryChunkContent
 
 
-def _page_run_bytes(seed: int, page_size: int, start_page: int, epochs: np.ndarray) -> bytes:
-    out = bytearray()
-    i = 0
-    n = len(epochs)
-    while i < n:
-        j = i
-        epoch = int(epochs[i])
-        while j < n and int(epochs[j]) == epoch:
-            j += 1
-        key = _stream_key("layermig.mem", seed, epoch)
-        out.extend(_stream_bytes(key, (j - i) * page_size, offset=(start_page + i) * page_size))
-        i = j
-    return bytes(out)
+def _page_run_bytes(
+    seed: int, page_size: int, start_page: int, epochs: np.ndarray, start: int, stop: int
+) -> bytes:
+    """Bytes ``[start, stop)`` of the pages whose epochs are ``epochs``,
+    the first of them being page ``start_page``.
+
+    Only the pages the range covers are rendered, one stream per run of
+    equal epochs, and the runs are joined once.
+    """
+    if start >= stop:
+        return b""
+    first, last = start // page_size, -(-stop // page_size)
+    covered = epochs[first:last]
+    cuts = (np.flatnonzero(covered[1:] != covered[:-1]) + first + 1).tolist()
+    parts = []
+    for i, j in zip([first, *cuts], [*cuts, last]):
+        lo, hi = max(start, i * page_size), min(stop, j * page_size)
+        key = _stream_key("layermig.mem", seed, int(epochs[i]))
+        parts.append(_stream_bytes(key, hi - lo, offset=start_page * page_size + lo))
+    return b"".join(parts)
 
 
-def materialize_entry(path: str, entry: ContentDescriptor) -> bytes:
-    """Render one descriptor to bytes.  Pure and deterministic."""
+def materialize_entry(
+    path: str, entry: ContentDescriptor, start: int = 0, stop: int | None = None
+) -> bytes:
+    """Render bytes ``[start, stop)`` of one descriptor, by default all of
+    them.  Pure and deterministic.
+
+    A range costs only what it covers: synthetic content starts its
+    stream at the range, a memory chunk renders only the pages the range
+    touches, and literal content is sliced.  Every range equals the same
+    slice of the whole render, so callers can stream a file of any size
+    through a bounded buffer.  ``stop`` is clipped to the content length.
+    """
+    if start < 0:
+        raise ValueError(f"range start must be >= 0, got {start}")
+    stop = entry.length if stop is None else min(stop, entry.length)
     if isinstance(entry, LiteralContent):
-        return entry.data
+        return entry.data[start:stop]
     if isinstance(entry, SyntheticContent):
         key = _stream_key("layermig.file", entry.seed, path, entry.epoch)
-        return _stream_bytes(key, entry.length)
+        return _stream_bytes(key, stop - start, offset=start)
     epochs = np.frombuffer(entry.epochs, dtype="<u4")
-    return _page_run_bytes(entry.seed, entry.page_size, entry.start_page, epochs)
+    return _page_run_bytes(entry.seed, entry.page_size, entry.start_page, epochs, start, stop)
 
 
 # --- file trees --------------------------------------------------------------
@@ -404,7 +428,7 @@ def advance_memory(image: MemoryImage, steps: int) -> MemoryImage:
 
 def materialize_memory(image: MemoryImage) -> bytes:
     """All pages concatenated.  Test helper; linear in image size."""
-    return _page_run_bytes(image.seed, image.page_size, 0, image.page_epochs)
+    return _page_run_bytes(image.seed, image.page_size, 0, image.page_epochs, 0, image.total_bytes)
 
 
 MEMORY_META_FILE = "meta.json"

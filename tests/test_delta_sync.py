@@ -33,7 +33,15 @@ from layermig.delta_sync import (
     weak_checksum,
     weak_roll,
 )
-from layermig.layer_store import FileTree, LiteralContent, SyntheticContent, materialize
+from layermig.layer_store import (
+    FileTree,
+    LiteralContent,
+    SyntheticContent,
+    advance_memory,
+    materialize,
+    new_memory_image,
+    serialize_memory,
+)
 
 
 def rng(seed=0):
@@ -304,10 +312,17 @@ def edited(g, data, edits, alphabet):
     return bytes(out)
 
 
-def assert_matches_reference(basis, target, L):
-    delta, stats = compute_delta(compute_signature(basis, L), target)
+def assert_matches_reference(basis, target, L, cuts=()):
+    """Ops and stats equal the plain greedy scan's, and the target
+    rebuilds.  The basis cut at ``cuts`` gives the same signature as the
+    basis whole, and a ranged read source the same delta as the bytes."""
+    sig = compute_signature(basis, L)
+    delta, stats = compute_delta(sig, target)
     assert (delta.ops, stats) == reference_delta(basis, target, L)
     assert apply_delta(basis, delta) == target
+    bounds = [0, *sorted(cuts), len(basis)]
+    assert compute_signature((basis[a:b] for a, b in zip(bounds, bounds[1:])), L) == sig
+    assert compute_delta(sig, (len(target), lambda start, stop: target[start:stop])) == (delta, stats)
 
 
 @settings(max_examples=150, deadline=None)
@@ -319,12 +334,16 @@ def assert_matches_reference(basis, target, L):
     alphabet=st.sampled_from([1, 2, 256]),
     random_target=st.booleans(),
     edits=st.lists(st.tuples(st.floats(0, 1), st.integers(1, 2048), st.booleans()), max_size=5),
+    read_chunk=st.integers(1, 5000),
+    cuts=st.lists(st.floats(0, 1), max_size=6),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_scan_matches_greedy_reference(block_size, window_blocks, n_blocks, extra, alphabet,
-                                       random_target, edits, seed):
+                                       random_target, edits, read_chunk, cuts, seed):
     # Windows of two or three blocks put many seams, and many handovers
     # from the aligned check to the rolling scan, in a short target.
+    # Reads of up to 5000 bytes and cuts anywhere put read and chunk
+    # seams inside blocks, scan windows and literals.
     g = rng(seed)
     length = n_blocks * block_size + int(extra * block_size)
     basis = g.integers(0, alphabet, length, dtype=np.uint8).tobytes()
@@ -335,7 +354,8 @@ def test_scan_matches_greedy_reference(block_size, window_blocks, n_blocks, extr
                         alphabet)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(delta_sync, "SCAN_WINDOW", window_blocks * block_size)
-        assert_matches_reference(basis, target, block_size)
+        mp.setattr(delta_sync, "READ_CHUNK", read_chunk)
+        assert_matches_reference(basis, target, block_size, [int(c * length) for c in cuts])
 
 
 @pytest.mark.parametrize("shift", [-1, 0, 1])
@@ -389,6 +409,32 @@ def test_apply_delta_builds_the_target_once():
     rebuilt, peak = traced_peak(apply_delta, data, delta)
     assert rebuilt == data
     assert peak < 1.25 * len(data)
+
+
+@pytest.mark.parametrize("kind,bound", [("pages-5pct", 0.75), ("disjoint", 2.5)])
+def test_tree_sync_streams_patched_files(kind, bound):
+    # A 16 MiB patched file flows through sync and apply in bounded
+    # chunks: neither side holds the basis, the target or the rebuilt
+    # file whole.  A memory chunk with 5% of its pages rewritten needs
+    # its signature, its literals and a few read chunks; a disjoint file
+    # is one literal, held while its pending pieces are joined.
+    n = 16 * 2**20
+    if kind == "pages-5pct":
+        image = new_memory_image(n, 52, churn_rate=0.05)
+        old, new = (serialize_memory(i, chunk_size=n)["checkpoint/mem-00000.img"]
+                    for i in (image, advance_memory(image, 1)))
+    else:
+        old, new = SyntheticContent(seed=53, length=n), SyntheticContent(seed=53, length=n, epoch=1)
+    basis, target = FileTree({"f.bin": old}), FileTree({"f.bin": new})
+
+    def sync_and_apply():
+        delta, stats = sync_tree(basis, target)
+        return apply_tree_delta(basis, delta), stats
+
+    (rebuilt, stats), peak = traced_peak(sync_and_apply)
+    assert stats.files_patched == 1
+    assert rebuilt == target
+    assert peak < bound * n
 
 
 @settings(max_examples=80, deadline=None)
@@ -504,7 +550,8 @@ def test_apply_tree_delta_verifies_patches():
 
 def test_apply_tree_delta_renders_only_the_basis(monkeypatch):
     # The receiver checks a patch against the delta's target digest; it
-    # has no way to render the sender's target.
+    # has no way to render the sender's target.  It reads its basis in
+    # ranges, so every rendered range must belong to the basis entry.
     basis = tree_of({"f.bin": SyntheticContent(seed=1, length=4096)})
     target = tree_of({"f.bin": SyntheticContent(seed=1, length=4096, epoch=2)})
     delta, stats = sync_tree(basis, target, 1024)
@@ -512,9 +559,9 @@ def test_apply_tree_delta_renders_only_the_basis(monkeypatch):
     rendered = []
     real = delta_sync.materialize_entry
     monkeypatch.setattr(delta_sync, "materialize_entry",
-                        lambda path, entry: rendered.append(entry) or real(path, entry))
+                        lambda path, entry, *span: rendered.append(entry) or real(path, entry, *span))
     assert apply_tree_delta(basis, delta) == target
-    assert rendered == [basis.get("f.bin")]
+    assert rendered and all(entry == basis.get("f.bin") for entry in rendered)
 
 
 def test_sync_tree_verify_unchanged_charges_scan():

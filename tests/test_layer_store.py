@@ -65,6 +65,37 @@ def test_different_seeds_differ_in_almost_all_blocks():
     assert stats.literal_bytes / len(b) >= 0.99
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(["synthetic", "memory", "literal"]),
+    size=st.integers(0, 300),
+    page_size=st.sampled_from([32, 96, 4096]),
+    steps=st.integers(0, 4),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_ranged_render_is_a_slice_of_the_whole(kind, size, page_size, steps, seed, data):
+    # Synthetic sizes and bounds are unaligned to the 32-byte stream
+    # block; a memory chunk starts past page 0, its bounds fall inside
+    # pages, and churn gives its pages runs of several epochs.
+    if kind == "literal":
+        entry = LiteralContent(np.random.default_rng(seed).bytes(size))
+    elif kind == "synthetic":
+        entry = SyntheticContent(seed=seed, length=size * 37, epoch=steps)
+    else:
+        pages = size % 40 + 1  # per chunk; the second chunk is the one rendered
+        image = advance_memory(
+            new_memory_image((2 * pages + 1) * page_size, seed, page_size=page_size, churn_rate=0.3),
+            steps)
+        entry = serialize_memory(image, chunk_size=pages * page_size)["checkpoint/mem-00001.img"]
+        assert entry.start_page == pages
+    whole = materialize_entry("a/f.bin", entry)
+    assert len(whole) == entry.length
+    start = data.draw(st.integers(0, entry.length + 40))
+    stop = data.draw(st.none() | st.integers(0, entry.length + 40))
+    assert materialize_entry("a/f.bin", entry, start, stop) == whole[start:stop]
+
+
 def test_path_normalization():
     assert normalize_path("a//b/./c.bin") == "a/b/c.bin"
     assert normalize_path("/lead/slash") == "lead/slash"
@@ -257,6 +288,7 @@ def test_derived_trees_match_trees_built_from_scratch(base, extra, drop, prefix)
 def test_apply_tree_delta_matches_tree_built_from_scratch(basis, target):
     basis, target = FileTree(basis), FileTree(target)
     delta, _ = sync_tree(basis, target)
+    assert [path for path, _ in delta.entries] == sorted(set(basis.paths()) | set(target.paths()))
     synced = apply_tree_delta(basis, delta)
     assert_same_tree(synced, ref_apply_tree_delta(basis, delta))
     assert_same_tree(synced, target)
