@@ -16,17 +16,27 @@ digests the rebuilt bytes as they are produced, so no basis, target or
 rebuilt file is held whole.  Signatures take the weak checksums of full
 blocks a slice of rows at a time, carrying blocks across chunk seams;
 the delta scan computes the weak checksum of every window start one
-scan window (``SCAN_WINDOW`` starts) at a time, in uint32 with
-window-local offsets, which is exact because 2^16 divides 2^32.
+scan window at a time, in uint32 with window-local offsets, which is
+exact because 2^16 divides 2^32.
 Wherever a copy run could continue, the block at the scan position is
 first looked up by strong digest alone, so aligned matches skip the
-rolling scan.  Beyond the signature and the literal output, working
-memory is O(``READ_CHUNK`` + ``SCAN_WINDOW`` + block size), whatever
-the file size; only a literal is held whole, as its op carries it.
+rolling scan.  Where that check fails, the scan opens a window of
+``4 * block size`` starts, since the next match is usually near; each
+window that runs out without a match doubles the next one, up to
+``SCAN_WINDOW`` starts, and a match resets it.  Beyond the signature
+and the literal output, working memory is O(``READ_CHUNK`` +
+``SCAN_WINDOW`` + block size), whatever the file size; only a literal
+is held whole, as its op carries it.
 Every delta carries the digest of its target, and the receiver checks
 the rebuilt bytes against it.  The bytes API (:func:`apply_delta`, and
 bytes passed to :func:`compute_signature` and :func:`compute_delta`)
 runs the same code over views of the caller's buffers.
+
+The strong digest of blocks and whole files is SHA-256 truncated to
+``DIGEST_WIDTH`` = 16 bytes, as rsync moved its strong checksum from
+MD4 to faster ones: with SHA extensions, OpenSSL's SHA-256 hashes about
+twice as fast as blake2b, and the truncation keeps the 128-bit check
+and its wire cost.
 
 Wire accounting is modeled, not framed: signatures cost
 ``blocks * (4 + digest width)`` bytes, each copy op 9 bytes, each
@@ -49,7 +59,7 @@ import numpy as np
 from .layer_store import ContentDescriptor, FileTree, materialize_entry
 
 WEAK_MOD = 1 << 16
-DIGEST_WIDTH = 16  # blake2b-128, fixed everywhere
+DIGEST_WIDTH = 16  # SHA-256 truncated to 128 bits, fixed everywhere
 MIN_BLOCK_SIZE = 16
 DEFAULT_BLOCK_SIZE = 2048
 
@@ -59,10 +69,11 @@ LITERAL_OP_WIRE = 5
 FILE_WIRE_OVERHEAD = 64
 VERIFY_WIRE = DIGEST_WIDTH  # whole-file checksum for forced re-verification
 
-# Window starts per delta-scan window, and bytes per signature slice.
-# Small windows win: a window opens where an aligned check fails, and
-# the aligned matches that follow skip the rest of it, so a larger
-# window computes more weaks the scan never reads.
+# Most starts in one delta-scan window, and bytes per signature slice.
+# Windows start at four blocks' worth of starts after a failed aligned
+# check and double while they find no match, so a scan reads little
+# past the next match and still takes long unmatched runs in big
+# vectorized steps.
 SCAN_WINDOW = 1 << 16
 # Low weak bits of the first-stage membership filter in the scan.
 FILTER_BITS = 20
@@ -89,8 +100,10 @@ class CorruptDeltaError(DeltaSyncError):
 
 
 def strong_digest(data: bytes) -> bytes:
-    """128-bit collision-resistant digest used for blocks and whole files."""
-    return hashlib.blake2b(data, digest_size=DIGEST_WIDTH).digest()
+    """128-bit collision-resistant digest used for blocks and whole files:
+    SHA-256 truncated to ``DIGEST_WIDTH`` bytes.  The incremental
+    digests of whole files in this module truncate the same way."""
+    return hashlib.sha256(data).digest()[:DIGEST_WIDTH]
 
 
 def weak_checksum(block: bytes) -> tuple[int, int]:
@@ -252,7 +265,7 @@ def compute_signature(
     L = block_size
     chunks = (data,) if isinstance(data, (bytes, bytearray, memoryview)) else data
     blocks: list[BlockSignature] = []
-    content = hashlib.blake2b(digest_size=DIGEST_WIDTH)
+    content = hashlib.sha256()
     total = 0
     carry = b""  # the start of a block cut by the last seam
     for chunk in chunks:
@@ -276,7 +289,7 @@ def compute_signature(
         block_size=block_size,
         blocks=tuple(blocks),
         total_length=total,
-        content_digest=content.digest(),
+        content_digest=content.digest()[:DIGEST_WIDTH],
     )
 
 
@@ -311,6 +324,12 @@ def _scan_window(
     return (hits[known[slots] == hit_weaks] + start).tolist()
 
 
+def _first_window(L: int) -> int:
+    """Starts in the first scan window after a match, for blocks of
+    ``L`` bytes: the next match is usually a few blocks away."""
+    return 4 * L
+
+
 class _ForwardReader:
     """A source read once, front to back, ``READ_CHUNK`` bytes at a time.
 
@@ -326,7 +345,7 @@ class _ForwardReader:
         self._pieces: list[memoryview] = []
         self._first = 0  # index of the first held piece
         self._end = 0  # bytes read so far
-        self._digest = hashlib.blake2b(digest_size=DIGEST_WIDTH)
+        self._digest = hashlib.sha256()
 
     def _fill(self, stop: int) -> None:
         drop = self.keep // self._chunk - self._first
@@ -356,10 +375,18 @@ class _ForwardReader:
         parts[-1] = parts[-1][:stop - last * c]
         return b"".join(parts)
 
+    def piece(self, start: int) -> tuple[memoryview, int]:
+        """The read piece holding byte ``start``, with ``keep <= start <
+        length``, and the offset of its first byte."""
+        if start >= self._end:
+            self._fill(start + 1)
+        first = start // self._chunk
+        return self._pieces[first - self._first], first * self._chunk
+
     def digest(self) -> bytes:
         """Digest of the whole source, reading what is left of it."""
         self._fill(self.length)
-        return self._digest.digest()
+        return self._digest.digest()[:DIGEST_WIDTH]
 
 
 def compute_delta(
@@ -388,11 +415,15 @@ def compute_delta(
     matches.  The ops are the same as a plain greedy scan's: equal
     digests mean equal bytes and so equal weak checksums, and the
     lookup keeps the earliest block per digest.  Otherwise the target is
-    scanned one window of ``SCAN_WINDOW`` starts at a time (see
-    :func:`_scan_window`).  Only the pending literal bytes and the read
-    pieces the scan window reaches are held, so beyond the signature and
-    the literal output, working memory is O(``READ_CHUNK`` +
-    ``SCAN_WINDOW`` + block size) for any file size.
+    scanned one window of starts at a time (see :func:`_scan_window`):
+    the first window after a match spans :func:`_first_window` starts,
+    and each window that runs out without a match doubles the next, up
+    to ``SCAN_WINDOW``.  How the starts are cut into windows does not
+    change the ops, only how far past the next match the scan reads.
+    Only the pending literal bytes and the read pieces the scan window
+    reaches are held, so beyond the signature and the literal output,
+    working memory is O(``READ_CHUNK`` + ``SCAN_WINDOW`` + block size)
+    for any file size.
 
     ``wire_ratio`` scales literal payloads on the wire to model
     compression; the reconstruction itself is always byte-exact.
@@ -416,19 +447,29 @@ def compute_delta(
     for i in range(full_blocks):
         first_block.setdefault(sig.blocks[i].strong, i)
 
+    run_first = run_count = 0  # the open copy run: blocks [run_first, run_first + run_count)
+
+    def close_run() -> None:
+        nonlocal run_count
+        if run_count:
+            ops.append(CopyOp(first_block=run_first, block_count=run_count))
+            run_count = 0
+
     def emit_literal(chunk: bytes | memoryview) -> None:
+        close_run()
         ops.append(LiteralOp(data=bytes(chunk)))
         charged = _charged_literal(len(chunk), wire_ratio)
         stats.literal_bytes += charged
         stats.wire_bytes += charged + LITERAL_OP_WIRE
 
-    def emit_copy(first: int, count: int) -> None:
-        last = ops[-1] if ops else None
-        if isinstance(last, CopyOp) and last.first_block + last.block_count == first:
-            ops[-1] = CopyOp(first_block=last.first_block, block_count=last.block_count + count)
-        else:
-            ops.append(CopyOp(first_block=first, block_count=count))
-            stats.wire_bytes += COPY_OP_WIRE
+    def emit_copy(block: int) -> None:
+        nonlocal run_first, run_count
+        if run_count and run_first + run_count == block:
+            run_count += 1
+            return
+        close_run()
+        run_first, run_count = block, 1
+        stats.wire_bytes += COPY_OP_WIRE
 
     pos = 0
     lit_start = 0
@@ -440,15 +481,22 @@ def compute_delta(
         filt[known & ((1 << FILTER_BITS) - 1)] = True
         candidates: list[int] = []  # weak matches among the window's starts
         window_end = 0
+        first_span = min(_first_window(L), SCAN_WINDOW)
+        span = first_span  # starts in the next window
+        piece, base = reader.piece(0)  # the read piece the aligned check slices
         while pos <= last_start:
             if pos == lit_start:
-                j = first_block.get(strong_digest(read(pos, pos + L)))
+                if pos + L > base + len(piece):
+                    piece, base = reader.piece(pos)
+                end = pos + L - base
+                j = first_block.get(strong_digest(
+                    piece[pos - base:end] if end <= len(piece) else read(pos, pos + L)))
                 if j is not None:
-                    emit_copy(j, 1)
+                    emit_copy(j)
                     pos = lit_start = reader.keep = pos + L
                     continue
             if pos >= window_end:
-                window_end = min(pos + SCAN_WINDOW, last_start + 1)
+                window_end = min(pos + span, last_start + 1)
                 candidates = _scan_window(read(pos, window_end + L - 1), pos, L, known, filt)
             ci = bisect.bisect_left(candidates, pos)
             while ci < len(candidates):
@@ -459,11 +507,13 @@ def compute_delta(
                 ci += 1
             else:
                 pos = window_end
+                span = min(2 * span, SCAN_WINDOW)
                 continue
             if lit_start < c:
                 emit_literal(read(lit_start, c))
-            emit_copy(j, 1)
+            emit_copy(j)
             pos = lit_start = reader.keep = c + L
+            span = first_span
 
     # Tail: the short final basis block can only match the very end of
     # the target, where the remaining bytes have exactly its length.
@@ -474,10 +524,11 @@ def compute_delta(
         if combine_weak(*weak_checksum(tail)) == last.weak and strong_digest(tail) == last.strong:
             if lit_start < n - short_len:
                 emit_literal(read(lit_start, n - short_len))
-            emit_copy(len(sig.blocks) - 1, 1)
+            emit_copy(len(sig.blocks) - 1)
             tail_done = True
     if not tail_done and lit_start < n:
         emit_literal(read(lit_start, n))
+    close_run()
 
     delta = FileDelta(
         block_size=L,
@@ -502,7 +553,7 @@ def _rebuilt(basis: Source, delta: FileDelta) -> Iterator[bytes | memoryview]:
     length, read = basis
     L = delta.block_size
     n_blocks = math.ceil(length / L)
-    content = hashlib.blake2b(digest_size=DIGEST_WIDTH)
+    content = hashlib.sha256()
     digested = 0  # basis bytes [0, digested) are in ``content``
 
     def basis_pieces(start: int, stop: int) -> Iterator[bytes]:
@@ -518,7 +569,7 @@ def _rebuilt(basis: Source, delta: FileDelta) -> Iterator[bytes | memoryview]:
                 digested = e
             yield piece
 
-    rebuilt = hashlib.blake2b(digest_size=DIGEST_WIDTH)
+    rebuilt = hashlib.sha256()
     size = 0
     for op in delta.ops:
         if isinstance(op, LiteralOp):
@@ -537,11 +588,11 @@ def _rebuilt(basis: Source, delta: FileDelta) -> Iterator[bytes | memoryview]:
             yield piece
     for _ in basis_pieces(length, length):
         pass
-    if content.digest() != delta.basis_digest:
+    if content.digest()[:DIGEST_WIDTH] != delta.basis_digest:
         raise BasisMismatchError("basis digest does not match delta.basis_digest")
     if size != delta.target_length:
         raise CorruptDeltaError(f"reconstructed {size} bytes, delta declares {delta.target_length}")
-    if rebuilt.digest() != delta.target_digest:
+    if rebuilt.digest()[:DIGEST_WIDTH] != delta.target_digest:
         raise CorruptDeltaError("rebuilt bytes do not match delta.target_digest")
 
 

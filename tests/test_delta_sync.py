@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -96,6 +97,32 @@ def test_vectorized_signature_weaks_match_reference():
     for i, block in enumerate(sig.blocks):
         ref = combine_weak(*weak_checksum(data[i * 512:(i + 1) * 512]))
         assert block.weak == ref
+
+
+def test_strong_digest_is_truncated_sha256():
+    # Known answer: SHA-256("abc") is ba7816bf8f01cfea414140de5dae2223b003...
+    assert strong_digest(b"abc") == bytes.fromhex("ba7816bf8f01cfea414140de5dae2223")
+    assert strong_digest(b"abc") == hashlib.sha256(b"abc").digest()[:16]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    basis=st.binary(max_size=5000),
+    target=st.binary(max_size=5000),
+    cuts=st.lists(st.integers(0, 5000), max_size=6),
+    read_chunk=st.integers(1, 3000),
+)
+def test_whole_file_digests_are_strong_digests_for_any_chunking(basis, target, cuts, read_chunk):
+    # The incremental digests of the signature and the delta equal the
+    # one-shot digest, wherever the chunk and read seams fall.
+    bounds = [0, *sorted(min(c, len(basis)) for c in cuts), len(basis)]
+    sig = compute_signature((basis[a:b] for a, b in zip(bounds, bounds[1:])), 64)
+    assert sig.content_digest == strong_digest(basis)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(delta_sync, "READ_CHUNK", read_chunk)
+        delta, _ = compute_delta(sig, (len(target), lambda start, stop: target[start:stop]))
+    assert (delta.basis_digest, delta.target_digest) == (strong_digest(basis), strong_digest(target))
+    assert apply_delta(basis, delta) == target
 
 
 # --- deltas -------------------------------------------------------------------
@@ -334,16 +361,20 @@ def assert_matches_reference(basis, target, L, cuts=()):
     alphabet=st.sampled_from([1, 2, 256]),
     random_target=st.booleans(),
     edits=st.lists(st.tuples(st.floats(0, 1), st.integers(1, 2048), st.booleans()), max_size=5),
+    first_window=st.floats(0, 1),
     read_chunk=st.integers(1, 5000),
     cuts=st.lists(st.floats(0, 1), max_size=6),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_scan_matches_greedy_reference(block_size, window_blocks, n_blocks, extra, alphabet,
-                                       random_target, edits, read_chunk, cuts, seed):
-    # Windows of two or three blocks put many seams, and many handovers
-    # from the aligned check to the rolling scan, in a short target.
-    # Reads of up to 5000 bytes and cuts anywhere put read and chunk
-    # seams inside blocks, scan windows and literals.
+                                       random_target, edits, first_window, read_chunk, cuts,
+                                       seed):
+    # Windows of at most two or three blocks put many seams, and many
+    # handovers from the aligned check to the rolling scan, in a short
+    # target.  A first window of any size from one start up puts the
+    # seams where windows grow, and where a match resets them, inside
+    # blocks.  Reads of up to 5000 bytes and cuts anywhere put read and
+    # chunk seams inside blocks, scan windows and literals.
     g = rng(seed)
     length = n_blocks * block_size + int(extra * block_size)
     basis = g.integers(0, alphabet, length, dtype=np.uint8).tobytes()
@@ -354,25 +385,51 @@ def test_scan_matches_greedy_reference(block_size, window_blocks, n_blocks, extr
                         alphabet)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(delta_sync, "SCAN_WINDOW", window_blocks * block_size)
+        first = 1 + int(first_window * (window_blocks * block_size - 1))
+        mp.setattr(delta_sync, "_first_window", lambda L: first)
         mp.setattr(delta_sync, "READ_CHUNK", read_chunk)
         assert_matches_reference(basis, target, block_size, [int(c * length) for c in cuts])
 
 
+def spied_windows(mp):
+    """``(first start, start count)`` of every scan window opened while
+    ``mp`` is in effect."""
+    windows = []
+    real = delta_sync._scan_window
+
+    def spy(window, start, L, known, filt):
+        windows.append((start, len(window) - L + 1))
+        return real(window, start, L, known, filt)
+
+    mp.setattr(delta_sync, "_scan_window", spy)
+    return windows
+
+
 @pytest.mark.parametrize("shift", [-1, 0, 1])
 def test_scan_matches_reference_at_real_window_seams(shift):
-    # An unmatched run of more than two scan windows, after which the basis
-    # resumes at an unaligned offset so that the first match starts one
-    # byte before, at, or one byte after the seam of the second and third
-    # windows; unaligned inserts and deletes follow in later windows.
+    # An unmatched run over windows that grow to the full size, after
+    # which the basis resumes at an unaligned offset so that the first
+    # match starts one byte before, at, or one byte after the seam of the
+    # first two full-size windows; unaligned inserts and deletes follow
+    # in later windows.
     W, L = delta_sync.SCAN_WINDOW, 512
     g = rng(40)
     basis = g.bytes(2 * W)
+    sig = compute_signature(basis, L)
+    with pytest.MonkeyPatch.context() as mp:
+        probe = spied_windows(mp)
+        compute_delta(sig, basis[:4 * L] + g.bytes(3 * W))  # unmatched from 4 * L on
+    seam = next(start + count for start, count in probe if count == W)
     resume = 4 * L + 100
-    gap = 2 * W - L + 100 + shift  # first match starts at 4 * L + 2 * W + shift
+    gap = seam + shift - 5 * L + 100  # first match starts at seam + shift
     target = basis[:4 * L] + g.bytes(gap) + edited(
         g, basis[resume:], [(0.3, 7, True), (0.6, 300, False), (0.9, 1, True)], 256)
     assert len(target) >= 3 * W
-    assert_matches_reference(basis, target, L)
+    with pytest.MonkeyPatch.context() as mp:
+        windows = spied_windows(mp)
+        assert_matches_reference(basis, target, L)
+    assert (seam - W, W) in windows
+    assert shift < 0 or (seam, W) in windows
 
 
 def traced_peak(fn, *args):
@@ -384,20 +441,39 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_signature_and_delta_memory_is_bounded():
-    # 16 MiB with 5% of its 4 KiB pages rewritten: the working memory of
-    # both calls is bounded by the scan window, not by the file size.
-    n, page, bound = 16 * 2**20, 4096, 16 * 10**6
+@pytest.fixture(scope="module")
+def pages_pair():
+    """16 MiB with 5% of its 4 KiB pages rewritten: ``(basis, target)``."""
+    n, page = 16 * 2**20, 4096
     g = rng(50)
     basis = g.bytes(n)
     target = bytearray(basis)
     for p in g.choice(n // page, size=n // page // 20, replace=False):
         target[p * page:(p + 1) * page] = g.bytes(page)
-    target = bytes(target)
+    return basis, bytes(target)
+
+
+def test_signature_and_delta_memory_is_bounded(pages_pair):
+    # The working memory of both calls is bounded by the scan window,
+    # not by the file size.
+    basis, target = pages_pair
+    bound = 16 * 10**6
     sig, sig_peak = traced_peak(compute_signature, basis)
     (delta, _), delta_peak = traced_peak(compute_delta, sig, target)
     assert sig_peak < bound
     assert delta_peak < bound
+    assert apply_delta(basis, delta) == target
+
+
+def test_scan_evaluates_few_starts_past_each_match(pages_pair, monkeypatch):
+    # Each rewritten page ends a copy run; the scan that finds where the
+    # next one starts should read a few blocks past it, not a full-size
+    # window, so it evaluates a small share of the file's starts.
+    basis, target = pages_pair
+    sig = compute_signature(basis)
+    windows = spied_windows(monkeypatch)
+    delta, _ = compute_delta(sig, target)
+    assert sum(count for _, count in windows) <= 0.2 * len(target)
     assert apply_delta(basis, delta) == target
 
 
