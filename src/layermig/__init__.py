@@ -46,12 +46,10 @@ from .migrator import (
     MigrationScenario,
     Stage,
     default_cost_model,
-    downtime_of,
-    execute,
     plan,
     run_migration,
 )
 from .netsim import LinkSpec, effective_rate, transfer_time
-from .workloads import AppProfile, builtin_profiles, profile_by_name, scenario_matrix
+from .workloads import AppProfile, builtin_profiles, profile_by_name
 
 __version__ = "0.1.0"

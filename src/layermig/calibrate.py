@@ -42,11 +42,10 @@ from .migrator import (
     default_cost_model,
     run_migration,
 )
-from .netsim import LinkSpec
-
-MB = 1_000_000
+from .netsim import MB, LinkSpec
 
 CONTAINER_PROCESSING_CAP = 50.0 * MB  # bits/s; saturation point of the sync engine
+INITIAL_VM_PROCESSING_CAP = 45.0 * MB  # bits/s; the VM fit's starting point
 FIT_SEED = 2024
 SWEEPS = 30
 LINE_SEARCH_STEPS = 40
@@ -267,7 +266,7 @@ def fit_cost_model(
     initial = default_cost_model(virtualization).to_dict()
     params = {name: initial[name] for name, _, _ in PARAM_SPACE}
     fit_cap = virtualization is Virtualization.VM
-    params["processing_cap"] = 45.0 * MB if fit_cap else CONTAINER_PROCESSING_CAP
+    params["processing_cap"] = INITIAL_VM_PROCESSING_CAP if fit_cap else CONTAINER_PROCESSING_CAP
 
     space = list(PARAM_SPACE) + ([CAP_PARAM] if fit_cap else [])
 
@@ -350,7 +349,7 @@ def load_calibration(path_or_dict) -> dict[Virtualization, tuple[CostModel, floa
         section = data.get(virtualization.value)
         if section:
             out[virtualization] = (
-                CostModel.from_dict(section["cost_model"]),
+                CostModel(**section["cost_model"]),
                 float(section["processing_cap_bps"]),
             )
     if not out:

@@ -18,12 +18,13 @@ from pathlib import Path
 from .calibrate import (
     CONFIG_DESTS,
     CONTAINER_PROCESSING_CAP,
+    INITIAL_VM_PROCESSING_CAP,
     CalibrationError,
     calibration_to_dict,
     fit_cost_model,
     load_calibration,
 )
-from .config import ConfigError, build_scenario, load_scenario_config, validate_scenario_config
+from .config import ConfigError, build_scenario, load_scenario_config
 from .guest import Virtualization, container_spec, vm_spec
 from .migrator import (
     CostModel,
@@ -31,10 +32,8 @@ from .migrator import (
     default_cost_model,
     run_migration,
 )
-from .netsim import LinkSpec
+from .netsim import MB, LinkSpec
 from .workloads import builtin_profiles, derive_seed, profile_by_name, stable_index
-
-MB = 1_000_000
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,7 +58,7 @@ def _resolve_calibration(arg: str | None) -> tuple[dict[Virtualization, tuple[Co
         return {
             Virtualization.CONTAINER: (
                 default_cost_model(Virtualization.CONTAINER), CONTAINER_PROCESSING_CAP),
-            Virtualization.VM: (default_cost_model(Virtualization.VM), 45.0 * MB),
+            Virtualization.VM: (default_cost_model(Virtualization.VM), INITIAL_VM_PROCESSING_CAP),
         }, "default"
     if arg is None:
         return load_calibration(_packaged_json("calibration_default.json")), "packaged"
@@ -106,12 +105,7 @@ def cmd_run(args) -> int:
 
 # --- sweep -------------------------------------------------------------------
 
-_DEFAULT_SWEEP_CONFIG = {
-    "profile": "RAM Simulation",
-    "virtualization": "container",
-    "mode": "three_layer",
-    "destination": {"has_base": True, "has_app": True},
-}
+_DEFAULT_SWEEP_CONFIG = {"profile": "RAM Simulation"}  # container, three-layer, app found
 
 
 def _sweep_rows(param: str, values: list[float], scenario: MigrationScenario) -> list[list]:
@@ -138,11 +132,7 @@ def cmd_sweep(args) -> int:
     values = [float(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must list at least one number")
-    if args.scenario:
-        config = load_scenario_config(args.scenario)
-    else:
-        config = dict(_DEFAULT_SWEEP_CONFIG)
-        validate_scenario_config(config)
+    config = load_scenario_config(args.scenario) if args.scenario else _DEFAULT_SWEEP_CONFIG
     calibration, _ = _resolve_calibration(args.calibration)
     scenario = build_scenario(config, calibration, seed=args.seed, scale=args.scale)
     rows = _sweep_rows(args.param, values, scenario)

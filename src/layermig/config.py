@@ -1,78 +1,131 @@
-"""Scenario configuration files: schema validation and assembly.
+"""Scenario configuration files: one walk from JSON to a checked scenario.
 
-Configs are plain JSON mirroring :class:`MigrationScenario`.  Unknown
-fields are rejected everywhere so typos fail loudly instead of
-silently running a different experiment.
+A config is a JSON object whose fields are all optional.  Unknown fields
+are rejected everywhere, so typos fail loudly instead of silently
+running a different experiment.  Each block's fields are those of the
+dataclass it builds, and that dataclass's own checks decide which values
+are in range:
+
+``profile``
+    A built-in profile name (default ``"No Application"``), or an inline
+    object with the fields of :class:`AppProfile`.  ``name`` and
+    ``install_bytes`` are required.  ``install_bytes`` and
+    ``memory_wire_ratio`` take one number for both virtualization kinds
+    or an object keyed by ``"container"`` and ``"vm"``.
+``virtualization``
+    ``"container"`` (default, :func:`container_spec`) or ``"vm"``
+    (:func:`vm_spec`).
+``mode``
+    ``"three_layer"`` (default) or ``"two_layer"``, a :class:`MigrationMode`.
+``destination``
+    The fields of :class:`DestinationState`.  ``has_base`` defaults to
+    true, ``has_app`` to true in three-layer mode and false in two-layer
+    mode, ``has_stale_instance`` to false.
+``link``
+    ``bandwidth_mbps`` (default 100), ``latency_ms`` and ``jitter_ms``
+    (default 0), ``processing_cap_mbps`` and ``seed`` (default 0), which
+    build a :class:`LinkSpec` in bits/s and seconds.  A missing or
+    ``null`` cap means the calibration's cap for the kind, or no cap with
+    an inline cost model.
+``guest``
+    Overrides of the :class:`GuestSpec` fields other than
+    ``virtualization``.
+``cost_model``
+    Every field of :class:`CostModel` (rates in bytes/s, fixed terms in
+    seconds).  Default: the calibration's model for the kind.
+``scale``, ``seed``, ``block_size``, ``chunk_size``, ``round_trips``, ``staleness_epochs``
+    The scalar fields of :class:`MigrationScenario`, with its defaults.
+
+An integer field takes an integral number (``2048.0`` reads as 2048).
+Every problem, including a value a dataclass rejects, raises
+:class:`ConfigError`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
+from dataclasses import MISSING, fields, replace
 
 from .guest import GuestSpec, Virtualization, container_spec, vm_spec
-from .migrator import (
-    CostModel,
-    DestinationState,
-    MigrationMode,
-    MigrationScenario,
-)
-from .netsim import LinkSpec
-from .workloads import AppProfile, profile_by_name, profile_from_dict
+from .migrator import CostModel, DestinationState, MigrationMode, MigrationScenario
+from .netsim import MB, LinkSpec
+from .workloads import AppProfile, profile_by_name
 
-MB = 1_000_000
+_SCALARS = {f.name: f.type for f in fields(MigrationScenario) if f.default is not MISSING}
+_TOP_FIELDS = {"profile", "virtualization", "mode", "destination", "link", "guest", "cost_model",
+               *_SCALARS}
+_LINK_FIELDS = {"bandwidth_mbps", "latency_ms", "jitter_ms", "processing_cap_mbps", "seed"}
+_PER_KIND = "Mapping[Virtualization, "
+_KINDS = [kind.value for kind in Virtualization]
 
 
 class ConfigError(Exception):
     """A scenario config that does not follow the schema."""
 
 
-_TOP_FIELDS = {
-    "profile", "virtualization", "mode", "destination", "link", "scale",
-    "seed", "block_size", "chunk_size", "round_trips", "staleness_epochs",
-    "guest", "cost_model",
-}
-_DEST_FIELDS = {"has_base", "has_app", "has_stale_instance"}
-_LINK_FIELDS = {"bandwidth_mbps", "latency_ms", "jitter_ms", "processing_cap_mbps", "seed"}
-_GUEST_FIELDS = {
-    "base_tree_size", "virtualization_overhead_bytes", "base_wire_ratio",
-    "fs_wire_ratio", "scan_unchanged", "memory_floor_bytes", "memory_floor_wire_ratio",
-}
-_PROFILE_FIELDS = {
-    "name", "install_bytes", "data_bytes", "memory_bytes", "memory_churn_rate",
-    "instance_unique_file_bytes", "memory_wire_ratio",
-}
-_COST_FIELDS = {
-    "clone_rate", "suspend_fixed", "suspend_per_byte", "restore_fixed",
-    "restore_per_byte", "scan_rate", "stage_fixed_overhead", "other_tasks_fixed",
-}
-
-
-def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
+def _reject_unknown(obj, allowed, where: str) -> None:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object")
-    unknown = sorted(set(obj) - allowed)
+    unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown field(s) in {where}: {', '.join(unknown)}")
 
 
-def _number(obj: dict, key: str, default, where: str, *, minimum=None):
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where}.{key} must be >= {minimum}")
+def _value(value, kind: str, where: str):
+    """``value`` checked against a dataclass field's type ``kind``."""
+    if kind == "bool":
+        if not isinstance(value, bool):
+            raise ConfigError(f"{where} must be a boolean")
+    elif kind == "str":
+        if not isinstance(value, str):
+            raise ConfigError(f"{where} must be a string")
+    elif kind.startswith(_PER_KIND):
+        per_kind = value if isinstance(value, dict) else dict.fromkeys(_KINDS, value)
+        _reject_unknown(per_kind, _KINDS, where)
+        element = kind[len(_PER_KIND):-1]
+        return {Virtualization(k): _value(v, element, f"{where}.{k}") for k, v in per_kind.items()}
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number")
+    elif kind == "int":
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{where} must be an integer")
+        return int(value)
     return value
 
 
-def _boolean(obj: dict, key: str, default: bool, where: str) -> bool:
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}.{key} must be a boolean")
-    return value
+def _build(where: str, make, *args, **kwargs):
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _record(cls, obj, where: str, *, base=None, exclude=()):
+    """``cls`` built from the config object ``obj``.  Absent fields come
+    from ``base`` if given, else from the defaults of ``cls``; a field
+    without a default is then required."""
+    schema = {f.name: f for f in fields(cls) if f.name not in exclude}
+    _reject_unknown(obj, schema, where)
+    values = {key: _value(value, schema[key].type, f"{where}.{key}") for key, value in obj.items()}
+    if base is not None:
+        return _build(where, replace, base, **values)
+    missing = sorted(name for name, f in schema.items() if name not in obj
+                     and f.default is MISSING and f.default_factory is MISSING)
+    if missing:
+        raise ConfigError(f"{where} missing field(s): {', '.join(missing)}")
+    return _build(where, cls, **values)
+
+
+def _choice(cls, value, where: str):
+    try:
+        return cls(value)
+    except ValueError:
+        names = " or ".join(repr(member.value) for member in cls)
+        raise ConfigError(f"{where} must be {names}") from None
 
 
 def load_scenario_config(path) -> dict:
+    """Read a config file and check it; needs no calibration."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -80,146 +133,80 @@ def load_scenario_config(path) -> dict:
         raise ConfigError(f"cannot read scenario config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario config is not valid JSON: {exc}") from exc
-    validate_scenario_config(data)
+    build_scenario(data, None)
     return data
-
-
-def validate_scenario_config(data: dict) -> None:
-    _reject_unknown(data, _TOP_FIELDS, "scenario")
-
-    profile = data.get("profile", "No Application")
-    if isinstance(profile, dict):
-        _reject_unknown(profile, _PROFILE_FIELDS, "scenario.profile")
-        if "name" not in profile:
-            raise ConfigError("scenario.profile.name is required for inline profiles")
-    elif not isinstance(profile, str):
-        raise ConfigError("scenario.profile must be a name or an inline profile object")
-
-    kind = data.get("virtualization", "container")
-    if kind not in ("container", "vm"):
-        raise ConfigError("scenario.virtualization must be 'container' or 'vm'")
-    mode = data.get("mode", "three_layer")
-    if mode not in ("two_layer", "three_layer"):
-        raise ConfigError("scenario.mode must be 'two_layer' or 'three_layer'")
-
-    dest = data.get("destination", {})
-    _reject_unknown(dest, _DEST_FIELDS, "scenario.destination")
-    for key in _DEST_FIELDS:
-        if key in dest and not isinstance(dest[key], bool):
-            raise ConfigError(f"scenario.destination.{key} must be a boolean")
-
-    link = data.get("link", {})
-    _reject_unknown(link, _LINK_FIELDS, "scenario.link")
-    _number(link, "bandwidth_mbps", 100.0, "scenario.link", minimum=1e-6)
-    _number(link, "latency_ms", 0.0, "scenario.link", minimum=0.0)
-    _number(link, "jitter_ms", 0.0, "scenario.link", minimum=0.0)
-    if link.get("processing_cap_mbps") is not None:
-        _number(link, "processing_cap_mbps", None, "scenario.link", minimum=1e-6)
-    _number(link, "seed", 0, "scenario.link")
-
-    scale = _number(data, "scale", 1.0, "scenario", minimum=0.0)
-    if not 0 < scale <= 1:
-        raise ConfigError("scenario.scale must be in (0, 1]")
-    _number(data, "seed", 0, "scenario")
-    _number(data, "block_size", 2048, "scenario", minimum=16)
-    _number(data, "chunk_size", 4 * 1024 * 1024, "scenario", minimum=1)
-    _number(data, "round_trips", 2, "scenario", minimum=0)
-    _number(data, "staleness_epochs", 3, "scenario", minimum=0)
-
-    guest = data.get("guest", {})
-    _reject_unknown(guest, _GUEST_FIELDS, "scenario.guest")
-    if "scan_unchanged" in guest:
-        _boolean(guest, "scan_unchanged", False, "scenario.guest")
-    for key in _GUEST_FIELDS - {"scan_unchanged"}:
-        if key in guest:
-            _number(guest, key, None, "scenario.guest", minimum=0)
-
-    cost = data.get("cost_model")
-    if cost is not None:
-        _reject_unknown(cost, _COST_FIELDS, "scenario.cost_model")
-        missing = sorted(_COST_FIELDS - set(cost))
-        if missing:
-            raise ConfigError(f"scenario.cost_model missing field(s): {', '.join(missing)}")
-        for key in _COST_FIELDS:
-            _number(cost, key, None, "scenario.cost_model", minimum=0)
-
-    # Destination consistency under the selected mode.
-    state = DestinationState(
-        has_base=dest.get("has_base", True),
-        has_app=dest.get("has_app", mode == "three_layer"),
-        has_stale_instance=dest.get("has_stale_instance", False),
-    )
-    try:
-        state.validate(MigrationMode(mode))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def build_scenario(
     data: dict,
-    calibration: dict[Virtualization, tuple[CostModel, float]],
+    calibration: dict[Virtualization, tuple[CostModel, float]] | None,
     *,
     seed: int | None = None,
     scale: float | None = None,
 ) -> MigrationScenario:
-    """Validated config dict -> concrete scenario.
+    """Config dict -> concrete scenario, in one walk that checks every field.
 
-    The cost model and the default processing cap come from the
-    calibration unless the config carries inline overrides.
+    The cost model and the default processing cap come from
+    ``calibration`` unless the config carries an inline cost model.  With
+    ``calibration=None`` the config is only checked, and a config without
+    an inline cost model yields a scenario without one.
     """
-    validate_scenario_config(data)
-    kind = Virtualization(data.get("virtualization", "container"))
+    _reject_unknown(data, _TOP_FIELDS, "scenario")
+    kind = _choice(Virtualization, data.get("virtualization", "container"),
+                   "scenario.virtualization")
+    mode = _choice(MigrationMode, data.get("mode", "three_layer"), "scenario.mode")
     spec = container_spec() if kind is Virtualization.CONTAINER else vm_spec()
-    overrides = {
-        key: (int(value) if key.endswith("bytes") or key.endswith("size") else value)
-        for key, value in data.get("guest", {}).items()
-    }
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
+    spec = _record(GuestSpec, data.get("guest", {}), "scenario.guest", base=spec,
+                   exclude={"virtualization"})
 
     profile = data.get("profile", "No Application")
     if isinstance(profile, str):
-        app = profile_by_name(profile)
+        try:
+            app = profile_by_name(profile)
+        except KeyError as exc:
+            raise ConfigError(f"scenario.profile: {exc.args[0]}") from None
+    elif isinstance(profile, dict):
+        app = _record(AppProfile, profile, "scenario.profile")
+        for name in ("install_bytes", "memory_wire_ratio"):
+            if kind not in getattr(app, name):
+                raise ConfigError(f"scenario.profile.{name} has no {kind.value!r} entry")
     else:
-        app = profile_from_dict(profile)
+        raise ConfigError("scenario.profile must be a name or an inline profile object")
 
-    mode = MigrationMode(data.get("mode", "three_layer"))
-    dest_cfg = data.get("destination", {})
-    destination = DestinationState(
-        has_base=dest_cfg.get("has_base", True),
-        has_app=dest_cfg.get("has_app", mode is MigrationMode.THREE_LAYER),
-        has_stale_instance=dest_cfg.get("has_stale_instance", False),
+    destination = _record(
+        DestinationState, data.get("destination", {}), "scenario.destination",
+        base=DestinationState(has_base=True, has_app=mode is MigrationMode.THREE_LAYER),
     )
 
+    cap = float("inf")
+    cost_model = None
     if data.get("cost_model") is not None:
-        cost_model = CostModel.from_dict(data["cost_model"])
-        default_cap = float("inf")
-    else:
+        cost_model = _record(CostModel, data["cost_model"], "scenario.cost_model")
+    elif calibration is not None:
         if kind not in calibration:
             raise ConfigError(f"calibration holds no cost model for {kind.value!r}")
-        cost_model, default_cap = calibration[kind]
+        cost_model, cap = calibration[kind]
 
-    link_cfg = data.get("link", {})
-    cap_mbps = link_cfg.get("processing_cap_mbps")
-    link = LinkSpec(
-        bandwidth_bps=link_cfg.get("bandwidth_mbps", 100.0) * MB,
-        latency_s=link_cfg.get("latency_ms", 0.0) / 1e3,
-        jitter_s=link_cfg.get("jitter_ms", 0.0) / 1e3,
-        processing_cap_bps=(cap_mbps * MB) if cap_mbps is not None else default_cap,
-        seed=int(link_cfg.get("seed", 0)),
+    link = data.get("link", {})
+    _reject_unknown(link, _LINK_FIELDS, "scenario.link")
+    link = {key: _value(value, "int" if key == "seed" else "float", f"scenario.link.{key}")
+            for key, value in link.items() if not (key == "processing_cap_mbps" and value is None)}
+    if "processing_cap_mbps" in link:
+        cap = link["processing_cap_mbps"] * MB
+    link = _build(
+        "scenario.link", LinkSpec,
+        bandwidth_bps=link.get("bandwidth_mbps", 100.0) * MB,
+        latency_s=link.get("latency_ms", 0.0) / 1e3,
+        jitter_s=link.get("jitter_ms", 0.0) / 1e3,
+        processing_cap_bps=cap,
+        seed=link.get("seed", 0),
     )
 
-    return MigrationScenario(
-        guest_spec=spec,
-        profile=app,
-        mode=mode,
-        destination=destination,
-        link=link,
-        cost_model=cost_model,
-        scale=scale if scale is not None else data.get("scale", 1.0),
-        seed=seed if seed is not None else int(data.get("seed", 0)),
-        block_size=int(data.get("block_size", 2048)),
-        chunk_size=int(data.get("chunk_size", 4 * 1024 * 1024)),
-        round_trips=int(data.get("round_trips", 2)),
-        staleness_epochs=int(data.get("staleness_epochs", 3)),
-    )
+    scalars = {key: _value(data[key], _SCALARS[key], f"scenario.{key}")
+               for key in _SCALARS if key in data}
+    if seed is not None:
+        scalars["seed"] = seed
+    if scale is not None:
+        scalars["scale"] = scale
+    return _build("scenario", MigrationScenario, guest_spec=spec, profile=app, mode=mode,
+                  destination=destination, link=link, cost_model=cost_model, **scalars)

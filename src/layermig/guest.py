@@ -5,7 +5,7 @@ the instance tree), and restore it."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 from .layer_store import (
     DEFAULT_CHUNK_SIZE,
@@ -21,8 +21,7 @@ from .layer_store import (
     serialize_memory,
     synthetic_files,
 )
-
-MB = 1_000_000
+from .netsim import MB
 
 CHECKPOINT_PREFIX = "checkpoint"
 VM_STATE_FILE = "checkpoint/vmstate.img"
@@ -72,6 +71,9 @@ class GuestSpec:
     def __post_init__(self):
         if self.base_tree_size <= 0:
             raise ValueError("base_tree_size must be positive")
+        for f in fields(self):
+            if f.type in ("int", "float") and getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be >= 0")
 
 
 def container_spec() -> GuestSpec:
@@ -115,10 +117,6 @@ class GuestInstance:
     seed: int
     scale: float
     memory_wire_ratio: float = 1.0
-
-    @property
-    def layers(self) -> list[Layer]:
-        return [l for l in (self.base, self.app, self.instance) if l is not None]
 
 
 def _scaled(size: int, scale: float) -> int:

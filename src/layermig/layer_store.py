@@ -403,7 +403,7 @@ def new_memory_image(
         pages=pages,
         epoch=0,
         page_epochs=np.zeros(pages, dtype=np.uint32),
-        churn_rate=churn_rate,
+        churn_rate=float(churn_rate),  # written to the checkpoint metadata as a float
     )
 
 

@@ -14,9 +14,9 @@ filesystem sync, in-memory-state sync and restore stages.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
-from .delta_sync import DEFAULT_BLOCK_SIZE, SyncStats, apply_tree_delta, sync_tree
+from .delta_sync import DEFAULT_BLOCK_SIZE, MIN_BLOCK_SIZE, SyncStats, apply_tree_delta, sync_tree
 from .guest import (
     CHECKPOINT_PREFIX,
     GuestInstance,
@@ -35,9 +35,7 @@ from .layer_store import (
     advance_memory,
     new_memory_image,
 )
-from .netsim import LinkSpec, transfer_time
-
-MB = 1_000_000
+from .netsim import MB, LinkSpec, transfer_time
 
 
 class MigrationMode(enum.Enum):
@@ -55,6 +53,14 @@ class Stage(enum.Enum):
     SYNC_INSTANCE_MEMORY = "sync_instance_memory"
     RESTORE_INSTANCE = "restore_instance"
     OTHER_TASKS = "other_tasks"
+
+
+def _record_dict(record) -> dict:
+    """A dataclass record's fields, one level deep, enums as their values."""
+    return {
+        name: value.value if isinstance(value := getattr(record, name), enum.Enum) else value
+        for name in record.__dataclass_fields__
+    }
 
 
 # The stages during which the service is stopped.
@@ -108,26 +114,12 @@ class CostModel:
     def __post_init__(self):
         if self.clone_rate <= 0 or self.scan_rate <= 0:
             raise ValueError("rates must be positive")
-        for name in ("suspend_fixed", "suspend_per_byte", "restore_fixed",
-                     "restore_per_byte", "stage_fixed_overhead", "other_tasks_fixed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "clone_rate": self.clone_rate,
-            "suspend_fixed": self.suspend_fixed,
-            "suspend_per_byte": self.suspend_per_byte,
-            "restore_fixed": self.restore_fixed,
-            "restore_per_byte": self.restore_per_byte,
-            "scan_rate": self.scan_rate,
-            "stage_fixed_overhead": self.stage_fixed_overhead,
-            "other_tasks_fixed": self.other_tasks_fixed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CostModel":
-        return cls(**data)
+        return _record_dict(self)
 
 
 def default_cost_model(virtualization: Virtualization) -> CostModel:
@@ -186,38 +178,17 @@ class MigrationReport:
     def total_wire_bytes(self) -> int:
         return sum(s.wire_bytes for s in self.stages)
 
-    def stage_seconds(self, stage: Stage) -> float:
-        return sum(s.seconds for s in self.stages if s.stage is stage)
-
     def to_json_dict(self) -> dict:
         return {
             "schema": "layermig.report/v1",
             "scenario": self.scenario_echo,
             "mode": self.mode.value,
-            "destination": {
-                "has_base": self.destination.has_base,
-                "has_app": self.destination.has_app,
-                "has_stale_instance": self.destination.has_stale_instance,
-            },
-            "stages": [
-                {
-                    "stage": s.stage.value,
-                    "seconds": s.seconds,
-                    "wire_bytes": s.wire_bytes,
-                    "scanned_bytes": s.scanned_bytes,
-                    "local_bytes": s.local_bytes,
-                }
-                for s in self.stages
-            ],
+            "destination": _record_dict(self.destination),
+            "stages": [_record_dict(s) for s in self.stages],
             "total_seconds": self.total_seconds,
             "downtime_seconds": self.downtime_seconds,
             "total_wire_bytes": self.total_wire_bytes,
         }
-
-
-def downtime_of(report: MigrationReport) -> float:
-    """Seconds the service was stopped: the four suspend-to-restore stages."""
-    return report.downtime_seconds
 
 
 @dataclass(frozen=True)
@@ -236,25 +207,25 @@ class MigrationScenario:
     chunk_size: int = DEFAULT_CHUNK_SIZE
     round_trips: int = 2
     staleness_epochs: int = 3
-    retain_source: bool = True
+
+    def __post_init__(self):
+        self.destination.validate(self.mode)
+        if not 0 < self.scale <= 1:
+            raise ValueError("scale must be in (0, 1]")
+        if self.block_size < MIN_BLOCK_SIZE:
+            raise ValueError(f"block_size must be >= {MIN_BLOCK_SIZE}")
+        if self.chunk_size <= 0:
+            raise ValueError("chunk_size must be positive")
+        if self.round_trips < 0 or self.staleness_epochs < 0:
+            raise ValueError("round_trips and staleness_epochs must be >= 0")
 
     def echo(self) -> dict:
         return {
             "profile": self.profile.name,
             "virtualization": self.guest_spec.virtualization.value,
             "mode": self.mode.value,
-            "destination": {
-                "has_base": self.destination.has_base,
-                "has_app": self.destination.has_app,
-                "has_stale_instance": self.destination.has_stale_instance,
-            },
-            "link": {
-                "bandwidth_bps": self.link.bandwidth_bps,
-                "latency_s": self.link.latency_s,
-                "jitter_s": self.link.jitter_s,
-                "processing_cap_bps": self.link.processing_cap_bps,
-                "seed": self.link.seed,
-            },
+            "destination": _record_dict(self.destination),
+            "link": _record_dict(self.link),
             "scale": self.scale,
             "seed": self.seed,
             "block_size": self.block_size,
@@ -308,13 +279,6 @@ class MigrationOutcome:
     report: MigrationReport
     source_at_suspend: GuestInstance
     destination: GuestInstance
-    source_retained: GuestInstance | None
-
-
-def execute(scenario: MigrationScenario) -> MigrationReport:
-    """Run the migration and return its report.  See :func:`run_migration`
-    for access to the resulting guests."""
-    return run_migration(scenario).report
 
 
 def run_migration(scenario: MigrationScenario) -> MigrationOutcome:
@@ -331,7 +295,6 @@ def run_migration(scenario: MigrationScenario) -> MigrationOutcome:
     spec = scenario.guest_spec
     mode = scenario.mode
     dest_state = scenario.destination
-    dest_state.validate(mode)
     cm = scenario.cost_model
     link = scenario.link
     app_layer = mode is MigrationMode.THREE_LAYER
@@ -471,9 +434,4 @@ def run_migration(scenario: MigrationScenario) -> MigrationOutcome:
         stages=tuple(records),
         scenario_echo=scenario.echo(),
     )
-    return MigrationOutcome(
-        report=report,
-        source_at_suspend=suspended,
-        destination=dest_guest,
-        source_retained=suspended if scenario.retain_source else None,
-    )
+    return MigrationOutcome(report=report, source_at_suspend=suspended, destination=dest_guest)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-MBPS = 1_000_000.0
+MB = 1_000_000  # bytes in a megabyte, and bits/s in a megabit per second
 
 
 @dataclass(frozen=True)

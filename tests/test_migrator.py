@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -16,8 +17,6 @@ from layermig.migrator import (
     Stage,
     StageRecord,
     default_cost_model,
-    downtime_of,
-    execute,
     plan,
     run_migration,
 )
@@ -111,7 +110,7 @@ def test_inconsistent_destination_rejected():
         plan(TWO, DestinationState(has_base=False, has_stale_instance=True))
 
 
-# --- execute ---------------------------------------------------------------------
+# --- run_migration -------------------------------------------------------------
 
 
 def assert_destination_matches_source(outcome):
@@ -140,13 +139,13 @@ def test_execute_vm_branches_end_byte_equal():
 
 
 def test_report_arithmetic_invariants():
-    report = execute(scenario())
+    report = run_migration(scenario()).report
     assert report.total_seconds == sum(s.seconds for s in report.stages)
     assert report.total_wire_bytes == sum(s.wire_bytes for s in report.stages)
     expected_downtime = sum(
         s.seconds for s in report.stages if s.stage in DOWNTIME_STAGES
     )
-    assert downtime_of(report) == expected_downtime
+    assert report.downtime_seconds == expected_downtime
 
 
 def test_downtime_of_prefix_stages_is_zero():
@@ -159,24 +158,24 @@ def test_downtime_of_prefix_stages_is_zero():
         ),
         scenario_echo={},
     )
-    assert downtime_of(report) == 0.0
+    assert report.downtime_seconds == 0.0
 
 
 def test_downtime_identical_whether_app_found_or_not():
-    found = execute(scenario(dest=DestinationState(True, True, False)))
-    missing = execute(scenario(dest=DestinationState(True, False, False)))
-    assert downtime_of(found) == downtime_of(missing)
+    found = run_migration(scenario(dest=DestinationState(True, True, False))).report
+    missing = run_migration(scenario(dest=DestinationState(True, False, False))).report
+    assert found.downtime_seconds == missing.downtime_seconds
 
 
 def test_three_layer_not_found_is_slower_than_two_layer():
-    three = execute(scenario(mode=THREE, dest=DestinationState(True, False, False)))
-    two = execute(scenario(mode=TWO, dest=DestinationState(True, False, False)))
+    three = run_migration(scenario(mode=THREE, dest=DestinationState(True, False, False))).report
+    two = run_migration(scenario(mode=TWO, dest=DestinationState(True, False, False))).report
     assert three.total_seconds >= two.total_seconds
 
 
 def test_three_layer_found_moves_fewer_bytes_than_two_layer():
-    three = execute(scenario(mode=THREE, dest=DestinationState(True, True, False)))
-    two = execute(scenario(mode=TWO, dest=DestinationState(True, False, False)))
+    three = run_migration(scenario(mode=THREE, dest=DestinationState(True, True, False))).report
+    two = run_migration(scenario(mode=TWO, dest=DestinationState(True, False, False))).report
     assert three.total_wire_bytes <= two.total_wire_bytes
 
 
@@ -189,39 +188,40 @@ def test_degenerate_scenario_downtime_lower_bound():
         default_cost_model(Virtualization.CONTAINER), scan_rate=float("inf")
     )
     link = LinkSpec(bandwidth_bps=float("inf"), latency_s=0.025, seed=0)
-    report = execute(
+    report = run_migration(
         scenario(profile="No Application", dest=DestinationState(True, True, False),
                  spec=spec, cost_model=cm, link=link, scale=1.0)
-    )
+    ).report
     expected = (
         cm.suspend_fixed
         + (2 * 0.025 + cm.stage_fixed_overhead)
         + (2 * 0.025 + cm.stage_fixed_overhead)
         + cm.restore_fixed
     )
-    assert downtime_of(report) == pytest.approx(expected, rel=1e-12)
+    assert report.downtime_seconds == pytest.approx(expected, rel=1e-12)
 
 
 def test_stale_instance_sync_moves_less_than_full_instance():
-    stale = execute(scenario(profile="RAM Simulation", mode=THREE,
-                             dest=DestinationState(True, True, True), staleness_epochs=1))
-    fresh = execute(scenario(profile="RAM Simulation", mode=THREE,
-                             dest=DestinationState(True, True, False)))
+    stale = run_migration(scenario(profile="RAM Simulation", mode=THREE,
+                                   dest=DestinationState(True, True, True),
+                                   staleness_epochs=1)).report
+    fresh = run_migration(scenario(profile="RAM Simulation", mode=THREE,
+                                   dest=DestinationState(True, True, False))).report
     assert stale.total_wire_bytes < fresh.total_wire_bytes
 
 
 def test_staleness_epochs_increase_wire_bytes():
     previous = -1
     for epochs in (0, 1, 4):
-        report = execute(scenario(profile="RAM Simulation", mode=THREE,
-                                  dest=DestinationState(True, True, True),
-                                  staleness_epochs=epochs))
+        report = run_migration(scenario(profile="RAM Simulation", mode=THREE,
+                                        dest=DestinationState(True, True, True),
+                                        staleness_epochs=epochs)).report
         assert report.total_wire_bytes > previous or previous < 0
         previous = report.total_wire_bytes
 
 
 def test_report_json_round_trip():
-    report = execute(scenario())
+    report = run_migration(scenario()).report
     payload = report.to_json_dict()
     again = json.loads(json.dumps(payload, sort_keys=True))
     assert again == payload
@@ -231,22 +231,45 @@ def test_report_json_round_trip():
 
 
 def test_execute_is_deterministic():
-    a = execute(scenario(seed=77)).to_json_dict()
-    b = execute(scenario(seed=77)).to_json_dict()
+    a = run_migration(scenario(seed=77)).report.to_json_dict()
+    b = run_migration(scenario(seed=77)).report.to_json_dict()
     assert a == b
 
 
 def test_jitter_perturbs_sync_stages_deterministically():
     link = fast_link(latency_s=0.02, jitter_s=0.01, seed=5)
-    a = execute(scenario(link=link))
-    b = execute(scenario(link=link))
+    a = run_migration(scenario(link=link)).report
+    b = run_migration(scenario(link=link)).report
     assert a.total_seconds == b.total_seconds
-    flat = execute(scenario(link=fast_link(latency_s=0.02)))
+    flat = run_migration(scenario(link=fast_link(latency_s=0.02))).report
     assert a.total_seconds != flat.total_seconds
 
 
-def test_source_retention_flag():
-    kept = run_migration(scenario(retain_source=True))
-    dropped = run_migration(scenario(retain_source=False))
-    assert kept.source_retained is not None
-    assert dropped.source_retained is None
+# SHA-256 of each report's sorted JSON, pinned so that any drift in the
+# report schema or its serialization fails here.
+GOLDEN_REPORTS = {
+    "container-stale-instance": (
+        lambda: scenario(
+            profile="RAM Simulation", dest=DestinationState(True, True, True),
+            link=LinkSpec(bandwidth_bps=100_000_000, latency_s=0.02, jitter_s=0.005,
+                          processing_cap_bps=50e6, seed=3),
+            seed=5,
+        ),
+        "564e481eb5a28ea3548ced53bd86bde4ed089d70e2a2965a3d4b37f97d823422",
+    ),
+    "vm-app-not-found": (
+        lambda: scenario(
+            profile="Face Detection", dest=DestinationState(has_base=True), spec=vm_spec(),
+            link=LinkSpec(bandwidth_bps=100_000_000, processing_cap_bps=45e6), seed=6,
+        ),
+        "68fc5a37267d7b8766d762784c35354be14eb50528c04b5cdce97f4078ebafab",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_REPORTS))
+def test_report_json_is_byte_identical_to_golden(name):
+    make, digest = GOLDEN_REPORTS[name]
+    report = run_migration(make()).report
+    text = json.dumps(report.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,20 +1,8 @@
-import json
-
 import pytest
 
-from layermig.guest import Virtualization, container_spec
-from layermig.migrator import DestinationState, MigrationMode
-from layermig.netsim import LinkSpec
-from layermig.workloads import (
-    AppProfile,
-    builtin_profiles,
-    load_profiles,
-    per_kind,
-    profile_by_name,
-    profile_from_dict,
-    profile_to_dict,
-    scenario_matrix,
-)
+from layermig.config import build_scenario
+from layermig.guest import Virtualization
+from layermig.workloads import AppProfile, builtin_profiles, per_kind, profile_by_name
 
 MB = 1_000_000
 C = Virtualization.CONTAINER
@@ -76,65 +64,7 @@ def test_negative_sizes_rejected():
         AppProfile(name="bad", install_bytes=per_kind(0, 0), memory_bytes=-5)
 
 
-def test_profile_json_round_trip(tmp_path):
-    original = profile_by_name("Video Streaming")
-    payload = profile_to_dict(original)
-    assert profile_from_dict(payload) == original
-
-    path = tmp_path / "profiles.json"
-    path.write_text(json.dumps([payload]), encoding="utf-8")
-    loaded = load_profiles(path)
-    assert loaded == [original]
-
-
 def test_profile_from_dict_scalar_install():
-    p = profile_from_dict({"name": "tiny", "install_bytes": 1234})
+    p = build_scenario({"profile": {"name": "tiny", "install_bytes": 1234}}, None).profile
     assert p.install_bytes[C] == 1234
     assert p.install_bytes[V] == 1234
-
-
-def test_matrix_covers_reference_grid():
-    link = LinkSpec(bandwidth_bps=100e6)
-    profiles = builtin_profiles()
-    two_layer = scenario_matrix(
-        profiles, [MigrationMode.TWO_LAYER], [DestinationState(has_base=True)], [link])
-    three_layer = scenario_matrix(
-        profiles, [MigrationMode.THREE_LAYER],
-        [DestinationState(has_base=True), DestinationState(has_base=True, has_app=True)],
-        [link])
-    assert len(two_layer) + len(three_layer) == 15
-
-
-def test_matrix_size_is_input_product():
-    link = LinkSpec(bandwidth_bps=100e6)
-    ram = profile_by_name("RAM Simulation")
-    profiles = [ram.with_memory(mb * MB) for mb in (20, 100, 200, 300, 400, 500, 600)]
-    scenarios = scenario_matrix(
-        profiles, [MigrationMode.THREE_LAYER],
-        [DestinationState(has_base=True, has_app=True)], [link])
-    assert len(scenarios) == 7
-
-
-def test_matrix_empty_links_gives_empty_matrix():
-    assert scenario_matrix(builtin_profiles(), [MigrationMode.TWO_LAYER],
-                           [DestinationState(has_base=True)], []) == []
-
-
-def test_matrix_filters_invalid_combinations():
-    link = LinkSpec(bandwidth_bps=100e6)
-    scenarios = scenario_matrix(
-        [profile_by_name("Game Server")],
-        [MigrationMode.THREE_LAYER],
-        [DestinationState(has_base=True, has_app=False, has_stale_instance=True)],
-        [link])
-    assert scenarios == []
-
-
-def test_matrix_scenarios_are_deterministic():
-    link = LinkSpec(bandwidth_bps=100e6)
-    a = scenario_matrix(builtin_profiles(), [MigrationMode.TWO_LAYER],
-                        [DestinationState(has_base=True)], [link], seed=5)
-    b = scenario_matrix(builtin_profiles(), [MigrationMode.TWO_LAYER],
-                        [DestinationState(has_base=True)], [link], seed=5)
-    assert [s.seed for s in a] == [s.seed for s in b]
-    assert len({s.seed for s in a}) == len(a)
