@@ -1,54 +1,55 @@
 """Fit the stage cost model against reference measurements.
 
 The byte quantities behind every stage (wire bytes, scanned bytes,
-cloned bytes, memory size) come from actually running the simulator;
-the fit then chooses the rates and fixed terms that best reproduce the
-measured per-stage durations and the per-configuration totals and
-downtimes, minimizing squared relative error.  The optimizer is a
-deterministic coordinate descent with golden-section line searches and
-a fixed iteration budget, so refitting identical inputs always yields
-an identical calibration file.
+cloned bytes, memory size) come from actually running the simulator.
+Every stage's seconds are then linear in one term vector θ:
+``migrator.stage_features`` gives the record's row, and
+``migrator.cost_terms`` gives θ from a cost model and a link, holding
+the fixed and per-byte terms and the reciprocals of the rates.  A total
+or downtime cell is the sum of its stages' rows.  Minimizing the squared
+relative error of the measured stages and cells is therefore the linear
+least-squares problem ``min ||Aθ - 1||²``, where each row of A is an
+observation's row divided by its measured seconds, under the boxes that
+``PARAM_SPACE`` and ``CAP_PARAM`` put on each term.
 
-The objective is built once per fit from those simulator runs: every
-distinct stage record gets one row, its wire, scanned and local bytes
-sit in float64 arrays grouped by stage family (sync, clone, suspend,
-restore, other), each total or downtime cell is a row of record
-indices, and the observations' measured values are a vector.  One
-evaluation computes every record's predicted seconds with a few
-elementwise operations per family, then the cell totals and the error
-sum.  Both sums are taken with ``np.cumsum``, which adds strictly left
-to right like a Python ``for`` loop or ``sum()``; ``np.sum``, ``@`` and
-``dot`` add pairwise or in BLAS order and would change the last bits of
-the objective, hence the golden-section path and the fitted values.
+The wire term is 1/min(link bandwidth, processing cap).  The VM cap's
+box never exceeds the 100 Mbps reference link, so the term is 1/cap and
+one more linear column; the container's pinned cap makes it a constant,
+a term whose box is a single point, which the solve moves to the
+right-hand side.  ``bvls`` solves the problem exactly in a finite
+number of least-squares steps, with no starting point or iteration
+budget to choose, and refitting identical inputs always yields an
+identical calibration file.  The fit reports each parameter it left on
+a bound, as the data do not identify it.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .guest import GuestSpec, Virtualization, container_spec, vm_spec
 from .migrator import (
+    COST_TERMS,
     DOWNTIME_STAGES,
     CostModel,
     DestinationState,
     MigrationMode,
     MigrationScenario,
-    Stage,
     StageRecord,
+    cost_terms,
     default_cost_model,
     run_migration,
+    stage_features,
+    stage_seconds,
 )
 from .netsim import MB, LinkSpec
 
 CONTAINER_PROCESSING_CAP = 50.0 * MB  # bits/s; saturation point of the sync engine
-INITIAL_VM_PROCESSING_CAP = 45.0 * MB  # bits/s; the VM fit's starting point
+INITIAL_VM_PROCESSING_CAP = 45.0 * MB  # bits/s; the VM cap of ``--calibration default``
 FIT_SEED = 2024
-SWEEPS = 30
-LINE_SEARCH_STEPS = 40
 
 CONFIG_DESTS = {
     "two_layer": (MigrationMode.TWO_LAYER, DestinationState(has_base=True)),
@@ -114,8 +115,9 @@ def _observations(reference: dict, kind: str, profiles, features) -> tuple[list,
 
     Stage observations are ``(profile name, record, measured seconds)``
     for each measured stage of the three-layer, app-not-found runs; cell
-    observations are ``(records, downtime only, measured seconds)`` for
-    each measured total or downtime of a configuration.
+    observations are ``(records, measured seconds)`` for each measured
+    total or downtime of a configuration, a downtime's records being its
+    downtime stages.
     """
     stages_ref = reference.get("fig4_stages", {}).get(kind, {})
     cells_ref = reference.get("table1", {}).get(kind, {})
@@ -133,89 +135,59 @@ def _observations(reference: dict, kind: str, profiles, features) -> tuple[list,
             if not records:
                 continue
             if values.get("total_s"):
-                cell_obs.append((records, False, float(values["total_s"])))
+                cell_obs.append((records, float(values["total_s"])))
             if values.get("downtime_s"):
-                cell_obs.append((records, True, float(values["downtime_s"])))
+                downtime = [r for r in records if r.stage in DOWNTIME_STAGES]
+                cell_obs.append((downtime, float(values["downtime_s"])))
     return stage_obs, cell_obs
 
 
-SYNC_STAGES = frozenset(
-    {
-        Stage.SYNC_BASE_FILESYSTEM,
-        Stage.SYNC_APP_FILESYSTEM,
-        Stage.SYNC_INSTANCE_FILESYSTEM,
-        Stage.SYNC_INSTANCE_MEMORY,
-    }
-)
-CLONE_STAGES = frozenset({Stage.CLONE_BASE_AS_APP, Stage.CLONE_APP_AS_INSTANCE})
+def bvls(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """argmin ||Ax - b|| subject to lo <= x <= hi, by bounded-variable
+    least squares (Stark and Parker, Computational Statistics 10, 1995).
 
-
-class _Objective:
-    """Mean squared relative error of fixed observations, as arrays.
-
-    Built once per fit; see the module docstring for why every sum is a
-    ``np.cumsum``.
+    Every variable starts on its lower bound.  Each round frees the bound
+    variable whose gradient points furthest into the box and solves least
+    squares over the free variables, stepping back to the first bound
+    crossed until that solution lies inside the box.  The solve ends when
+    no bound variable's gradient points inward; a variable on a bound is
+    returned exactly equal to it.  Columns are scaled to unit norm first.
     """
-
-    def __init__(self, stage_obs: list, cell_obs: list, link: LinkSpec):
-        rows: dict[StageRecord, int] = {}
-        stage_rows = [rows.setdefault(r, len(rows)) for _, r, _ in stage_obs]
-        cell_rows = [
-            [rows.setdefault(r, len(rows)) for r in records
-             if not downtime_only or r.stage in DOWNTIME_STAGES]
-            for records, downtime_only, _ in cell_obs
-        ]
-        # Row ``pad`` of the prediction vector holds 0.0 and fills the
-        # cell matrix past each cell's last record.
-        self.pad = len(rows)
-        self.cells = np.full((len(cell_rows), max([1] + [len(r) for r in cell_rows])), self.pad)
-        for i, r in enumerate(cell_rows):
-            self.cells[i, : len(r)] = r
-        self.stage_rows = np.array(stage_rows, dtype=np.intp)
-        self.measured = np.array([m for *_, m in stage_obs] + [m for *_, m in cell_obs])
-        self.bandwidth = link.bandwidth_bps
-
-        records = list(rows)
-        wire = np.array([r.wire_bytes for r in records], dtype=np.float64)
-        scanned = np.array([r.scanned_bytes for r in records], dtype=np.float64)
-        local = np.array([r.local_bytes for r in records], dtype=np.float64)
-
-        def family(stages) -> np.ndarray:
-            return np.array([i for i, r in enumerate(records) if r.stage in stages], dtype=np.intp)
-
-        self.sync = family(SYNC_STAGES)
-        self.sync_bits = wire[self.sync] * 8.0
-        self.sync_scanned = scanned[self.sync]
-        self.clone = family(CLONE_STAGES)
-        self.clone_local = local[self.clone]
-        self.suspend = family({Stage.SUSPEND_INSTANCE})
-        self.suspend_local = local[self.suspend]
-        self.restore = family({Stage.RESTORE_INSTANCE})
-        self.restore_local = local[self.restore]
-        self.other = family(
-            set(Stage) - SYNC_STAGES - CLONE_STAGES - {Stage.SUSPEND_INSTANCE, Stage.RESTORE_INSTANCE}
-        )
-
-    def evaluate(self, params: dict[str, float]) -> tuple[np.ndarray, np.ndarray]:
-        """Predicted seconds and relative error of each stage observation, then each cell."""
-        pred = np.zeros(self.pad + 1)
-        effective = min(self.bandwidth, params["processing_cap"])
-        pred[self.sync] = (
-            params["stage_fixed_overhead"]
-            + self.sync_bits / effective
-            + self.sync_scanned / params["scan_rate"]
-        )
-        pred[self.clone] = self.clone_local / params["clone_rate"]
-        pred[self.suspend] = params["suspend_fixed"] + params["suspend_per_byte"] * self.suspend_local
-        pred[self.restore] = params["restore_fixed"] + params["restore_per_byte"] * self.restore_local
-        pred[self.other] = params["other_tasks_fixed"]
-        totals = np.cumsum(pred[self.cells], axis=1)[:, -1]
-        predicted = np.concatenate((pred[self.stage_rows], totals))
-        return predicted, (predicted - self.measured) / self.measured
-
-    def __call__(self, params: dict[str, float]) -> float:
-        _, rel = self.evaluate(params)
-        return float(np.cumsum(rel * rel)[-1] / len(rel))
+    norm = np.linalg.norm(A, axis=0)
+    norm[norm == 0] = 1.0
+    A, lo_s, hi_s = A / norm, lo * norm, hi * norm
+    x = lo_s.copy()
+    free, tried = np.zeros(len(x), dtype=bool), np.zeros(len(x), dtype=bool)
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(b)))
+    while True:
+        w = A.T @ (b - A @ x)
+        inward = ~free & ~tried & (((x < hi_s) & (w > tol)) | ((x > lo_s) & (w < -tol)))
+        if not inward.any():
+            return np.where(x == lo_s, lo, np.where(x == hi_s, hi, x / norm))
+        t = int(np.argmax(np.where(inward, np.abs(w), -1.0)))
+        free[t], start = True, x
+        while True:
+            z = x.copy()
+            z[free] = np.linalg.lstsq(A[:, free], b - A[:, ~free] @ x[~free], rcond=None)[0]
+            out = free & ((z < lo_s) | (z > hi_s))
+            if not out.any():
+                x = z
+                free &= (x > lo_s) & (x < hi_s)
+                break
+            bound = np.where(z < lo_s, lo_s, hi_s)
+            steps = np.full(len(x), np.inf)
+            steps[out] = (bound[out] - x[out]) / (z[out] - x[out])
+            step = steps.min()
+            if step == 0 and x is start:  # t would leave the box at once
+                free[t] = False
+                break
+            x = np.clip(x + step * (z - x), lo_s, hi_s)
+            x[steps == step] = bound[steps == step]
+            free &= (x > lo_s) & (x < hi_s)
+        if (x == start).all():
+            tried[t] = True
+        else:
+            tried[:] = False
 
 
 @dataclass
@@ -225,6 +197,7 @@ class FitResult:
     objective: float
     stage_residuals: list[dict]
     within_30pct: float
+    at_bound: list[str]  # fitted parameters the solve left on a bound
 
 
 def fit_cost_model(
@@ -261,64 +234,45 @@ def fit_cost_model(
         raise CalibrationError(
             f"{len(stage_obs)} stage observations cannot determine {len(PARAM_SPACE)} parameters"
         )
-    objective = _Objective(stage_obs, cell_obs, link)
+    observed = [[r] for _, r, _ in stage_obs] + [records for records, _ in cell_obs]
+    measured = [m for *_, m in stage_obs] + [m for _, m in cell_obs]
+    rows = np.array([np.sum([stage_features(r) for r in records], axis=0) for records in observed])
 
-    initial = default_cost_model(virtualization).to_dict()
-    params = {name: initial[name] for name, _, _ in PARAM_SPACE}
-    fit_cap = virtualization is Virtualization.VM
-    params["processing_cap"] = INITIAL_VM_PROCESSING_CAP if fit_cap else CONTAINER_PROCESSING_CAP
+    # Each term's box, from its parameter's; a rate's term is its reciprocal.
+    caps = CAP_PARAM[1:] if virtualization is Virtualization.VM else (CONTAINER_PROCESSING_CAP,) * 2
+    boxes = {name: (lo, hi) for name, lo, hi in PARAM_SPACE}
+    boxes["effective_rate"] = tuple(min(link.bandwidth_bps, cap) for cap in caps)
+    lo, hi = np.array([(1.0 / boxes[name][1], 1.0 / boxes[name][0]) if reciprocal else boxes[name]
+                       for name, reciprocal in COST_TERMS]).T
+    theta = bvls(rows / np.array(measured)[:, None], np.ones(len(measured)), lo, hi)
 
-    space = list(PARAM_SPACE) + ([CAP_PARAM] if fit_cap else [])
+    values, at_bound = {}, []
+    for (name, reciprocal), term, term_lo, term_hi in zip(COST_TERMS, theta.tolist(), lo, hi):
+        if term_lo < term_hi and term in (term_lo, term_hi):
+            at_bound.append(CAP_PARAM[0] if name == "effective_rate" else name)
+        if reciprocal:  # a rate on a bound takes the bound's exact value
+            box_lo, box_hi = boxes[name]
+            term = float(box_hi if term == term_lo else box_lo if term == term_hi else 1.0 / term)
+        values[name] = term
+    cap = values.pop("effective_rate")
+    cost_model = CostModel(**values)
 
-    def line_search(name: str, lo: float, hi: float) -> None:
-        """Golden-section minimization of one coordinate in log space."""
-        phi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = math.log(lo), math.log(hi)
-        c = b - phi * (b - a)
-        d = a + phi * (b - a)
-
-        def at(x: float) -> float:
-            params[name] = math.exp(x)
-            return objective(params)
-
-        fc, fd = at(c), at(d)
-        for _ in range(LINE_SEARCH_STEPS):
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - phi * (b - a)
-                fc = at(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + phi * (b - a)
-                fd = at(d)
-        best = c if fc < fd else d
-        params[name] = math.exp(best)
-
-    for _ in range(SWEEPS):
-        for name, lo, hi in space:
-            line_search(name, lo, hi)
-
-    final = objective(params)
+    # The fit's predictions come from the simulator's own stage formula.
+    theta = cost_terms(cost_model, LinkSpec(link.bandwidth_bps, processing_cap_bps=cap))
+    predicted = [sum(stage_seconds(stage_features(r), theta) for r in records)
+                 for records in observed]
+    rel = [(p - m) / m for p, m in zip(predicted, measured)]
     n = len(stage_obs)
-    predicted, rel = objective.evaluate(params)
-    residuals = [
-        {
-            "profile": name,
-            "stage": record.stage.value,
-            "measured_s": measured,
-            "predicted_s": round(float(p), 4),
-            "relative_error": round(float(e), 4),
-        }
-        for (name, record, measured), p, e in zip(stage_obs, predicted[:n], rel[:n])
-    ]
-
-    cap = params.pop("processing_cap")
+    residuals = [dict(profile=name, stage=record.stage.value, measured_s=m,
+                      predicted_s=round(p, 4), relative_error=round(e, 4))
+                 for (name, record, m), p, e in zip(stage_obs, predicted, rel)]
     return FitResult(
-        cost_model=CostModel(**params),
+        cost_model=cost_model,
         processing_cap_bps=cap,
-        objective=final,
+        objective=sum(e * e for e in rel) / len(rel),
         stage_residuals=residuals,
-        within_30pct=int(np.count_nonzero(np.abs(rel[:n]) <= 0.30)) / n,
+        within_30pct=sum(abs(e) <= 0.30 for e in rel[:n]) / n,
+        at_bound=sorted(at_bound),
     )
 
 
@@ -329,6 +283,7 @@ def calibration_to_dict(results: dict[Virtualization, FitResult]) -> dict:
             "cost_model": result.cost_model.to_dict(),
             "processing_cap_bps": result.processing_cap_bps,
             "fit": {
+                "at_bound": result.at_bound,
                 "objective": result.objective,
                 "stage_residuals": result.stage_residuals,
                 "stage_residuals_within_30pct": result.within_30pct,

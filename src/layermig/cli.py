@@ -299,6 +299,7 @@ def cmd_calibrate(args) -> int:
             f"stage residuals within 30%: {result.within_30pct:.0%} "
             f"cap={result.processing_cap_bps / MB:.1f} Mbps"
         )
+        print(f"  on a bound: {', '.join(result.at_bound) or 'none'}")
         worst = sorted(result.stage_residuals, key=lambda r: -abs(r["relative_error"]))[:3]
         for row in worst:
             print(
@@ -358,6 +359,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # Overrides are checked before any calibration is read.
+        build_scenario({}, None, seed=args.seed, scale=args.scale)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -74,6 +74,8 @@ class GuestSpec:
         for f in fields(self):
             if f.type in ("int", "float") and getattr(self, f.name) < 0:
                 raise ValueError(f"{f.name} must be >= 0")
+            if f.name.endswith("wire_ratio") and not getattr(self, f.name) > 0:
+                raise ValueError(f"{f.name} must be positive")
 
 
 def container_spec() -> GuestSpec:

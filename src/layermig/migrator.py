@@ -4,11 +4,14 @@ accounting.
 A migration walks an ordered list of stages chosen from what the
 destination already holds (instance, application, base, or nothing) and
 whether the scenario runs the two-layer or three-layer model.  Sync
-stages run the real delta engine between source and destination trees;
-clone, suspend, restore and catch-all stages charge calibrated fixed
-and per-byte costs.  Service downtime is the span from suspending the
-instance to restoring it at the destination: the suspend, instance
-filesystem sync, in-memory-state sync and restore stages.
+stages run the real delta engine between source and destination trees.
+Every stage's seconds are one linear formula: its ``stage_features`` row
+over ``COST_TERMS`` times the ``cost_terms`` of the scenario's cost
+model and link, plus the link's round trips for a sync stage.  The
+calibration fit stacks the same rows.  Service downtime is the span
+from suspending the instance to restoring it at the destination: the
+suspend, instance filesystem sync, in-memory-state sync and restore
+stages.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, fields, replace
 
-from .delta_sync import DEFAULT_BLOCK_SIZE, MIN_BLOCK_SIZE, SyncStats, apply_tree_delta, sync_tree
+from .delta_sync import DEFAULT_BLOCK_SIZE, MIN_BLOCK_SIZE, apply_tree_delta, sync_tree
 from .guest import (
     CHECKPOINT_PREFIX,
     GuestInstance,
@@ -35,7 +38,7 @@ from .layer_store import (
     advance_memory,
     new_memory_image,
 )
-from .netsim import MB, LinkSpec, transfer_time
+from .netsim import MB, LinkSpec, effective_rate, transfer_time
 
 
 class MigrationMode(enum.Enum):
@@ -71,6 +74,25 @@ DOWNTIME_STAGES = frozenset(
         Stage.SYNC_INSTANCE_MEMORY,
         Stage.RESTORE_INSTANCE,
     }
+)
+
+
+SYNC_STAGES = frozenset({Stage.SYNC_BASE_FILESYSTEM, Stage.SYNC_APP_FILESYSTEM,
+                         Stage.SYNC_INSTANCE_FILESYSTEM, Stage.SYNC_INSTANCE_MEMORY})
+
+# The terms every stage time is linear in, in the order of a
+# ``stage_features`` row: (name, charged as its reciprocal).  A name is a
+# ``CostModel`` field or ``effective_rate``, the link's bits/s.
+COST_TERMS = (
+    ("effective_rate", True),  # per wire bit of a sync stage
+    ("scan_rate", True),  # per byte a sync stage compares
+    ("stage_fixed_overhead", False),  # per sync stage
+    ("clone_rate", True),  # per byte a clone copies
+    ("suspend_fixed", False),
+    ("suspend_per_byte", False),  # per byte of memory
+    ("restore_fixed", False),
+    ("restore_per_byte", False),  # per byte of memory
+    ("other_tasks_fixed", False),
 )
 
 
@@ -123,7 +145,7 @@ class CostModel:
 
 
 def default_cost_model(virtualization: Virtualization) -> CostModel:
-    """Uncalibrated starting points, also the fitter's initial values."""
+    """Uncalibrated cost models, used by ``--calibration default``."""
     if virtualization is Virtualization.CONTAINER:
         return CostModel(
             clone_rate=130 * MB,
@@ -157,6 +179,36 @@ class StageRecord:
     # (layer size for clones, memory size for suspend/restore).
     scanned_bytes: int = 0
     local_bytes: int = 0
+
+
+def stage_features(record: StageRecord) -> tuple:
+    """The record's work, one amount per ``COST_TERMS`` entry."""
+    if record.stage in SYNC_STAGES:
+        return (record.wire_bytes * 8.0, record.scanned_bytes, 1, 0, 0, 0, 0, 0, 0)
+    if record.stage in (Stage.CLONE_BASE_AS_APP, Stage.CLONE_APP_AS_INSTANCE):
+        return (0, 0, 0, record.local_bytes, 0, 0, 0, 0, 0)
+    if record.stage is Stage.SUSPEND_INSTANCE:
+        return (0, 0, 0, 0, 1, record.local_bytes, 0, 0, 0)
+    if record.stage is Stage.RESTORE_INSTANCE:
+        return (0, 0, 0, 0, 0, 0, 1, record.local_bytes, 0)
+    return (0, 0, 0, 0, 0, 0, 0, 0, 1)
+
+
+def cost_terms(cost_model: CostModel, link: LinkSpec) -> tuple[float, ...]:
+    """θ: the seconds one unit of each ``COST_TERMS`` entry costs."""
+    values = dict(vars(cost_model), effective_rate=effective_rate(link))
+    return tuple(1.0 / values[name] if reciprocal else values[name]
+                 for name, reciprocal in COST_TERMS)
+
+
+def stage_seconds(row, theta, start: float = 0.0) -> float:
+    """``start`` plus ``row · theta``, added left to right.  A zero amount
+    is skipped, so a term with no work costs nothing even if infinite."""
+    seconds = start
+    for amount, term in zip(row, theta):
+        if amount:
+            seconds += amount * term
+    return seconds
 
 
 @dataclass(frozen=True)
@@ -285,18 +337,17 @@ def run_migration(scenario: MigrationScenario) -> MigrationOutcome:
     """Execute every planned stage against real trees.
 
     Sync stages call the delta engine with the destination's actual
-    basis and charge link transfer time for the wire bytes, comparison
-    time for scanned bytes, and the per-stage fixed overhead.  Clone
-    stages charge bytes/clone_rate; suspend and restore charge their
-    fixed plus per-memory-byte terms.  The destination finishes with a
-    running guest whose trees and memory equal the source's at suspend
-    time, which is asserted before returning.
+    basis; each stage is then charged ``stage_seconds`` of its record,
+    plus ``transfer_time``'s round trips for a sync stage.  The
+    destination finishes with a running guest whose trees and memory
+    equal the source's at suspend time, which is asserted before
+    returning.
     """
     spec = scenario.guest_spec
     mode = scenario.mode
     dest_state = scenario.destination
-    cm = scenario.cost_model
     link = scenario.link
+    theta = cost_terms(scenario.cost_model, link)
     app_layer = mode is MigrationMode.THREE_LAYER
 
     source = build_guest(
@@ -324,77 +375,68 @@ def run_migration(scenario: MigrationScenario) -> MigrationOutcome:
 
     suspended: GuestInstance | None = None
     records: list[StageRecord] = []
-    sync_calls = 0
 
-    def run_sync(basis: FileTree, target: FileTree) -> tuple[FileTree, SyncStats, float]:
-        nonlocal sync_calls
+    def charge(stage: Stage, wire_bytes: int = 0, scanned_bytes: int = 0,
+               local_bytes: int = 0, link_s: float = 0.0) -> None:
+        draft = StageRecord(stage, 0.0, wire_bytes, scanned_bytes, local_bytes)
+        seconds = stage_seconds(stage_features(draft), theta, link_s)
+        records.append(replace(draft, seconds=seconds))
+
+    def run_sync(stage: Stage, basis: FileTree, target: FileTree) -> FileTree:
         tree_delta, stats = sync_tree(
             basis, target, scenario.block_size, verify_unchanged=spec.scan_unchanged
         )
         synced = apply_tree_delta(basis, tree_delta)
-        seconds = (
-            transfer_time(link, stats.wire_bytes, scenario.round_trips, call_index=sync_calls)
-            + stats.scanned_bytes / cm.scan_rate
-            + cm.stage_fixed_overhead
-        )
-        sync_calls += 1
-        return synced, stats, seconds
+        # The link's round trips, indexed by the sync stages before this
+        # one; the wire bits are a cost term.
+        link_s = transfer_time(link, 0, scenario.round_trips,
+                               call_index=sum(r.stage in SYNC_STAGES for r in records))
+        charge(stage, stats.wire_bytes, stats.scanned_bytes, link_s=link_s)
+        return synced
 
     for stage in plan(mode, dest_state):
         if stage is Stage.SYNC_BASE_FILESYSTEM:
-            dest_base_tree, stats, seconds = run_sync(FileTree(), source.base.tree)
-            records.append(StageRecord(stage, seconds, stats.wire_bytes, stats.scanned_bytes))
+            dest_base_tree = run_sync(stage, FileTree(), source.base.tree)
 
         elif stage is Stage.CLONE_BASE_AS_APP:
             assert dest_base_tree is not None
             dest_app_tree = dest_base_tree
-            records.append(
-                StageRecord(stage, dest_base_tree.total_length / cm.clone_rate, 0,
-                            local_bytes=dest_base_tree.total_length)
-            )
+            charge(stage, local_bytes=dest_base_tree.total_length)
 
         elif stage is Stage.SYNC_APP_FILESYSTEM:
             assert dest_app_tree is not None and source.app is not None
-            dest_app_tree, stats, seconds = run_sync(dest_app_tree, source.app.tree)
-            records.append(StageRecord(stage, seconds, stats.wire_bytes, stats.scanned_bytes))
+            dest_app_tree = run_sync(stage, dest_app_tree, source.app.tree)
 
         elif stage is Stage.CLONE_APP_AS_INSTANCE:
             lower = dest_app_tree if mode is MigrationMode.THREE_LAYER else dest_base_tree
             assert lower is not None
             dest_instance_tree = lower
-            records.append(
-                StageRecord(stage, lower.total_length / cm.clone_rate, 0,
-                            local_bytes=lower.total_length)
-            )
+            charge(stage, local_bytes=lower.total_length)
 
         elif stage is Stage.SUSPEND_INSTANCE:
             suspended = checkpoint(source, scenario.chunk_size)
-            seconds = cm.suspend_fixed + cm.suspend_per_byte * source.memory.total_bytes
-            records.append(StageRecord(stage, seconds, 0, local_bytes=source.memory.total_bytes))
+            charge(stage, local_bytes=source.memory.total_bytes)
 
         elif stage is Stage.SYNC_INSTANCE_FILESYSTEM:
             assert suspended is not None and dest_instance_tree is not None
             _, src_fs = suspended.instance.tree.split(CHECKPOINT_PREFIX)
             dest_mem, dest_fs = dest_instance_tree.split(CHECKPOINT_PREFIX)
-            synced_fs, stats, seconds = run_sync(dest_fs, src_fs)
+            synced_fs = run_sync(stage, dest_fs, src_fs)
             dest_instance_tree = synced_fs.with_entries(dict(dest_mem.items()))
-            records.append(StageRecord(stage, seconds, stats.wire_bytes, stats.scanned_bytes))
 
         elif stage is Stage.SYNC_INSTANCE_MEMORY:
             assert suspended is not None and dest_instance_tree is not None
             src_mem, _ = suspended.instance.tree.split(CHECKPOINT_PREFIX)
             dest_mem, dest_fs = dest_instance_tree.split(CHECKPOINT_PREFIX)
-            synced_mem, stats, seconds = run_sync(dest_mem, src_mem)
+            synced_mem = run_sync(stage, dest_mem, src_mem)
             dest_instance_tree = dest_fs.with_entries(dict(synced_mem.items()))
-            records.append(StageRecord(stage, seconds, stats.wire_bytes, stats.scanned_bytes))
 
         elif stage is Stage.RESTORE_INSTANCE:
             assert suspended is not None and dest_instance_tree is not None
-            seconds = cm.restore_fixed + cm.restore_per_byte * suspended.memory.total_bytes
-            records.append(StageRecord(stage, seconds, 0, local_bytes=suspended.memory.total_bytes))
+            charge(stage, local_bytes=suspended.memory.total_bytes)
 
         else:  # OTHER_TASKS
-            records.append(StageRecord(stage, cm.other_tasks_fixed, 0))
+            charge(stage)
 
     assert suspended is not None and dest_instance_tree is not None
 

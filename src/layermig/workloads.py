@@ -40,6 +40,8 @@ class AppProfile:
                 raise ValueError("profile sizes must be >= 0")
         if any(v < 0 for v in self.install_bytes.values()):
             raise ValueError("install sizes must be >= 0")
+        if any(not v > 0 for v in self.memory_wire_ratio.values()):
+            raise ValueError("memory_wire_ratio must be positive")
         if not 0.0 <= self.memory_churn_rate <= 1.0:
             raise ValueError("memory_churn_rate must be within [0, 1]")
 

@@ -248,3 +248,10 @@ def test_calibrate_fit_quality(tmp_path):
     assert payload["fitted"] is True
     # At least 80% of container stage cells must fit within 30%.
     assert payload["container"]["fit"]["stage_residuals_within_30pct"] >= 0.8
+
+
+def test_calibrate_prints_the_parameters_on_a_bound(tmp_path, capsys):
+    assert main(["calibrate", "--out", str(tmp_path / "cal.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "  on a bound: scan_rate"  # container
+    assert "  on a bound: none" in lines  # vm

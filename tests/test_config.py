@@ -139,6 +139,17 @@ INVALID = {
     "fractional-guest-bytes": ({"guest": {"memory_floor_bytes": 10.5}}, []),
     "fractional-memory-bytes": ({"profile": {"name": "x", "install_bytes": 1, "memory_bytes": 0.5}}, []),
     "churn-rate-above-one": ({"profile": {"name": "x", "install_bytes": 1, "memory_churn_rate": 2}}, []),
+    "zero-memory-wire-ratio": ({"profile": {"name": "x", "install_bytes": 1, "memory_bytes": 10_000,
+                                            "memory_wire_ratio": 0},
+                                "destination": {"has_stale_instance": True}}, []),
+    "negative-vm-memory-wire-ratio": (
+        {"profile": {"name": "x", "install_bytes": 1,
+                     "memory_wire_ratio": {"container": 0.2, "vm": -0.5}},
+         "virtualization": "vm", "destination": {"has_stale_instance": True}}, []),
+    "zero-base-wire-ratio": ({"guest": {"base_wire_ratio": 0}}, []),
+    "zero-fs-wire-ratio": ({"guest": {"fs_wire_ratio": 0.0}}, []),
+    "zero-memory-floor-wire-ratio": ({"virtualization": "vm",
+                                      "guest": {"memory_floor_wire_ratio": 0}}, []),
 }
 
 
@@ -150,6 +161,21 @@ def test_invalid_config_exits_2(name, tmp_path, capsys):
     code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "r.json"), *extra])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("override", [["--scale", "2"], ["--scale", "0"], ["--scale", "-1"]])
+def test_bad_override_exits_2_whichever_calibration(override, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(VALID), encoding="utf-8")
+    for calibration in ([], ["--calibration", "default"],
+                        ["--calibration", str(tmp_path / "missing.json")]):
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "r.json"),
+                     *override, *calibration])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+    for command in (["sweep", "--param", "ram", "--values", "100"],
+                    ["reproduce", "--target", "fig5", "--out-dir", str(tmp_path / "out")]):
+        assert main([*command, *override, "--calibration", str(tmp_path / "missing.json")]) == 2
 
 
 def test_config_error_reported_before_missing_calibration(tmp_path, capsys):
