@@ -108,34 +108,39 @@ def cmd_run(args) -> int:
 _DEFAULT_SWEEP_CONFIG = {"profile": "RAM Simulation"}  # container, three-layer, app found
 
 
-def _sweep_rows(param: str, values: list[float], scenario: MigrationScenario) -> list[list]:
-    rows = []
-    for value in values:
+def _swept(scenario: MigrationScenario, param: str, value: float) -> MigrationScenario:
+    """``scenario`` with ``param`` set to ``value``, through the same record
+    checks as a config; a value they reject is a config error."""
+    try:
         if param == "ram":
-            varied = dataclasses.replace(
+            return dataclasses.replace(
                 scenario, profile=scenario.profile.with_memory(int(value * MB))
             )
-        else:
-            varied = dataclasses.replace(
-                scenario,
-                link=dataclasses.replace(scenario.link, bandwidth_bps=value * MB),
-            )
-        report = run_migration(varied).report
-        rows.append(
-            [f"{value:g}", f"{report.total_seconds:.6f}",
-             f"{report.downtime_seconds:.6f}", report.total_wire_bytes]
+        return dataclasses.replace(
+            scenario, link=dataclasses.replace(scenario.link, bandwidth_bps=value * MB)
         )
-    return rows
+    except (ValueError, OverflowError) as exc:  # OverflowError: int() of an infinity
+        raise ConfigError(f"--values {value:g}: {exc}") from exc
 
 
 def cmd_sweep(args) -> int:
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--values: {exc}") from None
     if not values:
         raise ConfigError("--values must list at least one number")
     config = load_scenario_config(args.scenario) if args.scenario else _DEFAULT_SWEEP_CONFIG
     calibration, _ = _resolve_calibration(args.calibration)
     scenario = build_scenario(config, calibration, seed=args.seed, scale=args.scale)
-    rows = _sweep_rows(args.param, values, scenario)
+    swept = [_swept(scenario, args.param, value) for value in values]
+    rows = []
+    for value, varied in zip(values, swept):
+        report = run_migration(varied).report
+        rows.append(
+            [f"{value:g}", f"{report.total_seconds:.6f}",
+             f"{report.downtime_seconds:.6f}", report.total_wire_bytes]
+        )
     _write_csv(Path(args.out) if args.out else None,
                ["param_value", "total_time_s", "downtime_s", "wire_bytes"], rows)
     if args.out:

@@ -52,6 +52,7 @@ import bisect
 import hashlib
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -641,6 +642,10 @@ class TreeDelta:
     entries: tuple[tuple[str, FileOp], ...]  # sorted by path
 
 
+_UNCHANGED = Unchanged()
+_DELETED = Deleted()
+
+
 def sync_tree(
     basis: FileTree,
     target: FileTree,
@@ -650,24 +655,27 @@ def sync_tree(
 ) -> tuple[TreeDelta, SyncStats]:
     """Classify every path as unchanged, patched, created or deleted.
 
-    Files whose descriptors are identical are skipped by the metadata
-    quick check; with ``verify_unchanged`` they are additionally charged
-    a full read plus a whole-file checksum on the wire, which models a
-    sync engine that cannot trust metadata (VM image trees).  Content
-    that differs goes through :func:`compute_delta` for real.  Entries
-    whose descriptors differ are rendered ``READ_CHUNK`` bytes at a
-    time, so no file is ever rendered whole: the basis once, for its
-    signature, compared chunk by chunk with the target on the way (see
+    One walk over the target's entries looks each path up in the basis.
+    Files whose descriptors are identical (the same object, or equal
+    fields) are skipped by the metadata quick check; with
+    ``verify_unchanged`` they are additionally charged a full read plus
+    a whole-file checksum on the wire, which models a sync engine that
+    cannot trust metadata (VM image trees).  Content that differs goes
+    through :func:`compute_delta` for real.  Entries whose descriptors
+    differ are rendered ``READ_CHUNK`` bytes at a time, so no file is
+    ever rendered whole: the basis once, for its signature, compared
+    chunk by chunk with the target on the way (see
     :class:`_ComparedBasis`), and the target once more for the scan.
+
+    The basis is walked only when it holds a path the target lacks,
+    which the counts tell; its deletions are then merged in by one sort,
+    so the entries come out in path order either way.
     """
     stats = SyncStats()
     entries: list[tuple[str, FileOp]] = []
-    for path, b, t in _paired(basis, target):
-        if t is None:
-            entries.append((path, Deleted()))
-            stats.files_deleted += 1
-            stats.wire_bytes += FILE_WIRE_OVERHEAD
-            continue
+    find = basis.get
+    for path, t in target.items():
+        b = find(path)
         if b is None:
             entries.append((path, Created(target=t)))
             stats.files_created += 1
@@ -676,8 +684,8 @@ def sync_tree(
             stats.literal_bytes += charged
             stats.scanned_bytes += t.length
             continue
-        if b == t:
-            entries.append((path, Unchanged()))
+        if b is t or b == t:
+            entries.append((path, _UNCHANGED))
             stats.files_unchanged += 1
             stats.wire_bytes += FILE_WIRE_OVERHEAD
             if verify_unchanged:
@@ -685,10 +693,10 @@ def sync_tree(
                 stats.scanned_bytes += t.length
             continue
         target_source = _entry_source(path, t)
-        basis = _ComparedBasis(_entry_source(path, b), target_source)
-        sig = compute_signature(basis, block_size)
-        if basis.equal:
-            entries.append((path, Unchanged()))
+        compared = _ComparedBasis(_entry_source(path, b), target_source)
+        sig = compute_signature(compared, block_size)
+        if compared.equal:
+            entries.append((path, _UNCHANGED))
             stats.files_unchanged += 1
             stats.wire_bytes += FILE_WIRE_OVERHEAD + VERIFY_WIRE
             stats.scanned_bytes += t.length
@@ -697,6 +705,11 @@ def sync_tree(
         entries.append((path, Patched(delta=delta, target=t)))
         stats.files_patched += 1
         stats.merge(fstats)
+    stats.files_deleted = len(basis) + stats.files_created - len(target)
+    if stats.files_deleted:
+        stats.wire_bytes += FILE_WIRE_OVERHEAD * stats.files_deleted
+        entries += [(path, _DELETED) for path in basis.paths() if path not in target]
+        entries.sort(key=itemgetter(0))
     return TreeDelta(block_size=block_size, entries=tuple(entries)), stats
 
 
@@ -718,26 +731,6 @@ class _ComparedBasis:
         for piece in _pieces(self._basis):
             self.equal = self.equal and piece == next(target_pieces)
             yield piece
-
-
-def _paired(
-    basis: FileTree, target: FileTree
-) -> Iterator[tuple[str, ContentDescriptor | None, ContentDescriptor | None]]:
-    """``(path, basis entry, target entry)`` for every path of either
-    tree, in sorted order, with ``None`` for the tree that lacks it: one
-    merge walk over the two trees' sorted entries."""
-    b_items, t_items = basis.items(), target.items()
-    b, t = next(b_items, None), next(t_items, None)
-    while b is not None or t is not None:
-        if t is None or (b is not None and b[0] < t[0]):
-            yield b[0], b[1], None
-            b = next(b_items, None)
-        elif b is None or t[0] < b[0]:
-            yield t[0], None, t[1]
-            t = next(t_items, None)
-        else:
-            yield b[0], b[1], t[1]
-            b, t = next(b_items, None), next(t_items, None)
 
 
 def apply_tree_delta(basis: FileTree, delta: TreeDelta) -> FileTree:

@@ -15,7 +15,9 @@ import hashlib
 import json
 import math
 import posixpath
+from bisect import bisect_left
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -154,6 +156,23 @@ def materialize_entry(
 
 
 def normalize_path(path: str) -> str:
+    """``path`` relative to the tree root, with "/" separators and no
+    empty, "." or ".." segment.  Raises ValueError for a path that is
+    empty or leaves the root.
+
+    A path with no "\\", no empty segment and no segment that begins
+    with "." is already normal and is returned as it is; only the others
+    go through :func:`posixpath.normpath`.
+    """
+    if (
+        path
+        and path[0] not in "/."
+        and path[-1] != "/"
+        and "//" not in path
+        and "/." not in path
+        and "\\" not in path
+    ):
+        return path
     norm = posixpath.normpath(path.replace("\\", "/")).lstrip("/")
     if norm in ("", ".", "..") or norm.startswith("../"):
         raise ValueError(f"invalid tree path: {path!r}")
@@ -164,12 +183,15 @@ class FileTree:
     """Immutable map of normalized path -> content descriptor.
 
     Invariant: every path is normalized (see :func:`normalize_path`) and
-    the entries are held in sorted path order.  Only the constructor and
-    the ``extra`` paths of :meth:`with_entries` normalize entries, and
-    ``with_entries`` sorts only when it adds a path.  :meth:`without`,
-    :meth:`subtree` and :meth:`split` filter entries that already hold
-    the invariant, so they keep its order and normalize only the paths
-    they are asked about.
+    the entries are held in sorted path order.  Only the constructor
+    and the ``extra`` paths of :meth:`with_entries` normalize the paths
+    they store, and ``with_entries`` sorts only when it adds a path.
+    Every other method builds its tree from entries that already hold
+    the invariant, so it keeps their order and normalizes only the
+    paths it is asked about.  :meth:`subtree` and :meth:`split` rely on
+    the sorted order: the paths under ``prefix/`` are one contiguous
+    run of it, found by bisection, so they copy that run and the rest
+    without testing each path.
     """
 
     __slots__ = ("_entries",)
@@ -213,30 +235,39 @@ class FileTree:
         return sum(e.length for e in self._entries.values())
 
     def with_entries(self, extra: Mapping[str, ContentDescriptor]) -> "FileTree":
+        extra = {normalize_path(path): entry for path, entry in extra.items()}
         merged = dict(self._entries)
-        added = False
-        for path, entry in extra.items():
-            path = normalize_path(path)
-            added = added or path not in merged
-            merged[path] = entry
-        return FileTree._of(dict(sorted(merged.items())) if added else merged)
+        merged.update(extra)
+        if extra.keys() <= self._entries.keys():  # no path added, so still in order
+            return FileTree._of(merged)
+        return FileTree._of(dict(sorted(merged.items())))
 
     def without(self, paths: list[str]) -> "FileTree":
         # A held path is already normalized; only other spellings need it.
-        drop = {p if p in self._entries else normalize_path(p) for p in paths}
-        return FileTree._of({p: e for p, e in self._entries.items() if p not in drop})
+        entries = dict(self._entries)
+        for path in paths:
+            entries.pop(path if path in entries else normalize_path(path), None)
+        return FileTree._of(entries)
+
+    def _prefix_range(self, prefix: str) -> tuple[int, int]:
+        """``[lo, hi)``: the positions of the paths under ``prefix/``, the
+        sorted run from ``prefix/`` up to ``prefix0`` ("0" follows "/")."""
+        prefix = normalize_path(prefix)
+        keys = list(self._entries)
+        lo = bisect_left(keys, prefix + "/")
+        return lo, bisect_left(keys, prefix + "0", lo)
 
     def subtree(self, prefix: str) -> "FileTree":
-        prefix = normalize_path(prefix) + "/"
-        return FileTree._of({p: e for p, e in self._entries.items() if p.startswith(prefix)})
+        lo, hi = self._prefix_range(prefix)
+        return FileTree._of(dict(islice(self._entries.items(), lo, hi)))
 
     def split(self, prefix: str) -> tuple["FileTree", "FileTree"]:
         """(entries under prefix/, everything else)."""
-        prefix = normalize_path(prefix) + "/"
-        inside = {}
-        outside = {}
-        for p, e in self._entries.items():
-            (inside if p.startswith(prefix) else outside)[p] = e
+        lo, hi = self._prefix_range(prefix)
+        items = iter(self._entries.items())
+        outside = dict(islice(items, lo))
+        inside = dict(islice(items, hi - lo))
+        outside.update(items)
         return FileTree._of(inside), FileTree._of(outside)
 
     def is_superset_of(self, other: "FileTree") -> bool:
@@ -276,17 +307,20 @@ def synthetic_files(
     max_file_bytes: int = DEFAULT_CHUNK_SIZE,
     epoch: int = 0,
 ) -> dict[str, ContentDescriptor]:
-    """Chunk ``total_bytes`` of synthetic content into files under ``prefix``."""
-    entries: dict[str, ContentDescriptor] = {}
-    remaining = total_bytes
-    index = 0
-    while remaining > 0:
-        size = min(remaining, max_file_bytes)
-        entries[f"{prefix}/f{index:05d}.bin"] = SyntheticContent(
-            seed=seed, length=size, epoch=epoch, wire_ratio=wire_ratio
+    """Chunk ``total_bytes`` of synthetic content into files under ``prefix``.
+
+    Content is keyed by (seed, path, epoch), so every full-size file
+    shares one descriptor; only a shorter last file gets its own.
+    """
+    full, rest = divmod(max(total_bytes, 0), max_file_bytes)
+    shared = SyntheticContent(seed=seed, length=max_file_bytes, epoch=epoch, wire_ratio=wire_ratio)
+    entries: dict[str, ContentDescriptor] = {
+        f"{prefix}/f{index:05d}.bin": shared for index in range(full)
+    }
+    if rest:
+        entries[f"{prefix}/f{full:05d}.bin"] = SyntheticContent(
+            seed=seed, length=rest, epoch=epoch, wire_ratio=wire_ratio
         )
-        remaining -= size
-        index += 1
     return entries
 
 
@@ -381,12 +415,6 @@ class MemoryImage:
             and self.epoch == other.epoch
             and np.array_equal(self.page_epochs, other.page_epochs)
         )
-
-    def digest(self) -> bytes:
-        h = hashlib.blake2b(digest_size=16)
-        h.update(f"{self.seed}:{self.page_size}:{self.pages}:{self.epoch}".encode())
-        h.update(np.ascontiguousarray(self.page_epochs, dtype="<u4").tobytes())
-        return h.digest()
 
 
 def new_memory_image(

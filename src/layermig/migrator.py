@@ -134,10 +134,11 @@ class CostModel:
     other_tasks_fixed: float
 
     def __post_init__(self):
-        if self.clone_rate <= 0 or self.scan_rate <= 0:
+        # Each check is written so that NaN, which fails every comparison, fails it.
+        if not (self.clone_rate > 0 and self.scan_rate > 0):
             raise ValueError("rates must be positive")
         for f in fields(self):
-            if getattr(self, f.name) < 0:
+            if not getattr(self, f.name) >= 0:
                 raise ValueError(f"{f.name} must be >= 0")
 
     def to_dict(self) -> dict:

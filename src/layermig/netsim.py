@@ -23,11 +23,12 @@ class LinkSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.bandwidth_bps <= 0:
+        # Each check is written so that NaN, which fails every comparison, fails it.
+        if not self.bandwidth_bps > 0:
             raise ValueError("bandwidth must be positive")
-        if self.processing_cap_bps <= 0:
+        if not self.processing_cap_bps > 0:
             raise ValueError("processing cap must be positive")
-        if self.latency_s < 0 or self.jitter_s < 0:
+        if not (self.latency_s >= 0 and self.jitter_s >= 0):
             raise ValueError("latency and jitter must be >= 0")
 
 

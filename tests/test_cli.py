@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -118,6 +119,18 @@ def test_sweep_empty_values_exits_2(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("param,values", [
+    ("bandwidth", "-1"), ("bandwidth", "0"), ("bandwidth", "nan"), ("bandwidth", "10,-1"),
+    ("bandwidth", "abc"), ("ram", "-5"), ("ram", "nan"), ("ram", "inf"),
+])
+def test_sweep_value_out_of_range_exits_2(param, values, tmp_path, capsys):
+    # Each value meets the records' own checks before any migration runs.
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--param", param, f"--values={values}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 # --- reproduce ---------------------------------------------------------------
 
 
@@ -153,6 +166,27 @@ def test_reproduce_fig5_emits_both_sweeps(tmp_path):
     bw = read_csv(out_dir / "fig5_bandwidth.csv")
     assert len(ram) == 1 + 7 + 6  # container and vm reference points
     assert len(bw) == 1 + 8 + 8
+
+
+# SHA-256 of each reproduce CSV at scale 1.0 and seed 0 with the packaged
+# calibration.  Pinned so that work on the tree layer, which every
+# reference migration runs through, cannot move a reproduced cell.
+REPRODUCE_DIGESTS = {
+    "table1": {"table1.csv": "1211388127b614c8fcff22b409c921c6f95ed02d6c0cacde448ef9f5a1f445a5"},
+    "fig4": {"fig4.csv": "346640d38af1d07b3d47aad835441f9a5712c32a72b3924230acc1c4c9d066a6"},
+    "fig5": {
+        "fig5_ram.csv": "21088ca57c6bc931e84329d4fe9d59dca3af4f640559eb01ab4e9cd6da4f77ca",
+        "fig5_bandwidth.csv": "c4a405a8a41a01b9665052e6a64c781e9eb81e3f4b6a0fe7ca7e573f543aecac",
+    },
+}
+
+
+@pytest.mark.parametrize("target", list(REPRODUCE_DIGESTS))
+def test_reproduce_csvs_are_byte_identical_to_golden(target, tmp_path):
+    assert main(["reproduce", "--target", target, "--out-dir", str(tmp_path),
+                 "--scale", "1.0", "--seed", "0"]) == 0
+    for name, digest in REPRODUCE_DIGESTS[target].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 REFERENCE_SEEDS = """

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -150,6 +151,9 @@ INVALID = {
     "zero-fs-wire-ratio": ({"guest": {"fs_wire_ratio": 0.0}}, []),
     "zero-memory-floor-wire-ratio": ({"virtualization": "vm",
                                       "guest": {"memory_floor_wire_ratio": 0}}, []),
+    "nan-bandwidth": ({"link": {"bandwidth_mbps": math.nan}}, []),
+    "nan-latency": ({"link": {"latency_ms": math.nan}}, []),
+    "nan-scan-rate": ({"cost_model": dict(INLINE_COST, scan_rate=math.nan)}, []),
 }
 
 

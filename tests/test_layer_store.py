@@ -1,4 +1,5 @@
 import math
+import posixpath
 
 import numpy as np
 import pytest
@@ -115,6 +116,29 @@ def test_path_normalization_keeps_names_that_begin_with_dots(path, norm):
 def test_path_normalization_rejects_escapes_and_empty_paths(path):
     with pytest.raises(ValueError):
         normalize_path(path)
+
+
+def posix_normal_form(path):
+    """Reference: every path through ``posixpath.normpath``, with no fast check."""
+    norm = posixpath.normpath(path.replace("\\", "/")).lstrip("/")
+    if norm in ("", ".", "..") or norm.startswith("../"):
+        raise ValueError(f"invalid tree path: {path!r}")
+    return norm
+
+
+PATH_TEXT = st.text(alphabet=st.sampled_from(["a", "b", ".", "/", "\\", " "]), max_size=12) | st.text()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(path=PATH_TEXT)
+def test_normalize_path_matches_posixpath(path):
+    try:
+        expected = posix_normal_form(path)
+    except ValueError:
+        with pytest.raises(ValueError):
+            normalize_path(path)
+        return
+    assert normalize_path(path) == expected
 
 
 def test_tree_iteration_is_sorted():
@@ -301,6 +325,29 @@ def test_with_entries_normalizes_only_its_extra_paths():
     assert merged.get("a/b") == LiteralContent(b"3")
     with pytest.raises(ValueError):
         tree.with_entries({"../x": LiteralContent(b"4")})
+
+
+@pytest.mark.parametrize("prefix", ["p", "/p/", "./p"])
+def test_split_takes_only_the_paths_under_the_prefix(prefix):
+    # "." sorts just before "/", and "0" just after it: the neighbours of the range.
+    names = ["o/z", "p", "p.x", "p/a", "p/b/c", "p0", "p0/a", "pz/a", "q"]
+    tree = FileTree({name: LiteralContent(name.encode()) for name in names})
+    inside, outside = tree.split(prefix)
+    assert inside.paths() == ["p/a", "p/b/c"]
+    assert outside.paths() == ["o/z", "p", "p.x", "p0", "p0/a", "pz/a", "q"]
+    assert tree.subtree(prefix) == inside
+    assert FileTree().split(prefix) == (FileTree(), FileTree())
+
+
+def test_synthetic_files_share_full_size_descriptors():
+    entries = synthetic_files("app", 10 * MB, seed=3, max_file_bytes=4 * MB, epoch=2)
+    first, second, last = entries.values()
+    assert first is second
+    assert last.length == 2 * MB and last is not first
+    assert synthetic_files("app", 0, seed=3) == {}
+    # Content is keyed by path, so files that share a descriptor still differ.
+    assert materialize_entry("app/f00000.bin", first, 0, 64) != materialize_entry(
+        "app/f00001.bin", second, 0, 64)
 
 
 # --- memory images ----------------------------------------------------------------

@@ -148,6 +148,12 @@ def test_report_arithmetic_invariants():
     assert report.downtime_seconds == expected_downtime
 
 
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(CostModel)])
+def test_nan_cost_fields_rejected(field):
+    with pytest.raises(ValueError):
+        dataclasses.replace(default_cost_model(Virtualization.CONTAINER), **{field: math.nan})
+
+
 def test_downtime_of_prefix_stages_is_zero():
     report = MigrationReport(
         mode=THREE,

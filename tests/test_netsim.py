@@ -81,3 +81,9 @@ def test_invalid_links_rejected():
         LinkSpec(bandwidth_bps=1, latency_s=-0.1)
     with pytest.raises(ValueError):
         transfer_time(LinkSpec(bandwidth_bps=1), -1)
+
+
+@pytest.mark.parametrize("field", ["bandwidth_bps", "latency_s", "jitter_s", "processing_cap_bps"])
+def test_nan_link_fields_rejected(field):
+    with pytest.raises(ValueError):
+        LinkSpec(**{"bandwidth_bps": 1.0, field: float("nan")})
