@@ -33,7 +33,6 @@ from .layer_store import (
     LayerKind,
     MemoryImage,
     advance_memory,
-    clone_layer,
     materialize,
     new_memory_image,
     serialize_memory,

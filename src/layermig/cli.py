@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -70,7 +71,16 @@ def _resolve_calibration(arg: str | None) -> tuple[dict[Virtualization, tuple[Co
 
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
+
+
+def _cell(value: float, spec: str) -> str:
+    """A number formatted for a CSV cell; like the JSON writer's
+    ``allow_nan=False``, it refuses NaN and infinities."""
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value in output: {value}")
+    return format(value, spec)
 
 
 def _write_csv(path: Path | None, header: list[str], rows: list[list]) -> None:
@@ -138,8 +148,8 @@ def cmd_sweep(args) -> int:
     for value, varied in zip(values, swept):
         report = run_migration(varied).report
         rows.append(
-            [f"{value:g}", f"{report.total_seconds:.6f}",
-             f"{report.downtime_seconds:.6f}", report.total_wire_bytes]
+            [_cell(value, "g"), _cell(report.total_seconds, ".6f"),
+             _cell(report.downtime_seconds, ".6f"), report.total_wire_bytes]
         )
     _write_csv(Path(args.out) if args.out else None,
                ["param_value", "total_time_s", "downtime_s", "wire_bytes"], rows)
@@ -177,7 +187,7 @@ def _reference_scenario(
 
 
 def _rel(model: float, ref: float) -> str:
-    return f"{(model - ref) / ref:+.4f}" if ref else ""
+    return _cell((model - ref) / ref, "+.4f") if ref else ""
 
 
 def cmd_reproduce(args) -> int:
@@ -206,7 +216,7 @@ def cmd_reproduce(args) -> int:
                         ("downtime_s", report.downtime_seconds, cells["downtime_s"]),
                     ]:
                         rows.append([kind.value, profile.name, config, metric,
-                                     f"{model:.4f}", f"{ref:.4f}", _rel(model, ref)])
+                                     _cell(model, ".4f"), _cell(ref, ".4f"), _rel(model, ref)])
         _write_csv(out_dir / "table1.csv", header, rows)
 
     elif args.target == "fig4":
@@ -226,8 +236,8 @@ def cmd_reproduce(args) -> int:
                     rows.append([
                         kind.value, profile.name, record.stage.value,
                         labels.get(record.stage.value, record.stage.value),
-                        f"{record.seconds:.4f}",
-                        f"{ref:.4f}" if ref is not None else "",
+                        _cell(record.seconds, ".4f"),
+                        _cell(ref, ".4f") if ref is not None else "",
                         _rel(record.seconds, ref) if ref else "",
                     ])
         _write_csv(out_dir / "fig4.csv", header, rows)
@@ -246,8 +256,8 @@ def cmd_reproduce(args) -> int:
                     calibration, seed_base=seed_base, scale=scale)
                 report = run_migration(scenario).report
                 ref = ram_ref[ram_mb]
-                ram_rows.append([kind.value, ram_mb, f"{report.total_seconds:.4f}",
-                                 f"{ref:.4f}", _rel(report.total_seconds, ref)])
+                ram_rows.append([kind.value, ram_mb, _cell(report.total_seconds, ".4f"),
+                                 _cell(ref, ".4f"), _rel(report.total_seconds, ref)])
             bw_ref = dict(
                 (float(x), y) for x, y in reference["fig5_sweeps"]["bandwidth"][kind.value]
             )
@@ -257,8 +267,8 @@ def cmd_reproduce(args) -> int:
                     seed_base=seed_base, scale=scale, bandwidth_bps=bw * MB)
                 report = run_migration(scenario).report
                 ref = bw_ref[bw]
-                bw_rows.append([kind.value, f"{bw:g}", f"{report.total_seconds:.4f}",
-                                f"{ref:.4f}", _rel(report.total_seconds, ref)])
+                bw_rows.append([kind.value, _cell(bw, "g"), _cell(report.total_seconds, ".4f"),
+                                _cell(ref, ".4f"), _rel(report.total_seconds, ref)])
         _write_csv(out_dir / "fig5_ram.csv",
                    ["virtualization", "ram_mb", "model_total_s", "reference_total_s",
                     "relative_error"], ram_rows)

@@ -96,7 +96,7 @@ def _value(value, kind: str, where: str):
 def _build(where: str, make, *args, **kwargs):
     try:
         return make(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for a float
         raise ConfigError(f"{where}: {exc}") from exc
 
 

@@ -15,13 +15,12 @@ from .layer_store import (
     LayerKind,
     MemoryImage,
     SyntheticContent,
-    clone_layer,
     new_memory_image,
     restore_memory,
     serialize_memory,
     synthetic_files,
 )
-from .netsim import MB
+from .netsim import MB, require_finite
 
 CHECKPOINT_PREFIX = "checkpoint"
 VM_STATE_FILE = "checkpoint/vmstate.img"
@@ -69,6 +68,7 @@ class GuestSpec:
     memory_floor_wire_ratio: float = 1.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.base_tree_size <= 0:
             raise ValueError("base_tree_size must be positive")
         for f in fields(self):
@@ -255,6 +255,6 @@ def restore(g: GuestInstance) -> GuestInstance:
         memory = restore_memory(g.instance.tree, prefix=CHECKPOINT_PREFIX)
     except ValueError as exc:
         raise CorruptInstanceError(str(exc)) from exc
-    drop = g.instance.tree.subtree(CHECKPOINT_PREFIX).paths()
-    instance = replace(g.instance, tree=g.instance.tree.without(drop))
+    _, kept = g.instance.tree.split(CHECKPOINT_PREFIX)
+    instance = replace(g.instance, tree=kept)
     return replace(g, instance=instance, memory=memory, run_state=RunState.RUNNING)

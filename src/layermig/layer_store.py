@@ -6,6 +6,15 @@ a pure function of its fields, generated from counter-mode Philox
 streams.  That keeps trees cheap to build and clone at any scale while
 still materializing to real, incompressible bytes whenever the delta
 engine needs them.
+
+A :class:`FileTree` holds its entries in groups, one per top-level
+directory (``base/``, ``app/``, ``data/``, ``inst/``, ``virt/``,
+``checkpoint/``) or file at the root, and trees derived from one
+another share every group they leave unchanged, as git trees and
+copy-on-write image layers share what they do not change.  A guest's
+layers hold its base layer as one object, and copying, comparing or
+syncing two trees costs per group that differs, not per file of the
+base.
 """
 
 from __future__ import annotations
@@ -17,8 +26,9 @@ import math
 import posixpath
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from itertools import islice
-from typing import Iterator, Mapping
+from itertools import chain, islice
+from operator import attrgetter
+from typing import ItemsView, Iterator, Mapping
 
 import numpy as np
 
@@ -179,99 +189,229 @@ def normalize_path(path: str) -> str:
     return norm
 
 
-class FileTree:
-    """Immutable map of normalized path -> content descriptor.
+class TreeGroup(dict):
+    """One group of a :class:`FileTree`: the entries of one top-level
+    directory, or one file at the root, in path order.
 
-    Invariant: every path is normalized (see :func:`normalize_path`) and
-    the entries are held in sorted path order.  Only the constructor
-    and the ``extra`` paths of :meth:`with_entries` normalize the paths
-    they store, and ``with_entries`` sorts only when it adds a path.
-    Every other method builds its tree from entries that already hold
-    the invariant, so it keeps their order and normalizes only the
-    paths it is asked about.  :meth:`subtree` and :meth:`split` rely on
-    the sorted order: the paths under ``prefix/`` are one contiguous
-    run of it, found by bisection, so they copy that run and the rest
-    without testing each path.
+    A group is filled once, when it is made, and never changed after a
+    tree holds it, so trees share it by reference.  Its total length is
+    computed on first use and kept.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_length",)
+
+    @property
+    def length(self) -> int:
+        try:
+            return self._length
+        except AttributeError:
+            self._length = sum(map(_LENGTH, self.values()))
+            return self._length
+
+
+_LENGTH = attrgetter("length")
+
+
+def _group_key(path: str) -> str:
+    """The group of a normalized path: its top-level directory with a
+    trailing "/", or the path itself for a file at the root."""
+    return path[:path.find("/") + 1] or path
+
+
+def _grouped(entries: Mapping[str, ContentDescriptor]) -> dict[str, TreeGroup]:
+    """Groups of ``entries``, whose paths are normalized.
+
+    The paths of a top-level directory ``d`` are the sorted run from
+    ``d/`` up to ``d0`` ("0" follows "/"), found by bisection, so each
+    group is one slice of the sorted paths.  Sorted groups keep the
+    global path order: "/" sorts the same in a key as in the paths
+    under it.
+    """
+    paths = sorted(entries)
+    find = entries.__getitem__
+    groups: dict[str, TreeGroup] = {}
+    lo = 0
+    while lo < len(paths):
+        path = paths[lo]
+        slash = path.find("/")
+        hi = lo + 1 if slash < 0 else bisect_left(paths, path[:slash] + "0", lo)
+        run = paths[lo:hi]
+        if len(run) == len(entries) and run == list(entries):  # one group, in order
+            groups[_group_key(path)] = TreeGroup(entries)
+        else:
+            groups[_group_key(path)] = TreeGroup(zip(run, map(find, run)))
+        lo = hi
+    return groups
+
+
+def _normalized(entries: Mapping[str, ContentDescriptor]) -> Mapping[str, ContentDescriptor]:
+    """``entries`` keyed by normalized paths.
+
+    All the paths are checked at once, joined by "/" and framed by it:
+    the join holds no "//", "/." or "\\" exactly when every path passes
+    :func:`normalize_path`'s normal-form check (an empty path, or one
+    with a leading or trailing "/", makes a "//"; a leading "." makes a
+    "/.").  ``entries`` is then returned as it is; only otherwise does
+    each path go through :func:`normalize_path`.
+    """
+    joined = "/" + "/".join(entries) + "/"
+    if "//" not in joined and "/." not in joined and "\\" not in joined:
+        return entries
+    return {normalize_path(path): entry for path, entry in entries.items()}
+
+
+class FileTree:
+    """Immutable map of normalized path -> content descriptor, held as
+    groups that trees share.
+
+    Invariant: every path is normalized (see :func:`normalize_path`).
+    The entries are held in :class:`TreeGroup` dicts, none of them
+    empty: one per top-level directory ``d``, keyed ``d/``, and one per
+    file at the root, keyed by its path.  The groups are held in key
+    order and each holds its entries in path order, so iteration yields
+    every path in sorted order.  Only the constructor and the mapping
+    form of :meth:`with_entries` normalize the paths they store; every
+    other method builds its tree from groups that already hold the
+    invariant and normalizes only the paths it is asked about.
+
+    A derived tree copies only the groups it changes and shares the
+    rest by reference: the base layer's ``base/`` group is one object in
+    the base, application and instance trees of a guest, and in every
+    tree a migration derives from them.  A top-level :meth:`split` or
+    :meth:`subtree` is O(groups), and equality compares groups, which
+    short-cuts on shared ones.
+    """
+
+    __slots__ = ("_groups",)
 
     def __init__(self, entries: Mapping[str, ContentDescriptor] | None = None):
-        normed = {}
-        for path, entry in (entries or {}).items():
-            normed[normalize_path(path)] = entry
-        self._entries = dict(sorted(normed.items()))
+        self._groups = _grouped(_normalized(entries or {}))
 
     @classmethod
-    def _of(cls, entries: dict[str, ContentDescriptor]) -> "FileTree":
-        """Adopt entries that already hold the invariant, as they are."""
+    def _of(cls, groups: dict[str, TreeGroup]) -> "FileTree":
+        """Adopt groups that already hold the invariant, as they are."""
         tree = cls.__new__(cls)
-        tree._entries = entries
+        tree._groups = groups
         return tree
 
+    def groups(self) -> ItemsView[str, TreeGroup]:
+        """(key, group) pairs in key order; callers must not change a group."""
+        return self._groups.items()
+
+    def group(self, key: str) -> TreeGroup | None:
+        return self._groups.get(key)
+
     def get(self, path: str) -> ContentDescriptor | None:
-        return self._entries.get(path)
+        group = self._groups.get(_group_key(path))
+        return None if group is None else group.get(path)
 
     def paths(self) -> list[str]:
-        return list(self._entries)
+        return list(chain.from_iterable(self._groups.values()))
 
     def items(self) -> Iterator[tuple[str, ContentDescriptor]]:
-        return iter(self._entries.items())
+        return chain.from_iterable(map(dict.items, self._groups.values()))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(map(len, self._groups.values()))
 
     def __contains__(self, path: str) -> bool:
-        return path in self._entries
+        return self.get(path) is not None
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FileTree) and self._entries == other._entries
+        # Dict equality tests identity first, so a shared group costs one check.
+        return isinstance(other, FileTree) and self._groups == other._groups
 
     def __repr__(self) -> str:
-        return f"FileTree({len(self._entries)} entries, {self.total_length} bytes)"
+        return f"FileTree({len(self)} entries, {self.total_length} bytes)"
 
     @property
     def total_length(self) -> int:
-        return sum(e.length for e in self._entries.values())
+        return sum(group.length for group in self._groups.values())
 
-    def with_entries(self, extra: Mapping[str, ContentDescriptor]) -> "FileTree":
-        extra = {normalize_path(path): entry for path, entry in extra.items()}
-        merged = dict(self._entries)
-        merged.update(extra)
-        if extra.keys() <= self._entries.keys():  # no path added, so still in order
-            return FileTree._of(merged)
-        return FileTree._of(dict(sorted(merged.items())))
+    def with_entries(self, extra: Mapping[str, ContentDescriptor] | FileTree) -> FileTree:
+        """This tree with ``extra`` added, replacing what it holds at the
+        same paths.  A FileTree's groups are taken as they are; a
+        mapping's paths are normalized and grouped first.
+
+        A group of ``extra`` that holds every path of this tree's group
+        of the same key replaces it whole, so an added group is shared,
+        not copied; only a group both sides partly hold is merged.
+        """
+        if isinstance(extra, FileTree):
+            added = extra._groups
+        else:
+            added = _grouped(_normalized(extra))
+        groups = dict(self._groups)
+        for key, group in added.items():
+            held = groups.get(key)
+            if held is None or held.keys() <= group.keys():
+                groups[key] = group
+                continue
+            merged = TreeGroup(held)
+            merged.update(group)
+            if not group.keys() <= held.keys():  # a path was added, so sort
+                merged = TreeGroup(sorted(merged.items()))
+            groups[key] = merged
+        if not added.keys() <= self._groups.keys():
+            groups = dict(sorted(groups.items()))
+        return FileTree._of(groups)
 
     def without(self, paths: list[str]) -> "FileTree":
-        # A held path is already normalized; only other spellings need it.
-        entries = dict(self._entries)
+        """This tree less ``paths``; each group that loses a path is
+        copied once, and one that loses all of them is dropped."""
+        groups = dict(self._groups)
+        copied = set()
         for path in paths:
-            entries.pop(path if path in entries else normalize_path(path), None)
-        return FileTree._of(entries)
-
-    def _prefix_range(self, prefix: str) -> tuple[int, int]:
-        """``[lo, hi)``: the positions of the paths under ``prefix/``, the
-        sorted run from ``prefix/`` up to ``prefix0`` ("0" follows "/")."""
-        prefix = normalize_path(prefix)
-        keys = list(self._entries)
-        lo = bisect_left(keys, prefix + "/")
-        return lo, bisect_left(keys, prefix + "0", lo)
+            if path not in self:  # a held path is already normalized
+                path = normalize_path(path)
+            key = _group_key(path)
+            group = groups.get(key)
+            if group is None or path not in group:
+                continue
+            if key not in copied:
+                copied.add(key)
+                group = groups[key] = TreeGroup(group)
+            del group[path]
+            if not group:
+                del groups[key]
+        return FileTree._of(groups)
 
     def subtree(self, prefix: str) -> "FileTree":
-        lo, hi = self._prefix_range(prefix)
-        return FileTree._of(dict(islice(self._entries.items(), lo, hi)))
+        return self.split(prefix)[0]
 
     def split(self, prefix: str) -> tuple["FileTree", "FileTree"]:
-        """(entries under prefix/, everything else)."""
-        lo, hi = self._prefix_range(prefix)
-        items = iter(self._entries.items())
-        outside = dict(islice(items, lo))
-        inside = dict(islice(items, hi - lo))
-        outside.update(items)
-        return FileTree._of(inside), FileTree._of(outside)
+        """(entries under prefix/, everything else).
+
+        A top-level prefix names a whole group, which goes to one side
+        as it is.  A deeper one splits its group at the sorted run from
+        ``prefix/`` up to ``prefix0``, found by bisection.
+        """
+        prefix = normalize_path(prefix)
+        key = _group_key(prefix + "/")
+        group = self._groups.get(key)
+        if group is None:
+            return FileTree._of({}), self
+        outside = dict(self._groups)
+        if key == prefix + "/":
+            del outside[key]
+            return FileTree._of({key: group}), FileTree._of(outside)
+        keys = list(group)
+        lo = bisect_left(keys, prefix + "/")
+        hi = bisect_left(keys, prefix + "0", lo)
+        if lo == hi:
+            return FileTree._of({}), self
+        items = iter(group.items())
+        rest = TreeGroup(islice(items, lo))
+        inside = TreeGroup(islice(items, hi - lo))
+        rest.update(items)
+        if rest:
+            outside[key] = rest
+        else:
+            del outside[key]
+        return FileTree._of({key: inside}), FileTree._of(outside)
 
     def is_superset_of(self, other: "FileTree") -> bool:
-        return all(self._entries.get(p) == e for p, e in other.items())
+        return all(self.get(p) == e for p, e in other.items())
 
 
 def materialize(tree: FileTree) -> dict[str, bytes]:
@@ -310,18 +450,30 @@ def synthetic_files(
     """Chunk ``total_bytes`` of synthetic content into files under ``prefix``.
 
     Content is keyed by (seed, path, epoch), so every full-size file
-    shares one descriptor; only a shorter last file gets its own.
+    shares one descriptor; only a shorter last file gets its own.  The
+    file names are formatted once per process and reused.
     """
     full, rest = divmod(max(total_bytes, 0), max_file_bytes)
+    names = _file_names(full + bool(rest))
     shared = SyntheticContent(seed=seed, length=max_file_bytes, epoch=epoch, wire_ratio=wire_ratio)
-    entries: dict[str, ContentDescriptor] = {
-        f"{prefix}/f{index:05d}.bin": shared for index in range(full)
-    }
+    entries: dict[str, ContentDescriptor] = dict.fromkeys(
+        map(f"{prefix}/".__add__, names[:full]), shared
+    )
     if rest:
-        entries[f"{prefix}/f{full:05d}.bin"] = SyntheticContent(
+        entries[f"{prefix}/{names[full]}"] = SyntheticContent(
             seed=seed, length=rest, epoch=epoch, wire_ratio=wire_ratio
         )
     return entries
+
+
+_FILE_NAMES: list[str] = []
+
+
+def _file_names(count: int) -> list[str]:
+    """A list whose first ``count`` items name synthetic files 0 to
+    ``count - 1``: "f00000.bin", "f00001.bin" and on."""
+    _FILE_NAMES.extend(f"f{index:05d}.bin" for index in range(len(_FILE_NAMES), count))
+    return _FILE_NAMES
 
 
 # --- layers ------------------------------------------------------------------
@@ -331,13 +483,6 @@ class LayerKind(enum.Enum):
     BASE = "base"
     APPLICATION = "application"
     INSTANCE = "instance"
-
-
-_VALID_CLONES = {
-    (LayerKind.BASE, LayerKind.APPLICATION),
-    (LayerKind.APPLICATION, LayerKind.INSTANCE),
-    (LayerKind.BASE, LayerKind.INSTANCE),
-}
 
 
 @dataclass(frozen=True)
@@ -356,23 +501,6 @@ class Layer:
 
     def is_superset_of(self, parent: "Layer") -> bool:
         return self.tree.is_superset_of(parent.tree)
-
-
-def clone_layer(layer: Layer, new_kind: LayerKind, *, clone_id: str | None = None) -> Layer:
-    """Duplicate a layer one level up (base->app, app->instance, base->instance).
-
-    The clone shares the source's tree rather than copying it: trees are
-    immutable, so later extensions of the clone build new trees and never
-    touch the original.
-    """
-    if (layer.kind, new_kind) not in _VALID_CLONES:
-        raise ValueError(f"cannot clone {layer.kind.value} layer as {new_kind.value}")
-    return Layer(
-        id=clone_id or f"{new_kind.value}:{layer.id}",
-        kind=new_kind,
-        tree=layer.tree,
-        parent_id=layer.id,
-    )
 
 
 # --- memory images ------------------------------------------------------------

@@ -38,7 +38,7 @@ from .layer_store import (
     advance_memory,
     new_memory_image,
 )
-from .netsim import MB, LinkSpec, effective_rate, transfer_time
+from .netsim import MB, LinkSpec, effective_rate, require_finite, require_rate, transfer_time
 
 
 class MigrationMode(enum.Enum):
@@ -134,9 +134,9 @@ class CostModel:
     other_tasks_fixed: float
 
     def __post_init__(self):
-        # Each check is written so that NaN, which fails every comparison, fails it.
-        if not (self.clone_rate > 0 and self.scan_rate > 0):
-            raise ValueError("rates must be positive")
+        require_finite(self)
+        require_rate("clone_rate", self.clone_rate)
+        require_rate("scan_rate", self.scan_rate)
         for f in fields(self):
             if not getattr(self, f.name) >= 0:
                 raise ValueError(f"{f.name} must be >= 0")
@@ -263,6 +263,7 @@ class MigrationScenario:
 
     def __post_init__(self):
         self.destination.validate(self.mode)
+        require_finite(self)
         if not 0 < self.scale <= 1:
             raise ValueError("scale must be in (0, 1]")
         if self.block_size < MIN_BLOCK_SIZE:
@@ -423,14 +424,14 @@ def run_migration(scenario: MigrationScenario) -> MigrationOutcome:
             _, src_fs = suspended.instance.tree.split(CHECKPOINT_PREFIX)
             dest_mem, dest_fs = dest_instance_tree.split(CHECKPOINT_PREFIX)
             synced_fs = run_sync(stage, dest_fs, src_fs)
-            dest_instance_tree = synced_fs.with_entries(dict(dest_mem.items()))
+            dest_instance_tree = synced_fs.with_entries(dest_mem)
 
         elif stage is Stage.SYNC_INSTANCE_MEMORY:
             assert suspended is not None and dest_instance_tree is not None
             src_mem, _ = suspended.instance.tree.split(CHECKPOINT_PREFIX)
             dest_mem, dest_fs = dest_instance_tree.split(CHECKPOINT_PREFIX)
             synced_mem = run_sync(stage, dest_mem, src_mem)
-            dest_instance_tree = dest_fs.with_entries(dict(synced_mem.items()))
+            dest_instance_tree = dest_fs.with_entries(synced_mem)
 
         elif stage is Stage.RESTORE_INSTANCE:
             assert suspended is not None and dest_instance_tree is not None
@@ -463,9 +464,7 @@ def run_migration(scenario: MigrationScenario) -> MigrationOutcome:
     # Internal consistency: the migrated guest must hold exactly the
     # source's state at suspend time.  A mismatch means a sync stage
     # went wrong and the report would be meaningless.
-    source_fs = suspended.instance.tree.without(
-        suspended.instance.tree.subtree(CHECKPOINT_PREFIX).paths()
-    )
+    _, source_fs = suspended.instance.tree.split(CHECKPOINT_PREFIX)
     if dest_guest.instance.tree != source_fs:
         raise RuntimeError("destination instance tree diverged from source at suspend")
     if dest_guest.memory != suspended.memory:

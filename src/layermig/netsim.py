@@ -9,9 +9,30 @@ round trip with an optional seeded jitter term.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 MB = 1_000_000  # bytes in a megabyte, and bits/s in a megabit per second
+
+
+def is_finite(value) -> bool:
+    """False only for a float NaN or infinity; an int is always finite."""
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def require_finite(record, *, skip: tuple[str, ...] = ()) -> None:
+    """Raise ValueError for the first int or float field of a dataclass
+    record, other than those in ``skip``, that is not finite."""
+    for f in fields(record):
+        if f.type in ("int", "float") and f.name not in skip and not is_finite(getattr(record, f.name)):
+            raise ValueError(f"{f.name} must be finite")
+
+
+def require_rate(name: str, value: float) -> None:
+    """A rate is divided by: it must be positive with a finite reciprocal,
+    which rules out NaN, 0 and the subnormals that 1 / rate overflows on."""
+    if not (value > 0 and math.isfinite(1.0 / value)):
+        raise ValueError(f"{name} must be positive, with a finite reciprocal")
 
 
 @dataclass(frozen=True)
@@ -23,11 +44,10 @@ class LinkSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # Each check is written so that NaN, which fails every comparison, fails it.
-        if not self.bandwidth_bps > 0:
-            raise ValueError("bandwidth must be positive")
-        if not self.processing_cap_bps > 0:
-            raise ValueError("processing cap must be positive")
+        # An infinite processing cap is the default: no cap.
+        require_finite(self, skip=("processing_cap_bps",))
+        require_rate("bandwidth", self.bandwidth_bps)
+        require_rate("processing cap", self.processing_cap_bps)
         if not (self.latency_s >= 0 and self.jitter_s >= 0):
             raise ValueError("latency and jitter must be >= 0")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .guest import Virtualization
-from .netsim import MB
+from .netsim import MB, is_finite, require_finite
 
 
 def per_kind(container: float, vm: float) -> dict[Virtualization, float]:
@@ -35,6 +35,9 @@ class AppProfile:
     )
 
     def __post_init__(self):
+        require_finite(self)
+        if not all(map(is_finite, (*self.install_bytes.values(), *self.memory_wire_ratio.values()))):
+            raise ValueError("per-kind values must be finite")
         for size in (self.data_bytes, self.memory_bytes, self.instance_unique_file_bytes):
             if size < 0:
                 raise ValueError("profile sizes must be >= 0")

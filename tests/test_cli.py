@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import layermig
+from layermig import cli
 from layermig.cli import main
 
 FD_CONFIG = {
@@ -84,6 +86,53 @@ def test_run_inconsistent_destination_exits_2(tmp_path):
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "r.json")]) == 2
 
 
+INLINE_COST = {
+    "clone_rate": 1e8, "suspend_fixed": 0.2, "suspend_per_byte": 1e-9, "restore_fixed": 0.3,
+    "restore_per_byte": 2e-9, "scan_rate": 5e8, "stage_fixed_overhead": 0.4,
+    "other_tasks_fixed": 1.0,
+}
+
+
+# Each case sets one field of one config block; the other fields of a
+# cost model or profile come from INLINE_COST or a minimal profile.
+BLOCK_BASES = {"link": {}, "guest": {}, "cost_model": INLINE_COST,
+               "profile": {"name": "x", "install_bytes": 1}}
+
+
+@pytest.mark.parametrize("block,field,value", [
+    ("link", "latency_ms", math.inf),
+    ("link", "bandwidth_mbps", math.inf),
+    ("link", "jitter_ms", math.inf),
+    ("link", "bandwidth_mbps", 1e305),  # finite, but infinite in bits/s
+    ("link", "bandwidth_mbps", 5e-324),  # its reciprocal overflows
+    ("link", "processing_cap_mbps", 5e-324),
+    ("cost_model", "clone_rate", 5e-324),
+    ("cost_model", "clone_rate", 10**400),  # no float can hold it
+    ("cost_model", "scan_rate", math.inf),
+    ("cost_model", "restore_fixed", -math.inf),
+    ("guest", "fs_wire_ratio", math.inf),
+    ("profile", "memory_wire_ratio", math.inf),
+    ("profile", "memory_churn_rate", -math.inf),
+])
+def test_run_non_finite_value_exits_2(block, field, value, tmp_path, capsys):
+    # json writes math.inf as Infinity, which json.load reads back.
+    config = {**FD_CONFIG, block: {**BLOCK_BASES[block], field: value}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_writers_refuse_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError):
+        cli._write_json(tmp_path / "r.json", {"total_seconds": math.inf})
+    with pytest.raises(ValueError):
+        cli._cell(math.nan, ".4f")
+    assert cli._cell(2.5, ".4f") == f"{2.5:.4f}"
+
+
 # --- sweep ------------------------------------------------------------------
 
 
@@ -121,7 +170,7 @@ def test_sweep_empty_values_exits_2(tmp_path):
 
 @pytest.mark.parametrize("param,values", [
     ("bandwidth", "-1"), ("bandwidth", "0"), ("bandwidth", "nan"), ("bandwidth", "10,-1"),
-    ("bandwidth", "abc"), ("ram", "-5"), ("ram", "nan"), ("ram", "inf"),
+    ("bandwidth", "abc"), ("ram", "-5"), ("ram", "nan"), ("ram", "inf"), ("bandwidth", "inf"),
 ])
 def test_sweep_value_out_of_range_exits_2(param, values, tmp_path, capsys):
     # Each value meets the records' own checks before any migration runs.

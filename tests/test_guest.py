@@ -53,6 +53,23 @@ def test_layer_parentage_and_superset():
     assert g.instance.tree.is_superset_of(g.app.tree)
 
 
+@pytest.mark.parametrize("app_layer", [True, False])
+def test_layers_share_the_base_group(app_layer):
+    # Every tree derived from the base holds its base/ group as the same
+    # object, through checkpoint and restore too.
+    g = build_guest(vm_spec(), profile_by_name("Video Streaming"), seed=3, scale=0.01,
+                    app_layer=app_layer)
+    base = g.base.tree.group("base/")
+    assert base is not None and len(base) == len(g.base.tree)
+    layers = [g.app, g.instance] if app_layer else [g.instance]
+    assert all(layer.tree.group("base/") is base for layer in layers)
+    suspended = checkpoint(g)
+    assert suspended.instance.tree.group("base/") is base
+    assert restore(suspended).instance.tree.group("base/") is base
+    if app_layer:
+        assert suspended.instance.tree.group("app/") is g.app.tree.group("app/")
+
+
 def test_two_layer_guest_has_no_app_layer():
     g = build_guest(container_spec(), profile_by_name("Video Streaming"),
                     seed=3, scale=0.01, app_layer=False)

@@ -1,5 +1,6 @@
 import math
 import posixpath
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layermig.delta_sync import (
+    DEFAULT_BLOCK_SIZE,
+    FILE_WIRE_OVERHEAD,
+    LITERAL_OP_WIRE,
+    VERIFY_WIRE,
     Created,
     Deleted,
     Patched,
+    SyncStats,
     apply_tree_delta,
     compute_delta,
     compute_signature,
@@ -24,7 +30,6 @@ from layermig.layer_store import (
     MemoryChunkContent,
     SyntheticContent,
     advance_memory,
-    clone_layer,
     materialize,
     materialize_entry,
     materialize_memory,
@@ -170,33 +175,10 @@ def make_layer(kind=LayerKind.BASE, seed=1, size=32 * 1024):
                  tree=FileTree(synthetic_files("base", size, seed=seed)))
 
 
-def test_clone_layer_preserves_content():
-    base = make_layer()
-    clone = clone_layer(base, LayerKind.APPLICATION)
-    assert clone.kind is LayerKind.APPLICATION
-    assert clone.parent_id == base.id
-    assert clone.id != base.id
-    assert materialize(clone.tree) == materialize(base.tree)
-
-
-def test_clone_layer_rejects_invalid_transition():
-    instance = make_layer(LayerKind.INSTANCE)
-    with pytest.raises(ValueError):
-        clone_layer(instance, LayerKind.BASE)
-    app = make_layer(LayerKind.APPLICATION)
-    with pytest.raises(ValueError):
-        clone_layer(app, LayerKind.APPLICATION)
-
-
-def test_clone_layer_shares_the_tree():
-    base = make_layer()
-    assert clone_layer(base, LayerKind.APPLICATION).tree is base.tree
-
-
 def test_clone_extension_does_not_touch_source():
+    # A clone stage reuses the lower layer's tree; extending it builds a new one.
     base = make_layer()
-    clone = clone_layer(base, LayerKind.APPLICATION)
-    extended = clone.tree.with_entries({"app/new.bin": SyntheticContent(seed=9, length=100)})
+    extended = base.tree.with_entries({"app/new.bin": SyntheticContent(seed=9, length=100)})
     assert "app/new.bin" not in base.tree
     assert extended.is_superset_of(base.tree)
 
@@ -204,13 +186,10 @@ def test_clone_extension_does_not_touch_source():
 def test_clone_then_sync_transfers_only_new_data():
     # The pseudo-incremental scheme: clone the lower layer, then the delta
     # engine moves just the higher layer's unique bytes.
-    from layermig.delta_sync import sync_tree
-
     base = make_layer(size=64 * 1024)
-    clone = clone_layer(base, LayerKind.APPLICATION)
     unique = {"app/u.bin": SyntheticContent(seed=42, length=8 * 1024)}
     app_tree = base.tree.with_entries(unique)
-    _, stats = sync_tree(clone.tree, app_tree)
+    _, stats = sync_tree(base.tree, app_tree)
     assert stats.literal_bytes == 8 * 1024
     assert stats.files_created == 1
     # Wire cost is the unique data plus small per-file overheads only.
@@ -219,8 +198,7 @@ def test_clone_then_sync_transfers_only_new_data():
 
 def test_superset_invariant_checked_exhaustively():
     base = make_layer(size=48 * 1024)
-    app = clone_layer(base, LayerKind.APPLICATION)
-    app_tree = app.tree.with_entries({"app/a.bin": SyntheticContent(seed=3, length=100)})
+    app_tree = base.tree.with_entries({"app/a.bin": SyntheticContent(seed=3, length=100)})
     for path, entry in base.tree.items():
         assert app_tree.get(path) == entry
 
@@ -299,6 +277,7 @@ ENTRIES = st.dictionaries(SPELLINGS, CONTENT, max_size=12)
 def test_derived_trees_match_trees_built_from_scratch(base, extra, drop, prefix):
     tree = FileTree(base)
     assert_same_tree(tree.with_entries(extra), ref_with_entries(tree, extra))
+    assert_same_tree(tree.with_entries(FileTree(extra)), ref_with_entries(tree, extra))
     assert_same_tree(tree.without(drop), ref_without(tree, drop))
     assert_same_tree(tree.subtree(prefix), ref_subtree(tree, prefix))
     inside, outside = tree.split(prefix)
@@ -316,6 +295,120 @@ def test_apply_tree_delta_matches_tree_built_from_scratch(basis, target):
     synced = apply_tree_delta(basis, delta)
     assert_same_tree(synced, ref_apply_tree_delta(basis, delta))
     assert_same_tree(synced, target)
+
+
+def ref_sync_tree(basis, target, verify_unchanged):
+    """Per path, from the descriptors and their bytes, with no group in
+    sight: (path, op name) pairs in path order, and the stats."""
+    stats = SyncStats()
+    ops = []
+    for path in sorted(set(basis.paths()) | set(target.paths())):
+        b, t = basis.get(path), target.get(path)
+        if t is None:
+            stats.files_deleted += 1
+            stats.wire_bytes += FILE_WIRE_OVERHEAD
+            ops.append((path, "Deleted"))
+        elif b is None:
+            charged = math.ceil(t.length * t.wire_ratio)
+            stats.files_created += 1
+            stats.wire_bytes += FILE_WIRE_OVERHEAD + charged + LITERAL_OP_WIRE
+            stats.literal_bytes += charged
+            stats.scanned_bytes += t.length
+            ops.append((path, "Created"))
+        elif b == t or materialize_entry(path, b) == materialize_entry(path, t):
+            stats.files_unchanged += 1
+            stats.wire_bytes += FILE_WIRE_OVERHEAD
+            if verify_unchanged or b != t:  # unequal descriptors are compared byte for byte
+                stats.wire_bytes += VERIFY_WIRE
+                stats.scanned_bytes += t.length
+            ops.append((path, "Unchanged"))
+        else:
+            sig = compute_signature(materialize_entry(path, b), DEFAULT_BLOCK_SIZE)
+            _, file_stats = compute_delta(sig, materialize_entry(path, t), wire_ratio=t.wire_ratio)
+            stats.files_patched += 1
+            stats.merge(file_stats)
+            ops.append((path, "Patched"))
+    return ops, stats
+
+
+# Equal bytes under two wire ratios give equal-content, unequal descriptors.
+SYNC_CONTENT = st.builds(LiteralContent, st.sampled_from([b"", b"x", b"yx" * 40]),
+                         st.sampled_from([1.0, 0.5]))
+SYNC_ENTRIES = st.dictionaries(SPELLINGS, SYNC_CONTENT, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=SYNC_ENTRIES, extra=SYNC_ENTRIES, drop=st.lists(SPELLINGS, max_size=6),
+       verify=st.booleans(), pair=st.sampled_from(["derived", "swapped", "from-empty"]))
+def test_sync_tree_over_shared_groups_matches_trees_built_from_scratch(
+        base, extra, drop, verify, pair):
+    basis = FileTree(base)
+    target = basis.with_entries(extra).without(drop)  # shares the groups neither call touched
+    if pair == "swapped":  # deletions become creations
+        basis, target = target, basis
+    elif pair == "from-empty":
+        basis = FileTree()
+    delta, stats = sync_tree(basis, target, verify_unchanged=verify)
+    # Rebuilt, no group is shared: the basis's are equal to the target's
+    # but other objects, and so are its descriptors.
+    rebuilt_basis = FileTree({p: replace(e) for p, e in basis.items()})
+    rebuilt_target = FileTree(dict(target.items()))
+    ref_delta, ref_stats = sync_tree(rebuilt_basis, rebuilt_target, verify_unchanged=verify)
+    assert stats == ref_stats
+    assert delta.entries == ref_delta.entries
+    ops, per_path = ref_sync_tree(basis, target, verify)
+    assert stats == per_path
+    assert [(path, type(op).__name__) for path, op in delta.entries] == ops
+
+
+def test_derived_trees_share_untouched_groups():
+    tree = FileTree({"base/a": LiteralContent(b"1"), "base/b/c": LiteralContent(b"2"),
+                     "app/x": LiteralContent(b"3"), "app/y": LiteralContent(b"4"),
+                     "root.bin": LiteralContent(b"5")})
+    base, app = tree.group("base/"), tree.group("app/")
+    assert tree.with_entries({"app/z": LiteralContent(b"6")}).group("base/") is base
+    assert tree.without(["app/x", "root.bin"]).group("base/") is base
+    inside, outside = tree.split("app")
+    assert inside.group("app/") is app and outside.group("base/") is base
+    assert tree.subtree("app").group("app/") is app
+    inside, outside = tree.split("base/b")  # a deeper prefix splits only base/
+    assert inside.paths() == ["base/b/c"] and outside.group("app/") is app
+    target = tree.with_entries({"app/x": LiteralContent(b"33"), "new/n": LiteralContent(b"7")})
+    synced = apply_tree_delta(tree, sync_tree(tree, target)[0])
+    assert synced == target and synced.group("base/") is base
+    # A tree's groups are adopted whole, and one that covers a held group replaces it.
+    other = FileTree({"checkpoint/m": LiteralContent(b"8"), "app/x": LiteralContent(b"9"),
+                      "app/y": LiteralContent(b"10")})
+    merged = tree.with_entries(other)
+    assert merged.group("checkpoint/") is other.group("checkpoint/")
+    assert merged.group("app/") is other.group("app/") and merged.group("base/") is base
+
+
+def test_iteration_is_sorted_across_group_seams():
+    # "-" < "." < "/" < "0": root files and directories interleave.
+    names = ["a/x", "a.bin", "a-b/x", "a", "a0/x", "a/y/z", "b", "-/x", "a-b"]
+    entries = {name: LiteralContent(name.encode()) for name in names}
+    tree = FileTree(entries)
+    assert tree.paths() == sorted(names)
+    assert [path for path, _ in tree.items()] == sorted(names)
+    grown = FileTree({"a/x": LiteralContent(b"")}).with_entries(entries)
+    assert grown.paths() == sorted(names)
+    assert tree.without(["a", "a-b/x"]).paths() == sorted(set(names) - {"a", "a-b/x"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(paths=st.lists(PATH_TEXT | st.text(alphabet="ab./\\\n", max_size=8), max_size=8))
+def test_constructor_normalizes_like_normalize_path(paths):
+    # The constructor checks all its paths at once; each must come out as
+    # normalize_path gives it, and an invalid one must still be refused.
+    entries = {path: LiteralContent(path.encode()) for path in paths}
+    try:
+        expected = {normalize_path(path): entry for path, entry in entries.items()}
+    except ValueError:
+        with pytest.raises(ValueError):
+            FileTree(entries)
+        return
+    assert list(FileTree(entries).items()) == sorted(expected.items(), key=lambda item: item[0])
 
 
 def test_with_entries_normalizes_only_its_extra_paths():

@@ -154,6 +154,20 @@ def test_nan_cost_fields_rejected(field):
         dataclasses.replace(default_cost_model(Virtualization.CONTAINER), **{field: math.nan})
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(CostModel)])
+def test_infinite_cost_fields_rejected(field, value):
+    with pytest.raises(ValueError):
+        dataclasses.replace(default_cost_model(Virtualization.CONTAINER), **{field: value})
+
+
+@pytest.mark.parametrize("field", ["clone_rate", "scan_rate"])
+def test_rate_with_an_infinite_reciprocal_rejected(field):
+    assert 1.0 / 5e-324 == math.inf
+    with pytest.raises(ValueError):
+        dataclasses.replace(default_cost_model(Virtualization.CONTAINER), **{field: 5e-324})
+
+
 def test_downtime_of_prefix_stages_is_zero():
     report = MigrationReport(
         mode=THREE,
@@ -186,14 +200,13 @@ def test_three_layer_found_moves_fewer_bytes_than_two_layer():
 
 
 def test_degenerate_scenario_downtime_lower_bound():
-    # No app bytes, no memory, no background churn, infinitely fast wire:
+    # No app bytes, no memory, no background churn, and a wire and scan
+    # so fast that their per-byte terms fall below a double's precision:
     # downtime collapses to the fixed suspend/restore costs plus the two
-    # sync stages' fixed and latency terms.
+    # sync stages' fixed and latency terms.  (Rates must be finite.)
     spec = dataclasses.replace(container_spec(), virtualization_overhead_bytes=0)
-    cm = dataclasses.replace(
-        default_cost_model(Virtualization.CONTAINER), scan_rate=float("inf")
-    )
-    link = LinkSpec(bandwidth_bps=float("inf"), latency_s=0.025, seed=0)
+    cm = dataclasses.replace(default_cost_model(Virtualization.CONTAINER), scan_rate=1e300)
+    link = LinkSpec(bandwidth_bps=1e300, latency_s=0.025, seed=0)
     report = run_migration(
         scenario(profile="No Application", dest=DestinationState(True, True, False),
                  spec=spec, cost_model=cm, link=link, scale=1.0)
