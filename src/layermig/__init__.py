@@ -1,6 +1,7 @@
 """Layered live migration for edge services: an incremental
-file-synchronization core, a base/application/instance layer model, the
-migration state machine, and a deterministic network and cost model."""
+file-synchronization core, guests split into base, application and
+instance trees, the migration state machine, and a deterministic network
+and cost model."""
 
 from .delta_sync import (
     BasisMismatchError,
@@ -29,11 +30,8 @@ from .guest import (
 )
 from .layer_store import (
     FileTree,
-    Layer,
-    LayerKind,
     MemoryImage,
     advance_memory,
-    materialize,
     new_memory_image,
     serialize_memory,
 )

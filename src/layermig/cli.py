@@ -29,6 +29,7 @@ from .config import ConfigError, build_scenario, load_scenario_config
 from .guest import Virtualization, container_spec, vm_spec
 from .migrator import (
     CostModel,
+    MigrationReport,
     MigrationScenario,
     default_cost_model,
     run_migration,
@@ -96,6 +97,21 @@ def _write_csv(path: Path | None, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
+def _report(scenario: MigrationScenario) -> MigrationReport:
+    """The scenario's migration report.  Each cost-model value passed its
+    own check, but together they can overflow: an infinite stage or
+    total time is a config error."""
+    report = run_migration(scenario).report
+    for record in report.stages:
+        if not math.isfinite(record.seconds):
+            raise ConfigError(f"stage {record.stage.value} takes {record.seconds} s: "
+                              "the cost model's values overflow")
+    if not math.isfinite(report.total_seconds):
+        raise ConfigError(f"the total time is {report.total_seconds} s: "
+                          "the cost model's values overflow")
+    return report
+
+
 # --- run ---------------------------------------------------------------------
 
 
@@ -103,7 +119,7 @@ def cmd_run(args) -> int:
     config = load_scenario_config(args.scenario)
     calibration, _ = _resolve_calibration(args.calibration)
     scenario = build_scenario(config, calibration, seed=args.seed, scale=args.scale)
-    report = run_migration(scenario).report
+    report = _report(scenario)
     _write_json(Path(args.out), report.to_json_dict())
     print(
         f"wrote {args.out}: total={report.total_seconds:.2f}s "
@@ -146,7 +162,10 @@ def cmd_sweep(args) -> int:
     swept = [_swept(scenario, args.param, value) for value in values]
     rows = []
     for value, varied in zip(values, swept):
-        report = run_migration(varied).report
+        try:
+            report = _report(varied)
+        except ConfigError as exc:
+            raise ConfigError(f"--values {value:g}: {exc}") from exc
         rows.append(
             [_cell(value, "g"), _cell(report.total_seconds, ".6f"),
              _cell(report.downtime_seconds, ".6f"), report.total_wire_bytes]
@@ -208,7 +227,7 @@ def cmd_reproduce(args) -> int:
                 for config in CONFIG_DESTS:
                     scenario = _reference_scenario(
                         kind, profile, config, calibration, seed_base=seed_base, scale=scale)
-                    report = run_migration(scenario).report
+                    report = _report(scenario)
                     cells = ref_kind[profile.name][config]
                     for metric, model, ref in [
                         ("total_s", report.total_seconds, cells["total_s"]),
@@ -230,7 +249,7 @@ def cmd_reproduce(args) -> int:
                 scenario = _reference_scenario(
                     kind, profile, "three_layer_app_not_found", calibration,
                     seed_base=seed_base, scale=scale)
-                report = run_migration(scenario).report
+                report = _report(scenario)
                 for record in report.stages:
                     ref = ref_kind[profile.name].get(record.stage.value)
                     rows.append([
@@ -254,7 +273,7 @@ def cmd_reproduce(args) -> int:
                 scenario = _reference_scenario(
                     kind, profile.with_memory(ram_mb * MB), "three_layer_app_found",
                     calibration, seed_base=seed_base, scale=scale)
-                report = run_migration(scenario).report
+                report = _report(scenario)
                 ref = ram_ref[ram_mb]
                 ram_rows.append([kind.value, ram_mb, _cell(report.total_seconds, ".4f"),
                                  _cell(ref, ".4f"), _rel(report.total_seconds, ref)])
@@ -265,7 +284,7 @@ def cmd_reproduce(args) -> int:
                 scenario = _reference_scenario(
                     kind, profile, "three_layer_app_found", calibration,
                     seed_base=seed_base, scale=scale, bandwidth_bps=bw * MB)
-                report = run_migration(scenario).report
+                report = _report(scenario)
                 ref = bw_ref[bw]
                 bw_rows.append([kind.value, _cell(bw, "g"), _cell(report.total_seconds, ".4f"),
                                 _cell(ref, ".4f"), _rel(report.total_seconds, ref)])

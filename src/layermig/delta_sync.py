@@ -52,8 +52,7 @@ import bisect
 import hashlib
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Collection, Iterable, Iterator
 
 import numpy as np
@@ -124,13 +123,6 @@ def weak_checksum(block: bytes) -> tuple[int, int]:
     return a % WEAK_MOD, b % WEAK_MOD
 
 
-def weak_roll(a: int, b: int, out_byte: int, in_byte: int, window: int) -> tuple[int, int]:
-    """O(1) update of (a, b) when the window slides forward one byte."""
-    a2 = (a - out_byte + in_byte) % WEAK_MOD
-    b2 = (b - window * out_byte + a2) % WEAK_MOD
-    return a2, b2
-
-
 def combine_weak(a: int, b: int) -> int:
     return a + (b << 16)
 
@@ -153,12 +145,6 @@ class FileSignature:
     @property
     def wire_bytes(self) -> int:
         return len(self.blocks) * SIG_BYTES_PER_BLOCK
-
-    def block_length(self, index: int) -> int:
-        if index == len(self.blocks) - 1:
-            rem = self.total_length - index * self.block_size
-            return rem
-        return self.block_size
 
 
 @dataclass(frozen=True)
@@ -614,11 +600,6 @@ def apply_delta(basis: bytes, delta: FileDelta) -> bytes:
 
 
 @dataclass(frozen=True)
-class Unchanged:
-    pass
-
-
-@dataclass(frozen=True)
 class Patched:
     delta: FileDelta
     target: ContentDescriptor
@@ -634,16 +615,24 @@ class Deleted:
     pass
 
 
-FileOp = Unchanged | Patched | Created | Deleted
+FileOp = Patched | Created | Deleted
 
 
 @dataclass(frozen=True)
 class TreeDelta:
+    """What a receiver must change to turn its basis into the target:
+    one ``(path, op)`` entry per created, patched or deleted file.  An
+    unchanged file has no entry.
+
+    The entries follow :func:`sync_tree`'s walk of the target, in path
+    order, followed by the deletions, in path order; nothing depends on
+    that order.
+    """
+
     block_size: int
-    entries: tuple[tuple[str, FileOp], ...]  # sorted by path
+    entries: tuple[tuple[str, FileOp], ...]
 
 
-_UNCHANGED = Unchanged()
 _DELETED = Deleted()
 _NOTHING: dict = {}
 _LENGTH = attrgetter("length")
@@ -678,7 +667,8 @@ def sync_tree(
     *,
     verify_unchanged: bool = False,
 ) -> tuple[TreeDelta, SyncStats]:
-    """Classify every path as unchanged, patched, created or deleted.
+    """Classify every path as unchanged, patched, created or deleted,
+    and list the ones to change.
 
     The walk goes over the target's groups (see :class:`FileTree`) and
     looks each up in the basis.  A group the basis holds as the same
@@ -700,16 +690,17 @@ def sync_tree(
     chunk by chunk with the target on the way (see
     :class:`_ComparedBasis`), and the target once more for the scan.
 
-    The entries list every path, in path order.  The basis is walked
-    only when it holds a path the target lacks, which the counts tell;
-    its deletions are then merged in by one sort.
+    As rsync's sender names only the files that need an update, the
+    delta's entries are the created, patched and deleted paths (see
+    :class:`TreeDelta`); ``stats`` counts the unchanged ones.  The basis
+    is walked only when it holds a path the target lacks, which the
+    counts tell.
     """
     stats = SyncStats()
     entries: list[tuple[str, FileOp]] = []
     for key, group in target.groups():
         held = basis.group(key)
         if held is group or held == group:
-            entries += zip(group, repeat(_UNCHANGED))
             _charge_unchanged(stats, len(group), group.length, verify_unchanged)
             continue
         if held is None:  # the basis lacks the whole group
@@ -724,14 +715,12 @@ def sync_tree(
                 created.append(t)
                 continue
             if b is t or b == t:
-                entries.append((path, _UNCHANGED))
                 _charge_unchanged(stats, 1, t.length, verify_unchanged)
                 continue
             target_source = _entry_source(path, t)
             compared = _ComparedBasis(_entry_source(path, b), target_source)
             sig = compute_signature(compared, block_size)
             if compared.equal:
-                entries.append((path, _UNCHANGED))
                 _charge_unchanged(stats, 1, t.length, verified=True)
                 continue
             delta, fstats = compute_delta(sig, target_source, wire_ratio=t.wire_ratio)
@@ -746,7 +735,6 @@ def sync_tree(
             group = target.group(key) or _NOTHING
             if held is not group:
                 entries += [(path, _DELETED) for path in held if path not in group]
-        entries.sort(key=itemgetter(0))
     return TreeDelta(block_size=block_size, entries=tuple(entries)), stats
 
 
@@ -783,8 +771,6 @@ def apply_tree_delta(basis: FileTree, delta: TreeDelta) -> FileTree:
     deleted: list[str] = []
     changed: dict[str, ContentDescriptor] = {}
     for path, op in delta.entries:
-        if op is _UNCHANGED or isinstance(op, Unchanged):  # most entries are the shared one
-            continue
         if isinstance(op, Deleted):
             deleted.append(path)
         elif isinstance(op, Created):

@@ -11,8 +11,6 @@ from .layer_store import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_PAGE_SIZE,
     FileTree,
-    Layer,
-    LayerKind,
     MemoryImage,
     SyntheticContent,
     new_memory_image,
@@ -104,16 +102,19 @@ def vm_spec() -> GuestSpec:
 
 @dataclass(frozen=True)
 class GuestInstance:
-    """A built guest: its layers, its memory image, and its run state.
+    """A built guest: the trees of its base, application and instance
+    layers, its memory image, and its run state.
 
-    Checkpoint files are present in the instance tree exactly while the
-    guest is suspended.
+    Each tree holds its layer's own files and every file of the layers
+    below it.  In two-layer packaging ``app`` is None and ``instance``
+    holds the application files.  Checkpoint files are present in the
+    instance tree exactly while the guest is suspended.
     """
 
     spec: GuestSpec
-    base: Layer
-    app: Layer | None
-    instance: Layer
+    base: FileTree
+    app: FileTree | None
+    instance: FileTree
     memory: MemoryImage
     run_state: RunState
     seed: int
@@ -141,7 +142,7 @@ def build_guest(
 ) -> GuestInstance:
     """Construct a running guest for an application profile.
 
-    Layer byte sizes scale linearly with ``scale``; the memory image is
+    Tree byte sizes scale linearly with ``scale``; the memory image is
     quantized to whole pages.  ``virt_nonce`` keys the content of the
     always-churning virtualization files so that successive migrations
     of the same guest produce distinct background state.
@@ -151,13 +152,12 @@ def build_guest(
     kind = spec.virtualization
     slug = _slug(app.name)
 
-    base_tree = FileTree(
+    base = FileTree(
         synthetic_files(
             "base", _scaled(spec.base_tree_size, scale), seed=seed ^ 0xB5E,
             wire_ratio=spec.base_wire_ratio,
         )
     )
-    base = Layer(id=f"base:{seed:x}", kind=LayerKind.BASE, tree=base_tree)
 
     app_entries = synthetic_files(
         f"app/{slug}", _scaled(app.install_bytes[kind], scale), seed=seed ^ 0xA99,
@@ -181,26 +181,15 @@ def build_guest(
         )
     )
 
-    app_layer_obj: Layer | None = None
+    app_tree: FileTree | None = None
     if app_layer:
-        app_tree = base_tree.with_entries(app_entries)
-        app_layer_obj = Layer(
-            id=f"application:{seed:x}", kind=LayerKind.APPLICATION,
-            tree=app_tree, parent_id=base.id,
-        )
-        instance_tree = app_tree.with_entries(instance_entries)
-        parent_id = app_layer_obj.id
+        app_tree = base.with_entries(app_entries)
+        instance = app_tree.with_entries(instance_entries)
     else:
         # Two-layer packaging: application files live inside the instance.
         merged = dict(app_entries)
         merged.update(instance_entries)
-        instance_tree = base_tree.with_entries(merged)
-        parent_id = base.id
-
-    instance = Layer(
-        id=f"instance:{seed:x}", kind=LayerKind.INSTANCE,
-        tree=instance_tree, parent_id=parent_id,
-    )
+        instance = base.with_entries(merged)
 
     memory = new_memory_image(
         _scaled(app.memory_bytes, scale), seed=seed ^ 0x3E3,
@@ -209,7 +198,7 @@ def build_guest(
     return GuestInstance(
         spec=spec,
         base=base,
-        app=app_layer_obj,
+        app=app_tree,
         instance=instance,
         memory=memory,
         run_state=RunState.RUNNING,
@@ -237,8 +226,7 @@ def checkpoint(g: GuestInstance, chunk_size: int = DEFAULT_CHUNK_SIZE) -> GuestI
             seed=g.seed ^ 0x54A7E, length=floor, epoch=g.memory.epoch,
             wire_ratio=g.spec.memory_floor_wire_ratio,
         )
-    instance = replace(g.instance, tree=g.instance.tree.with_entries(entries))
-    return replace(g, instance=instance, run_state=RunState.SUSPENDED)
+    return replace(g, instance=g.instance.with_entries(entries), run_state=RunState.SUSPENDED)
 
 
 def restore(g: GuestInstance) -> GuestInstance:
@@ -252,9 +240,8 @@ def restore(g: GuestInstance) -> GuestInstance:
     if g.run_state is not RunState.SUSPENDED:
         raise InvalidStateError("guest is not suspended")
     try:
-        memory = restore_memory(g.instance.tree, prefix=CHECKPOINT_PREFIX)
+        memory = restore_memory(g.instance, prefix=CHECKPOINT_PREFIX)
     except ValueError as exc:
         raise CorruptInstanceError(str(exc)) from exc
-    _, kept = g.instance.tree.split(CHECKPOINT_PREFIX)
-    instance = replace(g.instance, tree=kept)
-    return replace(g, instance=instance, memory=memory, run_state=RunState.RUNNING)
+    _, kept = g.instance.split(CHECKPOINT_PREFIX)
+    return replace(g, instance=kept, memory=memory, run_state=RunState.RUNNING)

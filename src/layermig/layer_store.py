@@ -1,5 +1,5 @@
-"""Synthetic file trees, the base/application/instance layer model, and
-churning in-memory images.
+"""Synthetic file trees and churning in-memory images: the content of a
+guest's base, application and instance trees and of its memory.
 
 Content never lives on disk: every file is a descriptor whose bytes are
 a pure function of its fields, generated from counter-mode Philox
@@ -12,14 +12,13 @@ directory (``base/``, ``app/``, ``data/``, ``inst/``, ``virt/``,
 ``checkpoint/``) or file at the root, and trees derived from one
 another share every group they leave unchanged, as git trees and
 copy-on-write image layers share what they do not change.  A guest's
-layers hold its base layer as one object, and copying, comparing or
-syncing two trees costs per group that differs, not per file of the
-base.
+base, application and instance trees hold its base files as one group,
+and copying, comparing or syncing two trees costs per group that
+differs, not per file of the base.
 """
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import json
 import math
@@ -410,33 +409,6 @@ class FileTree:
             del outside[key]
         return FileTree._of({key: inside}), FileTree._of(outside)
 
-    def is_superset_of(self, other: "FileTree") -> bool:
-        return all(self.get(p) == e for p, e in other.items())
-
-
-def materialize(tree: FileTree) -> dict[str, bytes]:
-    """Render a whole tree.  Intended for tests and small scales."""
-    return {path: materialize_entry(path, entry) for path, entry in tree.items()}
-
-
-def tree_manifest(tree: FileTree) -> list[dict]:
-    """JSON-ready manifest (path, length, kind, digest) for golden tests."""
-    rows = []
-    for path, entry in tree.items():
-        digest = hashlib.blake2b(materialize_entry(path, entry), digest_size=16).hexdigest()
-        row = {"path": path, "length": entry.length, "digest": digest}
-        if isinstance(entry, SyntheticContent):
-            row["kind"] = "synthetic"
-            row["seed"] = entry.seed
-            row["epoch"] = entry.epoch
-        elif isinstance(entry, MemoryChunkContent):
-            row["kind"] = "memory"
-            row["start_page"] = entry.start_page
-        else:
-            row["kind"] = "literal"
-        rows.append(row)
-    return rows
-
 
 def synthetic_files(
     prefix: str,
@@ -476,33 +448,6 @@ def _file_names(count: int) -> list[str]:
     return _FILE_NAMES
 
 
-# --- layers ------------------------------------------------------------------
-
-
-class LayerKind(enum.Enum):
-    BASE = "base"
-    APPLICATION = "application"
-    INSTANCE = "instance"
-
-
-@dataclass(frozen=True)
-class Layer:
-    """One package layer: its full tree (own data plus everything below).
-
-    A layer always carries all files of its predecessors; the superset
-    relation over (paths, contents) is the defining invariant of the
-    model and is what makes clone-then-sync transfers cheap.
-    """
-
-    id: str
-    kind: LayerKind
-    tree: FileTree
-    parent_id: str | None = None
-
-    def is_superset_of(self, parent: "Layer") -> bool:
-        return self.tree.is_superset_of(parent.tree)
-
-
 # --- memory images ------------------------------------------------------------
 
 
@@ -517,7 +462,6 @@ class MemoryImage:
 
     seed: int
     page_size: int
-    pages: int
     epoch: int
     page_epochs: np.ndarray  # uint32, one entry per page
     churn_rate: float
@@ -527,8 +471,10 @@ class MemoryImage:
             raise ValueError("page_size must be a positive multiple of 32")
         if not 0.0 <= self.churn_rate <= 1.0:
             raise ValueError("churn_rate must be within [0, 1]")
-        if len(self.page_epochs) != self.pages:
-            raise ValueError("page_epochs length must equal pages")
+
+    @property
+    def pages(self) -> int:
+        return len(self.page_epochs)
 
     @property
     def total_bytes(self) -> int:
@@ -539,7 +485,6 @@ class MemoryImage:
             isinstance(other, MemoryImage)
             and self.seed == other.seed
             and self.page_size == other.page_size
-            and self.pages == other.pages
             and self.epoch == other.epoch
             and np.array_equal(self.page_epochs, other.page_epochs)
         )
@@ -556,7 +501,6 @@ def new_memory_image(
     return MemoryImage(
         seed=seed,
         page_size=page_size,
-        pages=pages,
         epoch=0,
         page_epochs=np.zeros(pages, dtype=np.uint32),
         churn_rate=float(churn_rate),  # written to the checkpoint metadata as a float
@@ -580,11 +524,6 @@ def advance_memory(image: MemoryImage, steps: int) -> MemoryImage:
             touched = rng.choice(image.pages, size=count, replace=False)
             epochs[touched] = epoch
     return replace(image, epoch=epoch, page_epochs=epochs)
-
-
-def materialize_memory(image: MemoryImage) -> bytes:
-    """All pages concatenated.  Test helper; linear in image size."""
-    return _page_run_bytes(image.seed, image.page_size, 0, image.page_epochs, 0, image.total_bytes)
 
 
 MEMORY_META_FILE = "meta.json"
@@ -654,7 +593,6 @@ def restore_memory(tree: FileTree, *, prefix: str = "checkpoint") -> MemoryImage
     return MemoryImage(
         seed=meta["seed"],
         page_size=meta["page_size"],
-        pages=meta["pages"],
         epoch=meta["epoch"],
         page_epochs=epochs,
         churn_rate=meta["churn_rate"],

@@ -24,20 +24,12 @@ from .guest import (
     CHECKPOINT_PREFIX,
     GuestInstance,
     GuestSpec,
-    RunState,
     Virtualization,
     build_guest,
     checkpoint,
     restore,
 )
-from .layer_store import (
-    DEFAULT_CHUNK_SIZE,
-    FileTree,
-    Layer,
-    LayerKind,
-    advance_memory,
-    new_memory_image,
-)
+from .layer_store import DEFAULT_CHUNK_SIZE, FileTree, advance_memory
 from .netsim import MB, LinkSpec, effective_rate, require_finite, require_rate, transfer_time
 
 
@@ -274,12 +266,15 @@ class MigrationScenario:
             raise ValueError("round_trips and staleness_epochs must be >= 0")
 
     def echo(self) -> dict:
+        link = _record_dict(self.link)
+        if link["processing_cap_bps"] == float("inf"):
+            link["processing_cap_bps"] = None  # no cap; strict JSON holds no infinity
         return {
             "profile": self.profile.name,
             "virtualization": self.guest_spec.virtualization.value,
             "mode": self.mode.value,
             "destination": _record_dict(self.destination),
-            "link": _record_dict(self.link),
+            "link": link,
             "scale": self.scale,
             "seed": self.seed,
             "block_size": self.block_size,
@@ -360,8 +355,8 @@ def run_migration(scenario: MigrationScenario) -> MigrationOutcome:
     # Destination holdings. Bases and app layers are bit-identical across
     # MECs by construction; a stale instance is this same guest as it was
     # checkpointed some epochs ago (older memory, older background state).
-    dest_base_tree = source.base.tree if dest_state.has_base else None
-    dest_app_tree = source.app.tree if (app_layer and dest_state.has_app) else None
+    dest_base_tree = source.base if dest_state.has_base else None
+    dest_app_tree = source.app if (app_layer and dest_state.has_app) else None
     dest_instance_tree: FileTree | None = None
     if dest_state.has_stale_instance:
         stale = checkpoint(
@@ -369,7 +364,7 @@ def run_migration(scenario: MigrationScenario) -> MigrationOutcome:
                         app_layer=app_layer, virt_nonce=0),
             scenario.chunk_size,
         )
-        dest_instance_tree = stale.instance.tree
+        dest_instance_tree = stale.instance
         if scenario.staleness_epochs:
             source = replace(
                 source, memory=advance_memory(source.memory, scenario.staleness_epochs)
@@ -398,7 +393,7 @@ def run_migration(scenario: MigrationScenario) -> MigrationOutcome:
 
     for stage in plan(mode, dest_state):
         if stage is Stage.SYNC_BASE_FILESYSTEM:
-            dest_base_tree = run_sync(stage, FileTree(), source.base.tree)
+            dest_base_tree = run_sync(stage, FileTree(), source.base)
 
         elif stage is Stage.CLONE_BASE_AS_APP:
             assert dest_base_tree is not None
@@ -407,7 +402,7 @@ def run_migration(scenario: MigrationScenario) -> MigrationOutcome:
 
         elif stage is Stage.SYNC_APP_FILESYSTEM:
             assert dest_app_tree is not None and source.app is not None
-            dest_app_tree = run_sync(stage, dest_app_tree, source.app.tree)
+            dest_app_tree = run_sync(stage, dest_app_tree, source.app)
 
         elif stage is Stage.CLONE_APP_AS_INSTANCE:
             lower = dest_app_tree if mode is MigrationMode.THREE_LAYER else dest_base_tree
@@ -421,14 +416,14 @@ def run_migration(scenario: MigrationScenario) -> MigrationOutcome:
 
         elif stage is Stage.SYNC_INSTANCE_FILESYSTEM:
             assert suspended is not None and dest_instance_tree is not None
-            _, src_fs = suspended.instance.tree.split(CHECKPOINT_PREFIX)
+            _, src_fs = suspended.instance.split(CHECKPOINT_PREFIX)
             dest_mem, dest_fs = dest_instance_tree.split(CHECKPOINT_PREFIX)
             synced_fs = run_sync(stage, dest_fs, src_fs)
             dest_instance_tree = synced_fs.with_entries(dest_mem)
 
         elif stage is Stage.SYNC_INSTANCE_MEMORY:
             assert suspended is not None and dest_instance_tree is not None
-            src_mem, _ = suspended.instance.tree.split(CHECKPOINT_PREFIX)
+            src_mem, _ = suspended.instance.split(CHECKPOINT_PREFIX)
             dest_mem, dest_fs = dest_instance_tree.split(CHECKPOINT_PREFIX)
             synced_mem = run_sync(stage, dest_mem, src_mem)
             dest_instance_tree = dest_fs.with_entries(synced_mem)
@@ -440,32 +435,19 @@ def run_migration(scenario: MigrationScenario) -> MigrationOutcome:
         else:  # OTHER_TASKS
             charge(stage)
 
-    assert suspended is not None and dest_instance_tree is not None
+    assert suspended is not None and dest_base_tree is not None and dest_instance_tree is not None
 
-    dest_guest = GuestInstance(
-        spec=spec,
-        base=Layer(id="dest-base", kind=LayerKind.BASE,
-                   tree=dest_base_tree if dest_base_tree is not None else source.base.tree),
-        app=(
-            Layer(id="dest-app", kind=LayerKind.APPLICATION,
-                  tree=dest_app_tree, parent_id="dest-base")
-            if dest_app_tree is not None else None
-        ),
-        instance=Layer(id="dest-instance", kind=LayerKind.INSTANCE,
-                       tree=dest_instance_tree, parent_id="dest-base"),
-        memory=new_memory_image(0, 0),  # rebuilt from checkpoint files below
-        run_state=RunState.SUSPENDED,
-        seed=scenario.seed,
-        scale=scenario.scale,
-        memory_wire_ratio=suspended.memory_wire_ratio,
-    )
-    dest_guest = restore(dest_guest)
+    # The destination's trees in the suspended guest; restore rebuilds
+    # its memory from the checkpoint files that arrived.
+    dest_guest = restore(replace(
+        suspended, base=dest_base_tree, app=dest_app_tree, instance=dest_instance_tree,
+    ))
 
     # Internal consistency: the migrated guest must hold exactly the
     # source's state at suspend time.  A mismatch means a sync stage
     # went wrong and the report would be meaningless.
-    _, source_fs = suspended.instance.tree.split(CHECKPOINT_PREFIX)
-    if dest_guest.instance.tree != source_fs:
+    _, source_fs = suspended.instance.split(CHECKPOINT_PREFIX)
+    if dest_guest.instance != source_fs:
         raise RuntimeError("destination instance tree diverged from source at suspend")
     if dest_guest.memory != suspended.memory:
         raise RuntimeError("destination memory diverged from source at suspend")

@@ -1,0 +1,37 @@
+"""Helpers the tests check the package against: whole renders of trees
+and memory images, the superset relation between trees, and the
+byte-at-a-time rolling checksum of the greedy reference scan.  Each is
+linear in what it renders or walks, so use them at small scales."""
+
+from layermig.delta_sync import WEAK_MOD, FileSignature
+from layermig.layer_store import FileTree, MemoryImage, _page_run_bytes, materialize_entry
+
+
+def materialize(tree: FileTree) -> dict[str, bytes]:
+    """Every file of ``tree``, rendered whole."""
+    return {path: materialize_entry(path, entry) for path, entry in tree.items()}
+
+
+def materialize_memory(image: MemoryImage) -> bytes:
+    """All pages of ``image``, concatenated."""
+    return _page_run_bytes(image.seed, image.page_size, 0, image.page_epochs, 0, image.total_bytes)
+
+
+def is_superset(tree: FileTree, other: FileTree) -> bool:
+    """Whether ``tree`` holds every path of ``other`` with the same descriptor."""
+    return all(tree.get(path) == entry for path, entry in other.items())
+
+
+def weak_roll(a: int, b: int, out_byte: int, in_byte: int, window: int) -> tuple[int, int]:
+    """O(1) update of (a, b) when the window slides forward one byte."""
+    a2 = (a - out_byte + in_byte) % WEAK_MOD
+    b2 = (b - window * out_byte + a2) % WEAK_MOD
+    return a2, b2
+
+
+def block_length(sig: FileSignature, index: int) -> int:
+    """Length of the basis block ``index``: the block size, or what is
+    left of the basis for the last block."""
+    if index == len(sig.blocks) - 1:
+        return sig.total_length - index * sig.block_size
+    return sig.block_size

@@ -5,13 +5,19 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import layermig
 from layermig import cli
 from layermig.cli import main
+from layermig.migrator import CostModel
+from layermig.netsim import LinkSpec
 
 FD_CONFIG = {
     "profile": "Face Detection",
@@ -123,6 +129,69 @@ def test_run_non_finite_value_exits_2(block, field, value, tmp_path, capsys):
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides,named", [
+    ({"suspend_fixed": 1e308, "restore_fixed": 1e308}, "the total time"),
+    ({"restore_per_byte": 1e308}, "stage restore_instance"),
+])
+@pytest.mark.parametrize("command", [
+    ["run"], ["sweep", "--param", "ram", "--values", "20,100"],
+])
+def test_overflowing_cost_model_exits_2(overrides, named, command, tmp_path, capsys):
+    # Every value passes its own check; their sum or product does not fit a float.
+    config = {**FD_CONFIG, "cost_model": {**INLINE_COST, **overrides}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main([*command, "--scenario", str(path), "--out", str(out), "--scale", "0.01"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert command[0] == "run" or "--values 20:" in err
+    assert not out.exists()
+
+
+# The config key of each LinkSpec field; the link block takes Mbps and ms.
+LINK_KEYS = {"bandwidth_bps": "bandwidth_mbps", "latency_s": "latency_ms",
+             "jitter_s": "jitter_ms", "processing_cap_bps": "processing_cap_mbps",
+             "seed": "seed"}
+EDGE_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e308])
+DRAWN_VALUES = EDGE_VALUES | st.floats(min_value=1e-3, max_value=1e3)
+
+
+def _all_finite(value) -> bool:
+    if isinstance(value, dict):
+        return all(map(_all_finite, value.values()))
+    if isinstance(value, list):
+        return all(map(_all_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(link=st.dictionaries(st.sampled_from([LINK_KEYS[f.name] for f in fields(LinkSpec)]),
+                            DRAWN_VALUES, max_size=2),
+       cost=st.dictionaries(st.sampled_from([f.name for f in fields(CostModel)]),
+                            DRAWN_VALUES, max_size=2),
+       scale=st.floats(min_value=1e-4, max_value=0.01))
+def test_run_exits_0_or_2_and_writes_only_finite_strict_json(link, cost, scale):
+    # Edge values for up to two link and two cost-model fields, the rest
+    # at working values: a run either refuses its config or reports a
+    # finite, self-consistent migration.
+    assert LINK_KEYS.keys() == {f.name for f in fields(LinkSpec)}
+    config = {**FD_CONFIG, "link": link, "cost_model": {**INLINE_COST, **cost}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "scenario.json"), Path(tmp, "report.json")
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = main(["run", "--scenario", str(path), "--out", str(out), "--scale", str(scale)])
+        assert code in (0, 2)
+        if code == 2:
+            assert not out.exists()
+            return
+        report = json.loads(out.read_text(encoding="utf-8"),
+                            parse_constant=lambda name: pytest.fail(f"report holds {name}"))
+    assert _all_finite(report)
+    assert report["downtime_seconds"] <= report["total_seconds"]
 
 
 def test_writers_refuse_non_finite_numbers(tmp_path):

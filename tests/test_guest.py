@@ -13,26 +13,27 @@ from layermig.guest import (
     restore,
     vm_spec,
 )
-from layermig.layer_store import MemoryChunkContent, materialize, materialize_memory
+from layermig.layer_store import MemoryChunkContent
 from layermig.workloads import profile_by_name
+from oracles import is_superset, materialize, materialize_memory
 
 MB = 1_000_000
 
 
 def test_no_application_adds_nothing_beyond_base():
     g = build_guest(container_spec(), profile_by_name("No Application"), seed=1, scale=0.01)
-    assert g.app.tree.total_length == g.base.tree.total_length
+    assert g.app.total_length == g.base.total_length
 
 
 def test_face_detection_app_layer_size_at_scale_one():
     g = build_guest(container_spec(), profile_by_name("Face Detection"), seed=1, scale=1.0)
-    added = g.app.tree.total_length - g.base.tree.total_length
+    added = g.app.total_length - g.base.total_length
     assert added == 655 * MB
 
 
 def test_vm_install_size_differs():
     g = build_guest(vm_spec(), profile_by_name("Face Detection"), seed=1, scale=1.0)
-    added = g.app.tree.total_length - g.base.tree.total_length
+    added = g.app.total_length - g.base.total_length
     assert added == 565 * MB
 
 
@@ -40,17 +41,15 @@ def test_scale_is_exactly_linear_for_trees():
     profile = profile_by_name("Video Streaming")
     full = build_guest(container_spec(), profile, seed=2, scale=1.0)
     small = build_guest(container_spec(), profile, seed=2, scale=0.01)
-    assert small.base.tree.total_length * 100 == full.base.tree.total_length
-    assert small.app.tree.total_length * 100 == full.app.tree.total_length
-    assert small.instance.tree.total_length * 100 == full.instance.tree.total_length
+    assert small.base.total_length * 100 == full.base.total_length
+    assert small.app.total_length * 100 == full.app.total_length
+    assert small.instance.total_length * 100 == full.instance.total_length
 
 
 def test_layer_parentage_and_superset():
     g = build_guest(container_spec(), profile_by_name("Video Streaming"), seed=3, scale=0.01)
-    assert g.app.parent_id == g.base.id
-    assert g.instance.parent_id == g.app.id
-    assert g.app.tree.is_superset_of(g.base.tree)
-    assert g.instance.tree.is_superset_of(g.app.tree)
+    assert is_superset(g.app, g.base)
+    assert is_superset(g.instance, g.app)
 
 
 @pytest.mark.parametrize("app_layer", [True, False])
@@ -59,23 +58,22 @@ def test_layers_share_the_base_group(app_layer):
     # object, through checkpoint and restore too.
     g = build_guest(vm_spec(), profile_by_name("Video Streaming"), seed=3, scale=0.01,
                     app_layer=app_layer)
-    base = g.base.tree.group("base/")
-    assert base is not None and len(base) == len(g.base.tree)
-    layers = [g.app, g.instance] if app_layer else [g.instance]
-    assert all(layer.tree.group("base/") is base for layer in layers)
+    base = g.base.group("base/")
+    assert base is not None and len(base) == len(g.base)
+    trees = [g.app, g.instance] if app_layer else [g.instance]
+    assert all(tree.group("base/") is base for tree in trees)
     suspended = checkpoint(g)
-    assert suspended.instance.tree.group("base/") is base
-    assert restore(suspended).instance.tree.group("base/") is base
+    assert suspended.instance.group("base/") is base
+    assert restore(suspended).instance.group("base/") is base
     if app_layer:
-        assert suspended.instance.tree.group("app/") is g.app.tree.group("app/")
+        assert suspended.instance.group("app/") is g.app.group("app/")
 
 
 def test_two_layer_guest_has_no_app_layer():
     g = build_guest(container_spec(), profile_by_name("Video Streaming"),
                     seed=3, scale=0.01, app_layer=False)
     assert g.app is None
-    assert g.instance.parent_id == g.base.id
-    assert g.instance.tree.is_superset_of(g.base.tree)
+    assert is_superset(g.instance, g.base)
 
 
 def test_checkpoint_grows_instance_tree_by_memory_size():
@@ -84,7 +82,7 @@ def test_checkpoint_grows_instance_tree_by_memory_size():
     suspended = checkpoint(g)
     assert suspended.run_state is RunState.SUSPENDED
     chunks = [
-        e for _, e in suspended.instance.tree.subtree(CHECKPOINT_PREFIX).items()
+        e for _, e in suspended.instance.subtree(CHECKPOINT_PREFIX).items()
         if isinstance(e, MemoryChunkContent)
     ]
     total = sum(c.length for c in chunks)
@@ -95,7 +93,7 @@ def test_checkpoint_grows_instance_tree_by_memory_size():
 def test_vm_checkpoint_adds_state_floor_file():
     g = build_guest(vm_spec(), profile_by_name("No Application"), seed=4, scale=0.01)
     suspended = checkpoint(g)
-    state = suspended.instance.tree.get(VM_STATE_FILE)
+    state = suspended.instance.get(VM_STATE_FILE)
     assert state is not None
     assert state.length == round(600 * MB * 0.01)
 
@@ -118,15 +116,15 @@ def test_checkpoint_restore_round_trip_preserves_memory():
     assert resumed.run_state is RunState.RUNNING
     assert resumed.memory == g.memory
     assert materialize_memory(resumed.memory) == materialize_memory(g.memory)
-    assert resumed.instance.tree == g.instance.tree
+    assert resumed.instance == g.instance
 
 
 def test_recheckpoint_without_churn_is_bit_identical():
     g = build_guest(container_spec(), profile_by_name("Video Streaming"), seed=7, scale=0.01)
     first = checkpoint(g)
     second = checkpoint(restore(first))
-    a = first.instance.tree.subtree(CHECKPOINT_PREFIX)
-    b = second.instance.tree.subtree(CHECKPOINT_PREFIX)
+    a = first.instance.subtree(CHECKPOINT_PREFIX)
+    b = second.instance.subtree(CHECKPOINT_PREFIX)
     assert materialize(a) == materialize(b)
 
 
@@ -136,10 +134,10 @@ def test_restore_with_missing_checkpoint_is_corrupt():
     from dataclasses import replace
 
     chunk_paths = [
-        p for p, e in g.instance.tree.subtree(CHECKPOINT_PREFIX).items()
+        p for p, e in g.instance.subtree(CHECKPOINT_PREFIX).items()
         if isinstance(e, MemoryChunkContent)
     ]
-    broken = replace(g, instance=replace(g.instance, tree=g.instance.tree.without(chunk_paths)))
+    broken = replace(g, instance=g.instance.without(chunk_paths))
     with pytest.raises(CorruptInstanceError):
         restore(broken)
 

@@ -6,7 +6,6 @@ import math
 import pytest
 
 from layermig.guest import GuestSpec, Virtualization, container_spec, vm_spec
-from layermig.layer_store import materialize, materialize_memory
 from layermig.migrator import (
     DOWNTIME_STAGES,
     CostModel,
@@ -22,6 +21,7 @@ from layermig.migrator import (
 )
 from layermig.netsim import LinkSpec
 from layermig.workloads import profile_by_name
+from oracles import materialize, materialize_memory
 
 TWO = MigrationMode.TWO_LAYER
 THREE = MigrationMode.THREE_LAYER
@@ -116,8 +116,8 @@ def test_inconsistent_destination_rejected():
 def assert_destination_matches_source(outcome):
     source = outcome.source_at_suspend
     dest = outcome.destination
-    source_fs = source.instance.tree.without(source.instance.tree.subtree("checkpoint").paths())
-    assert materialize(dest.instance.tree) == materialize(source_fs)
+    source_fs = source.instance.without(source.instance.subtree("checkpoint").paths())
+    assert materialize(dest.instance) == materialize(source_fs)
     assert dest.memory == source.memory
     assert materialize_memory(dest.memory) == materialize_memory(source.memory)
 
