@@ -606,23 +606,20 @@ class Patched:
 
 
 @dataclass(frozen=True)
-class Created:
-    target: ContentDescriptor
-
-
-@dataclass(frozen=True)
 class Deleted:
     pass
 
 
-FileOp = Patched | Created | Deleted
+FileOp = Patched | Deleted | ContentDescriptor
 
 
 @dataclass(frozen=True)
 class TreeDelta:
     """What a receiver must change to turn its basis into the target:
-    one ``(path, op)`` entry per created, patched or deleted file.  An
-    unchanged file has no entry.
+    one ``(path, op)`` entry per created, patched or deleted file.  A
+    created file's op is the target's descriptor itself, a patched
+    file's a :class:`Patched` and a deleted file's a :class:`Deleted`.
+    An unchanged file has no entry.
 
     The entries follow :func:`sync_tree`'s walk of the target, in path
     order, followed by the deletions, in path order; nothing depends on
@@ -704,14 +701,14 @@ def sync_tree(
             _charge_unchanged(stats, len(group), group.length, verify_unchanged)
             continue
         if held is None:  # the basis lacks the whole group
-            entries += zip(group, map(Created, group.values()))
+            entries += group.items()
             _charge_created(stats, group.values())
             continue
         created = []
         for path, t in group.items():
             b = held.get(path)
             if b is None:
-                entries.append((path, Created(target=t)))
+                entries.append((path, t))
                 created.append(t)
                 continue
             if b is t or b == t:
@@ -773,13 +770,13 @@ def apply_tree_delta(basis: FileTree, delta: TreeDelta) -> FileTree:
     for path, op in delta.entries:
         if isinstance(op, Deleted):
             deleted.append(path)
-        elif isinstance(op, Created):
-            changed[path] = op.target
-        else:
+        elif isinstance(op, Patched):
             basis_entry = basis.get(path)
             if basis_entry is None:
                 raise CorruptDeltaError(f"patch for {path!r} but basis has no such file")
             for _ in _rebuilt(_entry_source(path, basis_entry), op.delta):
                 pass
             changed[path] = op.target
+        else:  # created
+            changed[path] = op
     return basis.without(deleted).with_entries(changed)

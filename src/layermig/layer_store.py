@@ -25,7 +25,7 @@ import math
 import posixpath
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from itertools import chain, islice
+from itertools import accumulate, chain, islice, repeat
 from operator import attrgetter
 from typing import ItemsView, Iterator, Mapping
 
@@ -88,11 +88,13 @@ class SyntheticContent:
     wire_ratio: float = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MemoryChunkContent:
     """A slice of a serialized memory image: whole pages, lazily rendered.
 
-    ``epochs`` stores one little-endian uint32 per page; each page's
+    ``epochs`` stores one little-endian uint32 per page, from page
+    ``start_page`` on; it is a slice of the bytes of the image's whole
+    epoch array, taken once by :func:`serialize_memory`.  Each page's
     bytes depend only on (seed, page index, that page's epoch), so a
     chunk's content is stable wherever its pages are unchanged.
     """
@@ -103,13 +105,17 @@ class MemoryChunkContent:
     epochs: bytes
     wire_ratio: float = 1.0
 
-    @property
-    def pages(self) -> int:
-        return len(self.epochs) // 4
+    def __init__(self, seed: int, page_size: int, start_page: int, epochs: bytes,
+                 wire_ratio: float = 1.0):
+        # A checkpoint makes one chunk per 4 MiB of RAM: one dict update
+        # costs half of the five object.__setattr__ calls of a frozen
+        # dataclass's own __init__.
+        self.__dict__.update(seed=seed, page_size=page_size, start_page=start_page,
+                             epochs=epochs, wire_ratio=wire_ratio)
 
     @property
     def length(self) -> int:
-        return self.pages * self.page_size
+        return len(self.epochs) // 4 * self.page_size
 
 
 ContentDescriptor = LiteralContent | SyntheticContent | MemoryChunkContent
@@ -426,7 +432,7 @@ def synthetic_files(
     file names are formatted once per process and reused.
     """
     full, rest = divmod(max(total_bytes, 0), max_file_bytes)
-    names = _file_names(full + bool(rest))
+    names = _numbered("f{:05d}.bin", full + bool(rest))
     shared = SyntheticContent(seed=seed, length=max_file_bytes, epoch=epoch, wire_ratio=wire_ratio)
     entries: dict[str, ContentDescriptor] = dict.fromkeys(
         map(f"{prefix}/".__add__, names[:full]), shared
@@ -438,14 +444,16 @@ def synthetic_files(
     return entries
 
 
-_FILE_NAMES: list[str] = []
+_NUMBERED: dict[str, list[str]] = {}
 
 
-def _file_names(count: int) -> list[str]:
-    """A list whose first ``count`` items name synthetic files 0 to
-    ``count - 1``: "f00000.bin", "f00001.bin" and on."""
-    _FILE_NAMES.extend(f"f{index:05d}.bin" for index in range(len(_FILE_NAMES), count))
-    return _FILE_NAMES
+def _numbered(template: str, count: int) -> list[str]:
+    """A list whose first ``count`` items are ``template`` formatted with
+    0 to ``count - 1``: "f00000.bin", "f00001.bin" and on.  Each name is
+    formatted once per process and reused, with its hash."""
+    names = _NUMBERED.setdefault(template, [])
+    names.extend(map(template.format, range(len(names), count)))
+    return names
 
 
 # --- memory images ------------------------------------------------------------
@@ -458,6 +466,10 @@ class MemoryImage:
     Page content is a pure function of (seed, page index, the epoch the
     page was last modified in), so two images with equal fields
     materialize to identical bytes.
+
+    The image holds ``page_epochs`` as a read-only view, so an image
+    that guests and migrations share cannot be changed through it; the
+    caller's own array stays writable.
     """
 
     seed: int
@@ -471,6 +483,9 @@ class MemoryImage:
             raise ValueError("page_size must be a positive multiple of 32")
         if not 0.0 <= self.churn_rate <= 1.0:
             raise ValueError("churn_rate must be within [0, 1]")
+        view = self.page_epochs.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "page_epochs", view)
 
     @property
     def pages(self) -> int:
@@ -536,22 +551,24 @@ def serialize_memory(
     prefix: str = "checkpoint",
     wire_ratio: float = 1.0,
 ) -> dict[str, ContentDescriptor]:
-    """Render the image as checkpoint files: ceil(size / chunk) page-aligned
-    chunks plus a small metadata file, ready to merge into an instance tree."""
+    """Render the image as checkpoint files: ceil(pages / chunk pages)
+    page-aligned chunks plus a small metadata file, ready to merge into
+    an instance tree.
+
+    A chunk holds ``chunk_size // page_size`` pages, at least one; the
+    last holds what is left.  The whole epoch array is turned into bytes
+    once, and each chunk's ``epochs`` is a slice of them.
+    """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
     pages_per_chunk = max(1, chunk_size // image.page_size)
-    entries: dict[str, ContentDescriptor] = {}
-    for index, start in enumerate(range(0, image.pages, pages_per_chunk)):
-        stop = min(start + pages_per_chunk, image.pages)
-        blob = np.ascontiguousarray(image.page_epochs[start:stop], dtype="<u4").tobytes()
-        entries[f"{prefix}/mem-{index:05d}.img"] = MemoryChunkContent(
-            seed=image.seed,
-            page_size=image.page_size,
-            start_page=start,
-            epochs=blob,
-            wire_ratio=wire_ratio,
-        )
+    step = 4 * pages_per_chunk
+    blob = image.page_epochs.astype("<u4", copy=False).tobytes()
+    blobs = [blob[i:i + step] for i in range(0, len(blob), step)]
+    chunks = map(MemoryChunkContent, repeat(image.seed), repeat(image.page_size),
+                 range(0, image.pages, pages_per_chunk), blobs, repeat(wire_ratio))
+    paths = _numbered(f"{prefix}/mem-{{:05d}}.img", len(blobs))
+    entries: dict[str, ContentDescriptor] = dict(zip(paths, chunks))
     meta = {
         "seed": image.seed,
         "page_size": image.page_size,
@@ -566,34 +583,44 @@ def serialize_memory(
     return entries
 
 
+_START_PAGE = attrgetter("start_page")
+
+
 def restore_memory(tree: FileTree, *, prefix: str = "checkpoint") -> MemoryImage:
     """Rebuild a MemoryImage from checkpoint files previously produced by
-    :func:`serialize_memory`.  Raises ValueError when files are missing
-    or inconsistent."""
+    :func:`serialize_memory`.
+
+    Every chunk must carry the seed and page size of the metadata and
+    whole uint32 pages, and the chunks, in ``start_page`` order, must
+    cover pages 0 to ``pages - 1`` with no gap or overlap.  Those checks
+    read only the chunks' fields and lengths; the epoch array is then
+    built by one join of their bytes, and is read-only.  Raises
+    ValueError when a file is missing or a check fails.
+    """
     meta_entry = tree.get(f"{prefix}/{MEMORY_META_FILE}")
     if meta_entry is None or not isinstance(meta_entry, LiteralContent):
         raise ValueError("checkpoint metadata missing")
     meta = json.loads(meta_entry.data.decode())
-    chunks = [
-        (path, entry)
-        for path, entry in tree.subtree(prefix).items()
-        if isinstance(entry, MemoryChunkContent)
-    ]
-    chunks.sort(key=lambda item: item[1].start_page)
-    epochs = np.zeros(meta["pages"], dtype=np.uint32)
-    covered = 0
-    for _, chunk in chunks:
-        if chunk.start_page != covered:
-            raise ValueError("checkpoint chunks are not contiguous")
-        part = np.frombuffer(chunk.epochs, dtype="<u4")
-        epochs[covered:covered + len(part)] = part
-        covered += len(part)
-    if covered != meta["pages"]:
-        raise ValueError(f"checkpoint covers {covered} pages, expected {meta['pages']}")
+    chunks = sorted(
+        (entry for _, entry in tree.subtree(prefix).items() if isinstance(entry, MemoryChunkContent)),
+        key=_START_PAGE,
+    )
+    if {(chunk.seed, chunk.page_size) for chunk in chunks} - {(meta["seed"], meta["page_size"])}:
+        raise ValueError("checkpoint chunk seed or page size differs from its metadata")
+    blobs = [chunk.epochs for chunk in chunks]
+    offsets = [0, *accumulate(map(len, blobs))]
+    # Compared in bytes, the offsets also catch a chunk that holds a
+    # partial page: every offset after it is off a page boundary.
+    if [4 * chunk.start_page for chunk in chunks] != offsets[:-1] or offsets[-1] % 4:
+        if any(len(blob) % 4 for blob in blobs):
+            raise ValueError("checkpoint chunk holds a partial page")
+        raise ValueError("checkpoint chunks are not contiguous")
+    if offsets[-1] != 4 * meta["pages"]:
+        raise ValueError(f"checkpoint covers {offsets[-1] // 4} pages, expected {meta['pages']}")
     return MemoryImage(
         seed=meta["seed"],
         page_size=meta["page_size"],
         epoch=meta["epoch"],
-        page_epochs=epochs,
+        page_epochs=np.frombuffer(b"".join(blobs), dtype="<u4"),
         churn_rate=meta["churn_rate"],
     )

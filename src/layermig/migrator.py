@@ -176,14 +176,19 @@ class StageRecord:
 
 def stage_features(record: StageRecord) -> tuple:
     """The record's work, one amount per ``COST_TERMS`` entry."""
-    if record.stage in SYNC_STAGES:
-        return (record.wire_bytes * 8.0, record.scanned_bytes, 1, 0, 0, 0, 0, 0, 0)
-    if record.stage in (Stage.CLONE_BASE_AS_APP, Stage.CLONE_APP_AS_INSTANCE):
-        return (0, 0, 0, record.local_bytes, 0, 0, 0, 0, 0)
-    if record.stage is Stage.SUSPEND_INSTANCE:
-        return (0, 0, 0, 0, 1, record.local_bytes, 0, 0, 0)
-    if record.stage is Stage.RESTORE_INSTANCE:
-        return (0, 0, 0, 0, 0, 0, 1, record.local_bytes, 0)
+    return _stage_row(record.stage, record.wire_bytes, record.scanned_bytes, record.local_bytes)
+
+
+def _stage_row(stage: Stage, wire_bytes: int, scanned_bytes: int, local_bytes: int) -> tuple:
+    """The ``stage_features`` row of a stage that did this work."""
+    if stage in SYNC_STAGES:
+        return (wire_bytes * 8.0, scanned_bytes, 1, 0, 0, 0, 0, 0, 0)
+    if stage in (Stage.CLONE_BASE_AS_APP, Stage.CLONE_APP_AS_INSTANCE):
+        return (0, 0, 0, local_bytes, 0, 0, 0, 0, 0)
+    if stage is Stage.SUSPEND_INSTANCE:
+        return (0, 0, 0, 0, 1, local_bytes, 0, 0, 0)
+    if stage is Stage.RESTORE_INSTANCE:
+        return (0, 0, 0, 0, 0, 0, 1, local_bytes, 0)
     return (0, 0, 0, 0, 0, 0, 0, 0, 1)
 
 
@@ -375,9 +380,9 @@ def run_migration(scenario: MigrationScenario) -> MigrationOutcome:
 
     def charge(stage: Stage, wire_bytes: int = 0, scanned_bytes: int = 0,
                local_bytes: int = 0, link_s: float = 0.0) -> None:
-        draft = StageRecord(stage, 0.0, wire_bytes, scanned_bytes, local_bytes)
-        seconds = stage_seconds(stage_features(draft), theta, link_s)
-        records.append(replace(draft, seconds=seconds))
+        row = _stage_row(stage, wire_bytes, scanned_bytes, local_bytes)
+        seconds = stage_seconds(row, theta, link_s)
+        records.append(StageRecord(stage, seconds, wire_bytes, scanned_bytes, local_bytes))
 
     def run_sync(stage: Stage, basis: FileTree, target: FileTree) -> FileTree:
         tree_delta, stats = sync_tree(

@@ -1,10 +1,23 @@
 """Helpers the tests check the package against: whole renders of trees
-and memory images, the superset relation between trees, and the
-byte-at-a-time rolling checksum of the greedy reference scan.  Each is
-linear in what it renders or walks, so use them at small scales."""
+and memory images, checkpoint files built chunk by chunk, the superset
+relation between trees, and the byte-at-a-time rolling checksum of the
+greedy reference scan.  Each is linear in what it renders or walks, so
+use them at small scales."""
+
+import json
+
+import numpy as np
 
 from layermig.delta_sync import WEAK_MOD, FileSignature
-from layermig.layer_store import FileTree, MemoryImage, _page_run_bytes, materialize_entry
+from layermig.layer_store import (
+    MEMORY_META_FILE,
+    FileTree,
+    LiteralContent,
+    MemoryChunkContent,
+    MemoryImage,
+    _page_run_bytes,
+    materialize_entry,
+)
 
 
 def materialize(tree: FileTree) -> dict[str, bytes]:
@@ -15,6 +28,35 @@ def materialize(tree: FileTree) -> dict[str, bytes]:
 def materialize_memory(image: MemoryImage) -> bytes:
     """All pages of ``image``, concatenated."""
     return _page_run_bytes(image.seed, image.page_size, 0, image.page_epochs, 0, image.total_bytes)
+
+
+def serialize_memory_by_chunk(image: MemoryImage, chunk_size: int, *, wire_ratio: float = 1.0):
+    """:func:`layer_store.serialize_memory`'s checkpoint files, each
+    chunk's epochs taken from its own slice of the epoch array."""
+    pages_per_chunk = max(1, chunk_size // image.page_size)
+    entries = {}
+    for index, start in enumerate(range(0, image.pages, pages_per_chunk)):
+        stop = min(start + pages_per_chunk, image.pages)
+        blob = np.ascontiguousarray(image.page_epochs[start:stop], dtype="<u4").tobytes()
+        entries[f"checkpoint/mem-{index:05d}.img"] = MemoryChunkContent(
+            seed=image.seed,
+            page_size=image.page_size,
+            start_page=start,
+            epochs=blob,
+            wire_ratio=wire_ratio,
+        )
+    meta = {
+        "seed": image.seed,
+        "page_size": image.page_size,
+        "pages": image.pages,
+        "epoch": image.epoch,
+        "churn_rate": image.churn_rate,
+        "chunk_pages": pages_per_chunk,
+    }
+    entries[f"checkpoint/{MEMORY_META_FILE}"] = LiteralContent(
+        data=json.dumps(meta, sort_keys=True).encode()
+    )
+    return entries
 
 
 def is_superset(tree: FileTree, other: FileTree) -> bool:

@@ -17,7 +17,6 @@ from layermig.delta_sync import (
     BasisMismatchError,
     CopyOp,
     CorruptDeltaError,
-    Created,
     Deleted,
     FileDelta,
     LiteralOp,
@@ -565,7 +564,7 @@ def test_sync_tree_created_file_charges_its_length():
     assert stats.literal_bytes == 10_240
     assert stats.wire_bytes == 2 * FILE_WIRE_OVERHEAD + 10_240 + LITERAL_OP_WIRE
     ops = dict(delta.entries)
-    assert isinstance(ops["new.bin"], Created)
+    assert ops["new.bin"] is target.get("new.bin")  # a created file's op is its descriptor
 
 
 def test_sync_tree_deletion():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from layermig.guest import (
@@ -131,8 +133,6 @@ def test_recheckpoint_without_churn_is_bit_identical():
 def test_restore_with_missing_checkpoint_is_corrupt():
     g = checkpoint(build_guest(container_spec(), profile_by_name("Game Server"),
                                seed=8, scale=0.01))
-    from dataclasses import replace
-
     chunk_paths = [
         p for p, e in g.instance.subtree(CHECKPOINT_PREFIX).items()
         if isinstance(e, MemoryChunkContent)
@@ -140,6 +140,29 @@ def test_restore_with_missing_checkpoint_is_corrupt():
     broken = replace(g, instance=g.instance.without(chunk_paths))
     with pytest.raises(CorruptInstanceError):
         restore(broken)
+
+
+# One chunk of a several-chunk checkpoint altered, the others intact.
+FOREIGN_CHUNKS = {
+    "foreign-seed": lambda chunk: replace(chunk, seed=chunk.seed + 1),
+    "foreign-page-size": lambda chunk: replace(chunk, page_size=2 * chunk.page_size),
+    "partial-page": lambda chunk: replace(chunk, epochs=chunk.epochs[:-2]),
+    "page-and-a-half": lambda chunk: replace(chunk, epochs=chunk.epochs + b"\0\0"),
+}
+
+
+@pytest.mark.parametrize("alter", FOREIGN_CHUNKS.values(), ids=FOREIGN_CHUNKS.keys())
+@pytest.mark.parametrize("index", [0, 2])
+def test_restore_rejects_a_chunk_the_checkpoint_did_not_write(alter, index):
+    g = checkpoint(build_guest(container_spec(), profile_by_name("RAM Simulation"),
+                               seed=8, scale=0.01), chunk_size=64 * 1024)
+    path = f"{CHECKPOINT_PREFIX}/mem-{index:05d}.img"
+    chunk = g.instance.get(path)
+    assert chunk is not None and g.instance.get(f"{CHECKPOINT_PREFIX}/mem-00003.img") is not None
+    broken = replace(g, instance=g.instance.with_entries({path: alter(chunk)}))
+    with pytest.raises(CorruptInstanceError):
+        restore(broken)
+    assert restore(g).memory == g.memory
 
 
 def test_build_guest_rejects_bad_scale():

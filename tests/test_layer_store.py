@@ -12,7 +12,6 @@ from layermig.delta_sync import (
     FILE_WIRE_OVERHEAD,
     LITERAL_OP_WIRE,
     VERIFY_WIRE,
-    Created,
     Deleted,
     Patched,
     SyncStats,
@@ -26,6 +25,7 @@ from layermig.layer_store import (
     FileTree,
     LiteralContent,
     MemoryChunkContent,
+    MemoryImage,
     SyntheticContent,
     advance_memory,
     materialize_entry,
@@ -35,7 +35,7 @@ from layermig.layer_store import (
     serialize_memory,
     synthetic_files,
 )
-from oracles import is_superset, materialize_memory
+from oracles import is_superset, materialize_memory, serialize_memory_by_chunk
 
 MB = 1_000_000
 
@@ -231,8 +231,10 @@ def ref_apply_tree_delta(basis, delta):
     for path, op in delta.entries:
         if isinstance(op, Deleted):
             out.pop(path, None)
-        elif isinstance(op, (Created, Patched)):
+        elif isinstance(op, Patched):
             out[path] = op.target
+        else:  # created: the op is the target's descriptor
+            out[path] = op
     return FileTree(out)
 
 
@@ -351,7 +353,16 @@ def test_sync_tree_over_shared_groups_matches_trees_built_from_scratch(
     ops, per_path = ref_sync_tree(basis, target, verify)
     assert stats == per_path
     changes = [(path, name) for path, name in ops if name != "Unchanged"]
-    assert sorted((path, type(op).__name__) for path, op in delta.entries) == changes
+    assert sorted((path, op_name(target, path, op)) for path, op in delta.entries) == changes
+
+
+def op_name(target, path, op):
+    """The name of a tree-delta op; a created file's op must be the
+    target's descriptor itself."""
+    if isinstance(op, (Patched, Deleted)):
+        return type(op).__name__
+    assert op is target.get(path)
+    return "Created"
 
 
 def test_derived_trees_share_untouched_groups():
@@ -494,6 +505,40 @@ def test_serialize_restore_round_trip():
     image = advance_memory(new_memory_image(3 * MB, seed=9, churn_rate=0.2), 2)
     tree = FileTree(serialize_memory(image, 1 * MB))
     assert restore_memory(tree) == image
+
+
+@settings(max_examples=200, deadline=None)
+@given(pages=st.integers(0, 40), page_size=st.sampled_from([32, 96, 4096]),
+       churn=st.sampled_from([0.0, 0.1, 0.5]), steps=st.integers(0, 3),
+       seed=st.integers(0, 2**32), data=st.data())
+def test_checkpoint_files_match_the_chunk_by_chunk_reference(pages, page_size, churn, steps,
+                                                             seed, data):
+    # Chunk sizes below a page, off a page multiple and on one.
+    chunk_size = data.draw(st.integers(1, 6 * page_size)
+                           | st.integers(1, 6).map(lambda k: k * page_size))
+    image = advance_memory(
+        new_memory_image(pages * page_size, seed, page_size=page_size, churn_rate=churn), steps)
+    entries = serialize_memory(image, chunk_size, wire_ratio=0.5)
+    reference = serialize_memory_by_chunk(image, chunk_size, wire_ratio=0.5)
+    assert list(entries.items()) == list(reference.items())
+    assert all(type(e.epochs) is bytes for e in entries.values() if isinstance(e, MemoryChunkContent))
+    restored = restore_memory(FileTree(entries))
+    assert restored == image
+    assert serialize_memory(restored, chunk_size, wire_ratio=0.5) == entries
+
+
+def test_memory_image_holds_a_read_only_view():
+    epochs = np.zeros(8, dtype=np.uint32)
+    image = MemoryImage(seed=1, page_size=4096, epoch=0, page_epochs=epochs, churn_rate=0.5)
+    with pytest.raises(ValueError):
+        image.page_epochs[0] = 5
+    epochs[0] = 5  # the caller's own array stays writable
+    stepped = advance_memory(image, 1)  # a copy, held read-only too
+    with pytest.raises(ValueError):
+        stepped.page_epochs[0] = 5
+    restored = restore_memory(FileTree(serialize_memory(stepped)))
+    with pytest.raises(ValueError):
+        restored.page_epochs[0] = 5
 
 
 def test_restore_rejects_missing_chunks():

@@ -4,7 +4,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from layermig.calibrate import PARAM_SPACE
 from layermig.guest import GuestSpec, Virtualization, container_spec, vm_spec
 from layermig.migrator import (
     DOWNTIME_STAGES,
@@ -20,7 +23,7 @@ from layermig.migrator import (
     run_migration,
 )
 from layermig.netsim import LinkSpec
-from layermig.workloads import profile_by_name
+from layermig.workloads import builtin_profiles, profile_by_name
 from oracles import materialize, materialize_memory
 
 TWO = MigrationMode.TWO_LAYER
@@ -262,6 +265,47 @@ def test_jitter_perturbs_sync_stages_deterministically():
     assert a.total_seconds == b.total_seconds
     flat = run_migration(scenario(link=fast_link(latency_s=0.02))).report
     assert a.total_seconds != flat.total_seconds
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+LINKS = st.builds(
+    LinkSpec,
+    bandwidth_bps=log_uniform(1e6, 1e10),
+    latency_s=st.sampled_from([0.0, 1e-3, 0.05]),
+    jitter_s=st.sampled_from([0.0, 1e-3, 0.05]),
+    processing_cap_bps=st.just(math.inf) | log_uniform(1e6, 1e10),
+    seed=st.integers(0, 99),
+)
+COST_MODELS = st.builds(
+    CostModel, **{name: log_uniform(lo, hi) for name, lo, hi in PARAM_SPACE})
+
+
+def stage_wire_bytes(report):
+    return [(r.stage, r.wire_bytes) for r in report.stages]
+
+
+@settings(max_examples=40, deadline=None)
+@given(combo=st.sampled_from(list(GOLDEN_PLANS)), vm=st.booleans(),
+       profile=st.sampled_from(builtin_profiles()), link=LINKS, cost_model=COST_MODELS,
+       speedup=log_uniform(1.0, 100.0))
+def test_wire_bytes_ignore_link_and_costs_and_time_falls_with_bandwidth(
+        combo, vm, profile, link, cost_model, speedup):
+    mode, dest = combo
+    spec, scale = (vm_spec(), 0.001) if vm else (container_spec(), 0.01)
+
+    def report(link, cost_model=None):
+        return run_migration(scenario(profile, mode, dest, spec=spec, scale=scale,
+                                      link=link, cost_model=cost_model)).report
+
+    drawn = report(link, cost_model)
+    faster = report(dataclasses.replace(link, bandwidth_bps=link.bandwidth_bps * speedup),
+                    cost_model)
+    assert stage_wire_bytes(drawn) == stage_wire_bytes(report(fast_link()))
+    assert stage_wire_bytes(faster) == stage_wire_bytes(drawn)
+    assert faster.total_seconds <= drawn.total_seconds
 
 
 # SHA-256 of each report's sorted JSON, pinned so that any drift in the
