@@ -13,11 +13,31 @@ The engine works in bounded memory.  Files stream through it
 scans tree entries by rendering one byte range at a time, and
 :func:`apply_tree_delta` reads only the basis ranges each copy needs and
 digests the rebuilt bytes as they are produced, so no basis, target or
-rebuilt file is held whole.  Signatures take the weak checksums of full
-blocks a slice of rows at a time, carrying blocks across chunk seams;
-the delta scan computes the weak checksum of every window start one
+rebuilt file is held whole.
+
+A signature is two columns, as rsync keeps a basis's sums in one flat
+array: the blocks' weak checksums as uint32 and their strong digests
+back to back, each column one ``bytes`` object, about 20 bytes per
+block in all.  Signatures take the weak checksums of full blocks a
+slice of rows at a time, carrying blocks across chunk seams: one
+float64 matmul of the rows against the weight columns (1, ..., 1) and
+(L, ..., 1) gives every block's ``a`` and ``b``.  That is exact in any
+summation order, because every partial sum is an integer below
+255 * L * (L + 1) / 2 < 2^53 for blocks up to ``MAX_BLOCK_SIZE``.
+
+The delta scan computes the weak checksum of every window start one
 scan window at a time, in uint32 with window-local offsets, which is
-exact because 2^16 divides 2^32.
+exact because 2^16 divides 2^32.  A start goes on to the exact lookup
+only if its weak checksum passes a membership table keyed, as rsync
+hashes its whole rolling sum into its tag table, by the top bits of a
+multiplicative mix of all 32 weak bits: the low bits alone hold all of
+``a``, which for random data sits in a narrow band, so a table keyed
+on them fills up as the basis grows.  The table is sized from the
+basis, with at least 2^``FILTER_MIN_BITS`` slots and
+``FILTER_SLOTS_PER_WEAK`` slots per known weak checksum, so at most
+one slot in 32 is set and, with well-mixed keys, about as small a
+share of the unmatched starts pass it at any basis size.
+
 Wherever a copy run could continue, the block at the scan position is
 first looked up by strong digest alone, so aligned matches skip the
 rolling scan.  Where that check fails, the scan opens a window of
@@ -62,6 +82,8 @@ from .layer_store import ContentDescriptor, FileTree, materialize_entry
 WEAK_MOD = 1 << 16
 DIGEST_WIDTH = 16  # SHA-256 truncated to 128 bits, fixed everywhere
 MIN_BLOCK_SIZE = 16
+# Largest block whose weak checksum sums stay exact in float64.
+MAX_BLOCK_SIZE = 1 << 23
 DEFAULT_BLOCK_SIZE = 2048
 
 SIG_BYTES_PER_BLOCK = 4 + DIGEST_WIDTH
@@ -76,8 +98,12 @@ VERIFY_WIRE = DIGEST_WIDTH  # whole-file checksum for forced re-verification
 # past the next match and still takes long unmatched runs in big
 # vectorized steps.
 SCAN_WINDOW = 1 << 16
-# Low weak bits of the first-stage membership filter in the scan.
-FILTER_BITS = 20
+# The delta scan's membership filter: at least 2^FILTER_MIN_BITS slots
+# and FILTER_SLOTS_PER_WEAK slots per known weak checksum, keyed by the
+# top bits of the weak times WEAK_MIX (2^32 over the golden ratio).
+FILTER_MIN_BITS = 20
+FILTER_SLOTS_PER_WEAK = 32
+WEAK_MIX = np.uint32(0x9E3779B1)
 # Bytes per read when a file streams through the engine: the tree
 # sync's equal-content check, signatures, delta scans and rebuilds all
 # read their file this many bytes at a time.
@@ -112,14 +138,12 @@ def weak_checksum(block: bytes) -> tuple[int, int]:
 
     For block bytes X[k..l]: a = sum(X) mod 2^16 and
     b = sum((l - i + 1) * X[i]) mod 2^16.  The combined value is
-    ``a + 2^16 * b``.
+    ``a + 2^16 * b``.  The sums are taken in uint64, which is exact
+    because 2^16 divides 2^64.
     """
-    a = 0
-    b = 0
-    n = len(block)
-    for i, x in enumerate(block):
-        a += x
-        b += (n - i) * x
+    x = np.frombuffer(block, dtype=np.uint8)
+    a = int(x.sum(dtype=np.uint64))
+    b = int(np.arange(len(x), 0, -1, dtype=np.uint64) @ x)
     return a % WEAK_MOD, b % WEAK_MOD
 
 
@@ -128,23 +152,29 @@ def combine_weak(a: int, b: int) -> int:
 
 
 @dataclass(frozen=True)
-class BlockSignature:
-    weak: int
-    strong: bytes
-
-
-@dataclass(frozen=True)
 class FileSignature:
-    """Per-block checksums of a basis, plus a whole-content digest."""
+    """Per-block checksums of a basis, plus a whole-content digest.
+
+    The checksums are two columns of ``block_count`` rows: ``weaks``
+    holds each block's weak checksum as a little-endian uint32, and
+    ``strongs`` each block's strong digest, ``DIGEST_WIDTH`` bytes
+    apiece.  Both are ``bytes``, so a signature is immutable and
+    compares by value; numpy reads them through ``np.frombuffer``.
+    """
 
     block_size: int
-    blocks: tuple[BlockSignature, ...]
+    weaks: bytes
+    strongs: bytes
     total_length: int
     content_digest: bytes
 
     @property
+    def block_count(self) -> int:
+        return len(self.strongs) // DIGEST_WIDTH
+
+    @property
     def wire_bytes(self) -> int:
-        return len(self.blocks) * SIG_BYTES_PER_BLOCK
+        return self.block_count * SIG_BYTES_PER_BLOCK
 
 
 @dataclass(frozen=True)
@@ -217,24 +247,29 @@ def _pieces(source: Source) -> Iterator[bytes]:
         yield read(start, min(start + READ_CHUNK, length))
 
 
-def _add_full_blocks(blocks: list[BlockSignature], data: memoryview, L: int) -> None:
-    """Append the signatures of ``data``'s whole blocks.
+def _add_full_blocks(weaks: bytearray, strongs: bytearray, data: memoryview, L: int) -> None:
+    """Append the weak checksums and strong digests of ``data``'s whole
+    blocks to the signature columns.
 
-    Full blocks are rows, taken a bounded slice of rows at a time: a is
-    the row sum and b the row dot product with weights L..1.
+    Full blocks are rows, taken a bounded slice of rows at a time: one
+    float64 matmul against the columns (1, ..., 1) and (L, ..., 1) gives
+    each row's a and b.  Every partial sum is an integer below
+    255 * L * (L + 1) / 2 < 2^53 for blocks up to ``MAX_BLOCK_SIZE``, so
+    the float sums are exact in any order the BLAS takes them.
     """
     n_full = len(data) // L
     if not n_full:
         return
     rows = np.frombuffer(data, dtype=np.uint8, count=n_full * L).reshape(n_full, L)
-    weights = np.arange(L, 0, -1, dtype=np.uint32)
+    weights = np.ones((L, 2))
+    weights[:, 1] = np.arange(L, 0, -1)
     step = max(1, SCAN_WINDOW // L)
     for first in range(0, n_full, step):
-        part = rows[first:first + step]
-        a = part.sum(axis=1, dtype=np.uint32) & 0xFFFF
-        b = (part @ weights) & 0xFFFF
-        for i, weak in enumerate((a | (b << 16)).tolist(), first):
-            blocks.append(BlockSignature(weak=weak, strong=strong_digest(data[i * L:(i + 1) * L])))
+        ab = (rows[first:first + step] @ weights).astype(np.uint32)
+        weaks += ((ab[:, 0] & 0xFFFF) | (ab[:, 1] << 16)).astype("<u4", copy=False).tobytes()
+    digest = hashlib.sha256
+    for i in range(0, n_full * L, L):
+        strongs += digest(data[i:i + L]).digest()[:DIGEST_WIDTH]
 
 
 def compute_signature(
@@ -248,11 +283,12 @@ def compute_signature(
     block may be short.  Deterministic: same bytes and block size always
     give a bit-identical signature.
     """
-    if block_size < MIN_BLOCK_SIZE:
-        raise ValueError(f"block_size must be >= {MIN_BLOCK_SIZE}, got {block_size}")
+    if not MIN_BLOCK_SIZE <= block_size <= MAX_BLOCK_SIZE:
+        raise ValueError(
+            f"block_size must be in [{MIN_BLOCK_SIZE}, {MAX_BLOCK_SIZE}], got {block_size}")
     L = block_size
     chunks = (data,) if isinstance(data, (bytes, bytearray, memoryview)) else data
-    blocks: list[BlockSignature] = []
+    weaks, strongs = bytearray(), bytearray()
     content = hashlib.sha256()
     total = 0
     carry = b""  # the start of a block cut by the last seam
@@ -266,16 +302,17 @@ def compute_signature(
             view = view[need:]
             if len(carry) < L:
                 continue
-            _add_full_blocks(blocks, memoryview(carry), L)
+            _add_full_blocks(weaks, strongs, memoryview(carry), L)
         whole = len(view) - len(view) % L
-        _add_full_blocks(blocks, view[:whole], L)
+        _add_full_blocks(weaks, strongs, view[:whole], L)
         carry = bytes(view[whole:])
     if carry:
-        a, b = weak_checksum(carry)
-        blocks.append(BlockSignature(weak=combine_weak(a, b), strong=strong_digest(carry)))
+        weaks += combine_weak(*weak_checksum(carry)).to_bytes(4, "little")
+        strongs += strong_digest(carry)
     return FileSignature(
         block_size=block_size,
-        blocks=tuple(blocks),
+        weaks=bytes(weaks),
+        strongs=bytes(strongs),
         total_length=total,
         content_digest=content.digest()[:DIGEST_WIDTH],
     )
@@ -285,28 +322,62 @@ def _charged_literal(length: int, wire_ratio: float) -> int:
     return math.ceil(length * wire_ratio)
 
 
-def _scan_window(
-    window: bytes, start: int, L: int, known: np.ndarray, filt: np.ndarray
-) -> list[int]:
-    """Window starts whose weak checksum is in ``known``.
+def _window_weaks(window: bytes, L: int) -> np.ndarray:
+    """Weak checksum of every ``L``-byte window of ``window``, as uint32.
 
-    ``window`` holds target bytes ``[start, stop + L - 1)`` for the
-    starts ``[start, stop)``, and offsets are local to it.  With ``P``
-    the prefix sums of the bytes and ``S`` those of ``P``, the window at
-    ``i`` has ``a = P[i+L] - P[i]`` and ``b = S[i+L] - S[i] - L * P[i]``,
-    since each byte ``x[t]`` is counted once per ``k`` in ``t < k <= i+L``.
-    The sums wrap in uint32, which is exact because 2^16 divides 2^32.
-    Candidates pass the low-bit membership filter ``filt`` and then an
-    exact lookup in the sorted array ``known``.
+    With ``P`` the prefix sums of the bytes and ``S`` those of ``P``,
+    the window at ``i`` has ``a = P[i+L] - P[i]`` and
+    ``b = S[i+L] - S[i] - L * P[i]``, since each byte ``x[t]`` is
+    counted once per ``k`` in ``t < k <= i+L``.  The sums wrap in
+    uint32, which is exact because 2^16 divides 2^32.
     """
     x = np.frombuffer(window, dtype=np.uint8)
     P = np.zeros(len(x) + 1, dtype=np.uint32)
     np.cumsum(x, dtype=np.uint32, out=P[1:])
     S = np.cumsum(P, dtype=np.uint32)
     a = P[L:] - P[:-L]
-    b = S[L:] - S[:-L] - P[:-L] * np.uint32(L)
-    weaks = (a & 0xFFFF) | (b << 16)
-    hits = np.flatnonzero(filt[weaks & ((1 << FILTER_BITS) - 1)])
+    b = S[L:] - S[:-L]
+    b -= P[:-L] * np.uint32(L)
+    a &= 0xFFFF
+    b <<= 16
+    b |= a
+    return b
+
+
+def _weak_filter(known: np.ndarray) -> np.ndarray:
+    """The scan's membership table for the weak checksums ``known``:
+    ``2^bits`` flags, with at least ``FILTER_MIN_BITS`` bits and
+    ``FILTER_SLOTS_PER_WEAK`` slots per known weak, set at the slots
+    of ``known``."""
+    bits = max(FILTER_MIN_BITS, (FILTER_SLOTS_PER_WEAK * len(known) - 1).bit_length())
+    filt = np.zeros(1 << bits, dtype=bool)
+    filt[_filter_slots(known, filt)] = True
+    return filt
+
+
+def _filter_slots(weaks: np.ndarray, filt: np.ndarray) -> np.ndarray:
+    """The slots of the table ``filt`` that ``weaks`` key into: the top
+    bits of ``weak * WEAK_MIX`` mod 2^32, which mixes all 32 weak bits.
+    The slots come as ``intp``: a gather by a uint32 index, which numpy
+    converts on its own, takes about twice as long as this ``astype``
+    and a gather by ``intp`` together."""
+    keys = weaks * WEAK_MIX
+    keys >>= 33 - len(filt).bit_length()
+    return keys.astype(np.intp)
+
+
+def _scan_window(
+    window: bytes, start: int, L: int, known: np.ndarray, filt: np.ndarray
+) -> list[int]:
+    """Window starts whose weak checksum is in ``known``.
+
+    ``window`` holds target bytes ``[start, stop + L - 1)`` for the
+    starts ``[start, stop)``, and offsets are local to it.  Candidates
+    pass the membership table ``filt`` (see :func:`_weak_filter`) and
+    then an exact lookup in the sorted array ``known``.
+    """
+    weaks = _window_weaks(window, L)
+    hits = np.flatnonzero(filt[_filter_slots(weaks, filt)])
     hit_weaks = weaks[hits]
     slots = np.minimum(np.searchsorted(known, hit_weaks), len(known) - 1)
     return (hits[known[slots] == hit_weaks] + start).tolist()
@@ -427,13 +498,15 @@ def compute_delta(
 
     # Only full-size blocks participate in the mid-stream scan; a short
     # final block is matched against the target tail afterwards.
-    full_blocks = len(sig.blocks)
+    weaks = np.frombuffer(sig.weaks, dtype="<u4")
+    full_blocks = sig.block_count
     short_len = sig.total_length % L
-    if short_len and sig.blocks:
+    if short_len and full_blocks:
         full_blocks -= 1
-    first_block: dict[bytes, int] = {}
-    for i in range(full_blocks):
-        first_block.setdefault(sig.blocks[i].strong, i)
+    # Each digest maps to its earliest block: dict() keeps the last
+    # value it is given for a key, so the blocks go in back to front.
+    digests = np.frombuffer(sig.strongs, dtype=f"V{DIGEST_WIDTH}", count=full_blocks).tolist()
+    first_block = dict(zip(reversed(digests), range(full_blocks - 1, -1, -1)))
 
     run_first = run_count = 0  # the open copy run: blocks [run_first, run_first + run_count)
 
@@ -463,10 +536,8 @@ def compute_delta(
     lit_start = 0
     last_start = n - L
     if first_block and last_start >= 0:
-        known = np.unique(np.fromiter(
-            (sig.blocks[i].weak for i in range(full_blocks)), dtype=np.uint32, count=full_blocks))
-        filt = np.zeros(1 << FILTER_BITS, dtype=bool)
-        filt[known & ((1 << FILTER_BITS) - 1)] = True
+        known = np.unique(weaks[:full_blocks])
+        filt = _weak_filter(known)
         candidates: list[int] = []  # weak matches among the window's starts
         window_end = 0
         first_span = min(_first_window(L), SCAN_WINDOW)
@@ -508,11 +579,11 @@ def compute_delta(
     tail_done = False
     if short_len and n - lit_start >= short_len:
         tail = read(n - short_len, n)
-        last = sig.blocks[-1]
-        if combine_weak(*weak_checksum(tail)) == last.weak and strong_digest(tail) == last.strong:
+        if (combine_weak(*weak_checksum(tail)) == weaks[-1]
+                and strong_digest(tail) == sig.strongs[-DIGEST_WIDTH:]):
             if lit_start < n - short_len:
                 emit_literal(read(lit_start, n - short_len))
-            emit_copy(len(sig.blocks) - 1)
+            emit_copy(full_blocks)
             tail_done = True
     if not tail_done and lit_start < n:
         emit_literal(read(lit_start, n))

@@ -19,7 +19,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, fields, replace
 
-from .delta_sync import DEFAULT_BLOCK_SIZE, MIN_BLOCK_SIZE, apply_tree_delta, sync_tree
+from .delta_sync import (
+    DEFAULT_BLOCK_SIZE,
+    MAX_BLOCK_SIZE,
+    MIN_BLOCK_SIZE,
+    apply_tree_delta,
+    sync_tree,
+)
 from .guest import (
     CHECKPOINT_PREFIX,
     GuestInstance,
@@ -263,8 +269,8 @@ class MigrationScenario:
         require_finite(self)
         if not 0 < self.scale <= 1:
             raise ValueError("scale must be in (0, 1]")
-        if self.block_size < MIN_BLOCK_SIZE:
-            raise ValueError(f"block_size must be >= {MIN_BLOCK_SIZE}")
+        if not MIN_BLOCK_SIZE <= self.block_size <= MAX_BLOCK_SIZE:
+            raise ValueError(f"block_size must be in [{MIN_BLOCK_SIZE}, {MAX_BLOCK_SIZE}]")
         if self.chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         if self.round_trips < 0 or self.staleness_epochs < 0:

@@ -1,8 +1,8 @@
 """Helpers the tests check the package against: whole renders of trees
 and memory images, checkpoint files built chunk by chunk, the superset
-relation between trees, and the byte-at-a-time rolling checksum of the
-greedy reference scan.  Each is linear in what it renders or walks, so
-use them at small scales."""
+relation between trees, and the byte-at-a-time weak checksum and its
+rolling update for the greedy reference scan.  Each is linear in what
+it renders or walks, so use them at small scales."""
 
 import json
 
@@ -64,6 +64,19 @@ def is_superset(tree: FileTree, other: FileTree) -> bool:
     return all(tree.get(path) == entry for path, entry in other.items())
 
 
+def weak_checksum(block: bytes) -> tuple[int, int]:
+    """:func:`layermig.delta_sync.weak_checksum` one byte at a time:
+    ``(a, b)`` with a = sum(X) mod 2^16 and b = sum((n - i) * X[i])
+    mod 2^16 over the block's bytes X[0..n-1]."""
+    a = 0
+    b = 0
+    n = len(block)
+    for i, x in enumerate(block):
+        a += x
+        b += (n - i) * x
+    return a % WEAK_MOD, b % WEAK_MOD
+
+
 def weak_roll(a: int, b: int, out_byte: int, in_byte: int, window: int) -> tuple[int, int]:
     """O(1) update of (a, b) when the window slides forward one byte."""
     a2 = (a - out_byte + in_byte) % WEAK_MOD
@@ -74,6 +87,6 @@ def weak_roll(a: int, b: int, out_byte: int, in_byte: int, window: int) -> tuple
 def block_length(sig: FileSignature, index: int) -> int:
     """Length of the basis block ``index``: the block size, or what is
     left of the basis for the last block."""
-    if index == len(sig.blocks) - 1:
+    if index == sig.block_count - 1:
         return sig.total_length - index * sig.block_size
     return sig.block_size

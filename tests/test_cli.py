@@ -346,6 +346,29 @@ def test_reproduce_csvs_ignore_hash_seed(tmp_path):
     assert tables[0] and tables[0] == tables[1]
 
 
+@pytest.mark.parametrize("virtualization,scale", [("container", "0.01"), ("vm", "0.002")])
+def test_stale_instance_reports_ignore_hash_seed(virtualization, scale, tmp_path):
+    # A stale instance is the path through the delta engine: two
+    # processes with different hash salts must write the same bytes.
+    config = {"profile": "RAM Simulation", "virtualization": virtualization,
+              "mode": "three_layer", "seed": 5,
+              "destination": {"has_base": True, "has_app": True, "has_stale_instance": True}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    src = str(Path(layermig.__file__).resolve().parents[1])
+    reports = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"report-{hash_seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-m", "layermig.cli", "run", "--scenario", str(path),
+                        "--out", str(out), "--scale", scale],
+                       env=env, check=True, capture_output=True, timeout=300)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    stages = {s["stage"]: s for s in json.loads(reports[0])["stages"]}
+    assert stages["sync_instance_memory"]["wire_bytes"] > 0
+
+
 def test_reproduce_missing_calibration_exits_4(tmp_path):
     code = main(["reproduce", "--target", "table1", "--out-dir", str(tmp_path / "rep"),
                  "--calibration", str(tmp_path / "missing.json")])

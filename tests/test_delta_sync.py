@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from layermig import delta_sync
 from layermig.delta_sync import (
     COPY_OP_WIRE,
+    DIGEST_WIDTH,
     FILE_WIRE_OVERHEAD,
     LITERAL_OP_WIRE,
+    MAX_BLOCK_SIZE,
     MIN_BLOCK_SIZE,
     SIG_BYTES_PER_BLOCK,
     BasisMismatchError,
@@ -40,6 +42,7 @@ from layermig.layer_store import (
     serialize_memory,
 )
 from oracles import block_length, materialize, weak_roll
+from oracles import weak_checksum as ref_weak_checksum
 
 
 def rng(seed=0):
@@ -51,15 +54,16 @@ def rng(seed=0):
 
 def test_signature_of_empty_data():
     sig = compute_signature(b"", 1024)
-    assert sig.blocks == ()
+    assert (sig.weaks, sig.strongs, sig.block_count) == (b"", b"", 0)
     assert sig.total_length == 0
 
 
 def test_signature_block_ceiling():
     data = rng(1).bytes(2048)
-    assert len(compute_signature(data, 1024).blocks) == 2
+    assert compute_signature(data, 1024).block_count == 2
     sig = compute_signature(data + b"x", 1024)
-    assert len(sig.blocks) == 3
+    assert sig.block_count == 3
+    assert (len(sig.weaks), len(sig.strongs)) == (3 * 4, 3 * DIGEST_WIDTH)
     assert block_length(sig, 2) == 1
 
 
@@ -68,6 +72,17 @@ def test_signature_rejects_tiny_block_size():
         compute_signature(b"abc", 0)
     with pytest.raises(ValueError):
         compute_signature(b"abc", 8)
+
+
+def test_signature_sums_are_exact_up_to_the_largest_block_size():
+    # All-0xFF bytes give the largest float64 partial sums of a block,
+    # 255 * L * (L + 1) / 2; a block one byte longer is refused.
+    L = MAX_BLOCK_SIZE
+    sig = compute_signature(b"\xff" * L, L)
+    a, b = 255 * L % 2**16, 255 * L * (L + 1) // 2 % 2**16
+    assert np.frombuffer(sig.weaks, dtype="<u4").tolist() == [combine_weak(a, b)]
+    with pytest.raises(ValueError):
+        compute_signature(b"abc", L + 1)
 
 
 def test_signature_deterministic():
@@ -91,9 +106,32 @@ def test_rolling_update_matches_recomputation():
 def test_vectorized_signature_weaks_match_reference():
     data = rng(4).bytes(5000)
     sig = compute_signature(data, 512)
-    for i, block in enumerate(sig.blocks):
-        ref = combine_weak(*weak_checksum(data[i * 512:(i + 1) * 512]))
-        assert block.weak == ref
+    weaks = np.frombuffer(sig.weaks, dtype="<u4").tolist()
+    assert len(weaks) == sig.block_count == 10  # the last block is short
+    for i, weak in enumerate(weaks):
+        block = data[i * 512:(i + 1) * 512]
+        assert weak == combine_weak(*ref_weak_checksum(block))
+        assert sig.strongs[i * DIGEST_WIDTH:(i + 1) * DIGEST_WIDTH] == strong_digest(block)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=st.binary(max_size=5000) | st.builds(lambda n: b"\xff" * n, st.integers(0, 70_000)))
+def test_weak_checksum_matches_byte_loop(block):
+    assert weak_checksum(block) == ref_weak_checksum(block)
+
+
+def test_signature_retains_at_most_24_bytes_per_block():
+    # The columns hold 4 + DIGEST_WIDTH = 20 bytes per block; a tuple of
+    # per-block objects held about 176.
+    data = rng(61).bytes(8 * 2**20)
+    tracemalloc.start()
+    try:
+        sig = compute_signature(data)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sig.block_count == 4096
+    assert retained <= 24 * sig.block_count
 
 
 def test_strong_digest_is_truncated_sha256():
@@ -277,7 +315,7 @@ def reference_delta(basis, target, L):
     n = len(target)
     table = {}
     for i in range(len(basis) // L):
-        table.setdefault(combine_weak(*weak_checksum(basis[i * L:(i + 1) * L])), []).append(i)
+        table.setdefault(combine_weak(*ref_weak_checksum(basis[i * L:(i + 1) * L])), []).append(i)
     n_blocks = -(-len(basis) // L)
     ops = []
     stats = SyncStats(wire_bytes=n_blocks * SIG_BYTES_PER_BLOCK + FILE_WIRE_OVERHEAD,
@@ -300,7 +338,7 @@ def reference_delta(basis, target, L):
     weak = None
     while pos + L <= n:
         if weak is None:
-            weak = weak_checksum(target[pos:pos + L])
+            weak = ref_weak_checksum(target[pos:pos + L])
         ids = table.get(combine_weak(*weak), [])
         digest = strong_digest(target[pos:pos + L]) if ids else None
         match = next((j for j in ids if strong_digest(basis[j * L:(j + 1) * L]) == digest), None)
@@ -427,6 +465,21 @@ def test_scan_matches_reference_at_real_window_seams(shift):
         assert_matches_reference(basis, target, L)
     assert (seam - W, W) in windows
     assert shift < 0 or (seam, W) in windows
+
+
+def test_scan_filter_passes_few_starts_of_a_large_basis():
+    # About 10^5 known weaks of random 2 KiB windows, and a full window
+    # of random starts: few of them may reach the exact lookup.  A key of
+    # the weak's low 20 bits (all of a, which sits in a narrow band for
+    # random bytes, and four bits of b) passes about 40% of them here.
+    L = 2048
+    g = rng(60)
+    known = np.unique(delta_sync._window_weaks(g.bytes(10**5 + L - 1), L))
+    filt = delta_sync._weak_filter(known)
+    assert len(filt) >= max(2**20, 32 * len(known))
+    assert filt[delta_sync._filter_slots(known, filt)].all()
+    probe = delta_sync._window_weaks(g.bytes(delta_sync.SCAN_WINDOW + L - 1), L)
+    assert filt[delta_sync._filter_slots(probe, filt)].mean() <= 0.05
 
 
 def traced_peak(fn, *args):
