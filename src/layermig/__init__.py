@@ -44,7 +44,9 @@ from .migrator import (
     Stage,
     default_cost_model,
     plan,
+    price,
     run_migration,
+    simulate,
 )
 from .netsim import LinkSpec, effective_rate, transfer_time
 from .workloads import AppProfile, builtin_profiles, profile_by_name

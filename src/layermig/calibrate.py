@@ -1,11 +1,12 @@
 """Fit the stage cost model against reference measurements.
 
 The byte quantities behind every stage (wire bytes, scanned bytes,
-cloned bytes, memory size) come from actually running the simulator.
-Every stage's seconds are then linear in one term vector θ:
-``migrator.stage_features`` gives the record's row, and
-``migrator.cost_terms`` gives θ from a cost model and a link, holding
-the fixed and per-byte terms and the reciprocals of the rates.  A total
+cloned bytes, memory size) come from ``migrator.simulate``, which runs
+the simulator without pricing it.  Every stage's seconds are linear in
+one term vector θ: ``migrator.stage_features`` gives the record's row,
+and ``migrator.cost_terms`` gives θ from a cost model and a link,
+holding the fixed and per-byte terms and the reciprocals of the rates,
+exactly as ``migrator.price`` charges a simulated stage.  A total
 or downtime cell is the sum of its stages' rows.  Minimizing the squared
 relative error of the measured stages and cells is therefore the linear
 least-squares problem ``min ||Aθ - 1||²``, where each row of A is an
@@ -40,8 +41,7 @@ from .migrator import (
     MigrationScenario,
     StageRecord,
     cost_terms,
-    default_cost_model,
-    run_migration,
+    simulate,
     stage_features,
     stage_seconds,
 )
@@ -85,13 +85,9 @@ def reference_link() -> LinkSpec:
 def _extract_features(
     spec: GuestSpec, profiles, link: LinkSpec
 ) -> dict[str, dict[str, tuple[StageRecord, ...]]]:
-    """Per (profile, configuration) stage records from real simulator runs.
-
-    Only the byte fields matter here; durations are recomputed from the
-    candidate parameters during the fit.
-    """
+    """Per (profile, configuration) unpriced stage records from real
+    simulator runs; the fit prices them."""
     features: dict[str, dict[str, tuple[StageRecord, ...]]] = {}
-    throwaway = default_cost_model(spec.virtualization)
     for profile in profiles:
         per_config = {}
         for config, (mode, dest) in CONFIG_DESTS.items():
@@ -101,11 +97,11 @@ def _extract_features(
                 mode=mode,
                 destination=dest,
                 link=link,
-                cost_model=throwaway,
+                cost_model=None,
                 scale=1.0,
                 seed=FIT_SEED,
             )
-            per_config[config] = run_migration(scenario).report.stages
+            per_config[config] = simulate(scenario)[0]
         features[profile.name] = per_config
     return features
 

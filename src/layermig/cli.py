@@ -31,8 +31,10 @@ from .migrator import (
     CostModel,
     MigrationReport,
     MigrationScenario,
+    StageRecord,
     default_cost_model,
-    run_migration,
+    price,
+    simulate,
 )
 from .netsim import MB, LinkSpec
 from .workloads import builtin_profiles, derive_seed, profile_by_name, stable_index
@@ -97,11 +99,13 @@ def _write_csv(path: Path | None, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _report(scenario: MigrationScenario) -> MigrationReport:
-    """The scenario's migration report.  Each cost-model value passed its
-    own check, but together they can overflow: an infinite stage or
-    total time is a config error."""
-    report = run_migration(scenario).report
+def _report(scenario: MigrationScenario,
+            work: tuple[StageRecord, ...] | None = None) -> MigrationReport:
+    """The scenario's migration report, priced from ``work`` when given:
+    a simulation of a scenario that differs from this one only in its
+    link.  Each cost-model value passed its own check, but together they
+    can overflow: an infinite stage or total time is a config error."""
+    report = price(simulate(scenario)[0] if work is None else work, scenario)
     for record in report.stages:
         if not math.isfinite(record.seconds):
             raise ConfigError(f"stage {record.stage.value} takes {record.seconds} s: "
@@ -160,10 +164,12 @@ def cmd_sweep(args) -> int:
     calibration, _ = _resolve_calibration(args.calibration)
     scenario = build_scenario(config, calibration, seed=args.seed, scale=args.scale)
     swept = [_swept(scenario, args.param, value) for value in values]
+    # Simulating never reads the link, so one simulation serves every bandwidth.
+    work = simulate(scenario)[0] if args.param == "bandwidth" else None
     rows = []
     for value, varied in zip(values, swept):
         try:
-            report = _report(varied)
+            report = _report(varied, work)
         except ConfigError as exc:
             raise ConfigError(f"--values {value:g}: {exc}") from exc
         rows.append(
@@ -188,7 +194,6 @@ def _reference_scenario(
     *,
     seed_base: int,
     scale: float,
-    bandwidth_bps: float = 100.0 * MB,
 ) -> MigrationScenario:
     mode, dest = CONFIG_DESTS[config]
     cost_model, cap = calibration[kind]
@@ -198,7 +203,7 @@ def _reference_scenario(
         profile=profile,
         mode=mode,
         destination=dest,
-        link=LinkSpec(bandwidth_bps=bandwidth_bps, processing_cap_bps=cap, seed=0),
+        link=LinkSpec(bandwidth_bps=100.0 * MB, processing_cap_bps=cap, seed=0),
         cost_model=cost_model,
         scale=scale,
         seed=derive_seed(seed_base, stable_index(profile.name)),
@@ -265,26 +270,24 @@ def cmd_reproduce(args) -> int:
         ram_rows = []
         bw_rows = []
         for kind in Virtualization:
-            profile = profile_by_name("RAM Simulation")
+            # Each cell varies the RAM Simulation scenario's memory or link.
+            base = _reference_scenario(kind, profile_by_name("RAM Simulation"),
+                                       "three_layer_app_found", calibration,
+                                       seed_base=seed_base, scale=scale)
             ram_ref = dict(
                 (int(x), y) for x, y in reference["fig5_sweeps"]["ram"][kind.value]
             )
             for ram_mb in sorted(ram_ref):
-                scenario = _reference_scenario(
-                    kind, profile.with_memory(ram_mb * MB), "three_layer_app_found",
-                    calibration, seed_base=seed_base, scale=scale)
-                report = _report(scenario)
+                report = _report(_swept(base, "ram", ram_mb))
                 ref = ram_ref[ram_mb]
                 ram_rows.append([kind.value, ram_mb, _cell(report.total_seconds, ".4f"),
                                  _cell(ref, ".4f"), _rel(report.total_seconds, ref)])
             bw_ref = dict(
                 (float(x), y) for x, y in reference["fig5_sweeps"]["bandwidth"][kind.value]
             )
+            work = simulate(base)[0]
             for bw in sorted(bw_ref):
-                scenario = _reference_scenario(
-                    kind, profile, "three_layer_app_found", calibration,
-                    seed_base=seed_base, scale=scale, bandwidth_bps=bw * MB)
-                report = _report(scenario)
+                report = _report(_swept(base, "bandwidth", bw), work)
                 ref = bw_ref[bw]
                 bw_rows.append([kind.value, _cell(bw, "g"), _cell(report.total_seconds, ".4f"),
                                 _cell(ref, ".4f"), _rel(report.total_seconds, ref)])

@@ -3,15 +3,17 @@ accounting.
 
 A migration walks an ordered list of stages chosen from what the
 destination already holds (instance, application, base, or nothing) and
-whether the scenario runs the two-layer or three-layer model.  Sync
-stages run the real delta engine between source and destination trees.
-Every stage's seconds are one linear formula: its ``stage_features`` row
-over ``COST_TERMS`` times the ``cost_terms`` of the scenario's cost
-model and link, plus the link's round trips for a sync stage.  The
-calibration fit stacks the same rows.  Service downtime is the span
-from suspending the instance to restoring it at the destination: the
-suspend, instance filesystem sync, in-memory-state sync and restore
-stages.
+whether the scenario runs the two-layer or three-layer model.  It runs
+in two steps.  ``simulate`` executes the stages against real trees, sync
+stages running the real delta engine between source and destination,
+and records each stage's work; it never reads the link or the cost
+model, so one simulation serves every link.  ``price`` then charges
+each stage one linear formula: its ``stage_features`` row over
+``COST_TERMS`` times the ``cost_terms`` of the scenario's cost model and
+link, plus the link's round trips for a sync stage.  The calibration fit
+stacks the same rows.  Service downtime is the span from suspending the
+instance to restoring it at the destination: the suspend, instance
+filesystem sync, in-memory-state sync and restore stages.
 """
 
 from __future__ import annotations
@@ -170,31 +172,29 @@ def default_cost_model(virtualization: Virtualization) -> CostModel:
 
 @dataclass(frozen=True)
 class StageRecord:
+    """One stage's work and, once ``price`` has charged it, its seconds
+    (0 in the records ``simulate`` returns)."""
+
     stage: Stage
-    seconds: float
-    wire_bytes: int
-    # Work drivers behind the duration, kept for calibration and debugging:
-    # bytes compared by the sync engine, and bytes processed locally
-    # (layer size for clones, memory size for suspend/restore).
+    seconds: float = 0.0
+    wire_bytes: int = 0
+    # The rest of the work behind the duration: bytes compared by the
+    # sync engine, and bytes processed locally (layer size for clones,
+    # memory size for suspend/restore).
     scanned_bytes: int = 0
     local_bytes: int = 0
 
 
 def stage_features(record: StageRecord) -> tuple:
     """The record's work, one amount per ``COST_TERMS`` entry."""
-    return _stage_row(record.stage, record.wire_bytes, record.scanned_bytes, record.local_bytes)
-
-
-def _stage_row(stage: Stage, wire_bytes: int, scanned_bytes: int, local_bytes: int) -> tuple:
-    """The ``stage_features`` row of a stage that did this work."""
-    if stage in SYNC_STAGES:
-        return (wire_bytes * 8.0, scanned_bytes, 1, 0, 0, 0, 0, 0, 0)
-    if stage in (Stage.CLONE_BASE_AS_APP, Stage.CLONE_APP_AS_INSTANCE):
-        return (0, 0, 0, local_bytes, 0, 0, 0, 0, 0)
-    if stage is Stage.SUSPEND_INSTANCE:
-        return (0, 0, 0, 0, 1, local_bytes, 0, 0, 0)
-    if stage is Stage.RESTORE_INSTANCE:
-        return (0, 0, 0, 0, 0, 0, 1, local_bytes, 0)
+    if record.stage in SYNC_STAGES:
+        return (record.wire_bytes * 8.0, record.scanned_bytes, 1, 0, 0, 0, 0, 0, 0)
+    if record.stage in (Stage.CLONE_BASE_AS_APP, Stage.CLONE_APP_AS_INSTANCE):
+        return (0, 0, 0, record.local_bytes, 0, 0, 0, 0, 0)
+    if record.stage is Stage.SUSPEND_INSTANCE:
+        return (0, 0, 0, 0, 1, record.local_bytes, 0, 0, 0)
+    if record.stage is Stage.RESTORE_INSTANCE:
+        return (0, 0, 0, 0, 0, 0, 1, record.local_bytes, 0)
     return (0, 0, 0, 0, 0, 0, 0, 0, 1)
 
 
@@ -341,21 +341,21 @@ class MigrationOutcome:
     destination: GuestInstance
 
 
-def run_migration(scenario: MigrationScenario) -> MigrationOutcome:
-    """Execute every planned stage against real trees.
+def simulate(
+    scenario: MigrationScenario,
+) -> tuple[tuple[StageRecord, ...], GuestInstance, GuestInstance]:
+    """Execute every planned stage against real trees: each stage's
+    unpriced record, the source at suspend time and the migrated guest.
 
     Sync stages call the delta engine with the destination's actual
-    basis; each stage is then charged ``stage_seconds`` of its record,
-    plus ``transfer_time``'s round trips for a sync stage.  The
-    destination finishes with a running guest whose trees and memory
-    equal the source's at suspend time, which is asserted before
-    returning.
+    basis.  The destination finishes with a running guest whose trees
+    and memory equal the source's at suspend time, which is asserted
+    before returning.  The scenario's link, cost model and round trips
+    are never read: only ``price`` depends on them.
     """
     spec = scenario.guest_spec
     mode = scenario.mode
     dest_state = scenario.destination
-    link = scenario.link
-    theta = cost_terms(scenario.cost_model, link)
     app_layer = mode is MigrationMode.THREE_LAYER
 
     source = build_guest(
@@ -382,25 +382,15 @@ def run_migration(scenario: MigrationScenario) -> MigrationOutcome:
             )
 
     suspended: GuestInstance | None = None
-    records: list[StageRecord] = []
-
-    def charge(stage: Stage, wire_bytes: int = 0, scanned_bytes: int = 0,
-               local_bytes: int = 0, link_s: float = 0.0) -> None:
-        row = _stage_row(stage, wire_bytes, scanned_bytes, local_bytes)
-        seconds = stage_seconds(row, theta, link_s)
-        records.append(StageRecord(stage, seconds, wire_bytes, scanned_bytes, local_bytes))
+    work: list[StageRecord] = []
 
     def run_sync(stage: Stage, basis: FileTree, target: FileTree) -> FileTree:
         tree_delta, stats = sync_tree(
             basis, target, scenario.block_size, verify_unchanged=spec.scan_unchanged
         )
-        synced = apply_tree_delta(basis, tree_delta)
-        # The link's round trips, indexed by the sync stages before this
-        # one; the wire bits are a cost term.
-        link_s = transfer_time(link, 0, scenario.round_trips,
-                               call_index=sum(r.stage in SYNC_STAGES for r in records))
-        charge(stage, stats.wire_bytes, stats.scanned_bytes, link_s=link_s)
-        return synced
+        work.append(StageRecord(stage, wire_bytes=stats.wire_bytes,
+                                scanned_bytes=stats.scanned_bytes))
+        return apply_tree_delta(basis, tree_delta)
 
     for stage in plan(mode, dest_state):
         if stage is Stage.SYNC_BASE_FILESYSTEM:
@@ -409,7 +399,7 @@ def run_migration(scenario: MigrationScenario) -> MigrationOutcome:
         elif stage is Stage.CLONE_BASE_AS_APP:
             assert dest_base_tree is not None
             dest_app_tree = dest_base_tree
-            charge(stage, local_bytes=dest_base_tree.total_length)
+            work.append(StageRecord(stage, local_bytes=dest_base_tree.total_length))
 
         elif stage is Stage.SYNC_APP_FILESYSTEM:
             assert dest_app_tree is not None and source.app is not None
@@ -419,11 +409,11 @@ def run_migration(scenario: MigrationScenario) -> MigrationOutcome:
             lower = dest_app_tree if mode is MigrationMode.THREE_LAYER else dest_base_tree
             assert lower is not None
             dest_instance_tree = lower
-            charge(stage, local_bytes=lower.total_length)
+            work.append(StageRecord(stage, local_bytes=lower.total_length))
 
         elif stage is Stage.SUSPEND_INSTANCE:
             suspended = checkpoint(source, scenario.chunk_size)
-            charge(stage, local_bytes=source.memory.total_bytes)
+            work.append(StageRecord(stage, local_bytes=source.memory.total_bytes))
 
         elif stage is Stage.SYNC_INSTANCE_FILESYSTEM:
             assert suspended is not None and dest_instance_tree is not None
@@ -441,10 +431,10 @@ def run_migration(scenario: MigrationScenario) -> MigrationOutcome:
 
         elif stage is Stage.RESTORE_INSTANCE:
             assert suspended is not None and dest_instance_tree is not None
-            charge(stage, local_bytes=suspended.memory.total_bytes)
+            work.append(StageRecord(stage, local_bytes=suspended.memory.total_bytes))
 
         else:  # OTHER_TASKS
-            charge(stage)
+            work.append(StageRecord(stage))
 
     assert suspended is not None and dest_base_tree is not None and dest_instance_tree is not None
 
@@ -462,11 +452,31 @@ def run_migration(scenario: MigrationScenario) -> MigrationOutcome:
         raise RuntimeError("destination instance tree diverged from source at suspend")
     if dest_guest.memory != suspended.memory:
         raise RuntimeError("destination memory diverged from source at suspend")
+    return tuple(work), suspended, dest_guest
 
-    report = MigrationReport(
-        mode=mode,
-        destination=dest_state,
-        stages=tuple(records),
-        scenario_echo=scenario.echo(),
-    )
-    return MigrationOutcome(report=report, source_at_suspend=suspended, destination=dest_guest)
+
+def price(work: tuple[StageRecord, ...], scenario: MigrationScenario) -> MigrationReport:
+    """The report of ``scenario`` whose stages did ``work``, the records
+    ``simulate`` returns for it or for a scenario that differs from it
+    only in link, cost model or round trips.
+
+    Each stage is charged ``stage_seconds`` of its record, plus, for a
+    sync stage, ``transfer_time``'s round trips, their jitter indexed by
+    the sync stages before it.
+    """
+    theta = cost_terms(scenario.cost_model, scenario.link)
+    records: list[StageRecord] = []
+    for record in work:
+        link_s = 0.0
+        if record.stage in SYNC_STAGES:
+            link_s = transfer_time(scenario.link, scenario.round_trips,
+                                   call_index=sum(r.stage in SYNC_STAGES for r in records))
+        records.append(replace(record, seconds=stage_seconds(stage_features(record), theta, link_s)))
+    return MigrationReport(mode=scenario.mode, destination=scenario.destination,
+                           stages=tuple(records), scenario_echo=scenario.echo())
+
+
+def run_migration(scenario: MigrationScenario) -> MigrationOutcome:
+    """``simulate`` the scenario, then ``price`` its work."""
+    work, source_at_suspend, destination = simulate(scenario)
+    return MigrationOutcome(price(work, scenario), source_at_suspend, destination)

@@ -2,8 +2,10 @@
 
 Throughput is the smaller of the raw link bandwidth and a processing
 cap that models how fast the sync engine can compare and compress data;
-above the cap, extra bandwidth buys nothing.  Latency applies once per
-round trip with an optional seeded jitter term.
+above the cap, extra bandwidth buys nothing.  The wire bits are a term
+of the stage-cost formula, charged at that rate; ``transfer_time`` is
+the rest of a sync stage's link time, its latency once per round trip
+with an optional seeded jitter term.
 """
 
 from __future__ import annotations
@@ -67,21 +69,11 @@ def _jitter_sample(link: LinkSpec, call_index: int) -> float:
     return (2.0 * unit - 1.0) * link.jitter_s
 
 
-def transfer_time(
-    link: LinkSpec,
-    wire_bytes: int,
-    round_trips: int = 2,
-    *,
-    call_index: int = 0,
-) -> float:
-    """Seconds to move ``wire_bytes`` across the link.
+def transfer_time(link: LinkSpec, round_trips: int = 2, *, call_index: int = 0) -> float:
+    """Seconds the link's round trips take.
 
     One jitter value is sampled per call and applied to every round
-    trip, clamped so latency plus jitter never goes negative.  Monotone
-    non-decreasing in ``wire_bytes`` and identical across runs for the
-    same (link, call_index).
+    trip, clamped so latency plus jitter never goes negative; the value
+    is identical across runs for the same (link, call_index).
     """
-    if wire_bytes < 0:
-        raise ValueError("wire_bytes must be >= 0")
-    per_trip = max(0.0, link.latency_s + _jitter_sample(link, call_index))
-    return round_trips * per_trip + wire_bytes * 8.0 / effective_rate(link)
+    return round_trips * max(0.0, link.latency_s + _jitter_sample(link, call_index))

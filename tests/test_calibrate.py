@@ -186,7 +186,7 @@ def test_run_migration_charges_the_stage_formula(name):
     for record in report.stages:
         link_s = 0.0
         if record.stage in SYNC:
-            link_s = transfer_time(m["link"], 0, 2, call_index=syncs)
+            link_s = transfer_time(m["link"], 2, call_index=syncs)
             syncs += 1
         assert record.seconds == predict_stage(params, record, m["link"], link_s)
     assert syncs >= 2

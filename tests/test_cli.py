@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import layermig
 from layermig import cli
 from layermig.cli import main
-from layermig.migrator import CostModel
+from layermig.config import build_scenario
+from layermig.migrator import CostModel, run_migration, simulate
 from layermig.netsim import LinkSpec
 
 FD_CONFIG = {
@@ -230,6 +231,48 @@ def test_bandwidth_sweep_saturates(tmp_path):
     totals = [float(r[1]) for r in rows]
     assert all(a >= b for a, b in zip(totals, totals[1:]))
     assert totals[-1] == pytest.approx(totals[-3], rel=1e-9)  # flat above the cap
+
+
+# A stale instance behind a jittery link: every sweep cell prices sync stages.
+STALE_JITTER = {**FD_CONFIG, "destination": {"has_stale_instance": True},
+                "link": {"latency_ms": 20, "jitter_ms": 5, "seed": 3}}
+BANDWIDTHS = "1,2,5,10,20,50,100,1000"
+
+
+@pytest.fixture
+def stale_jitter_config(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(STALE_JITTER), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("argv,simulations", [
+    (["sweep", "--param", "bandwidth", "--values", "100"], 1),
+    (["sweep", "--param", "bandwidth", "--values", BANDWIDTHS], 1),
+    (["sweep", "--param", "ram", "--values", "20,100,200"], 3),
+    # One per RAM cell, and one per kind for all its bandwidth cells.
+    (["reproduce", "--target", "fig5"], 7 + 6 + 2),
+], ids=["bandwidth-1", "bandwidth-8", "ram-3", "fig5"])
+def test_simulations_per_command(argv, simulations, stale_jitter_config, monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli, "simulate", lambda scenario: calls.append(scenario) or simulate(scenario))
+    out = (["--out-dir", str(tmp_path)] if argv[0] == "reproduce"
+           else ["--scenario", str(stale_jitter_config), "--out", str(tmp_path / "out.csv")])
+    assert main([*argv, *out, "--scale", "0.01"]) == 0
+    assert len(calls) == simulations
+
+
+def test_bandwidth_sweep_equals_whole_migrations(stale_jitter_config, tmp_path):
+    out = tmp_path / "bw.csv"
+    assert main(["sweep", "--param", "bandwidth", "--values", BANDWIDTHS, "--scale", "0.01",
+                 "--scenario", str(stale_jitter_config), "--out", str(out)]) == 0
+    scenario = build_scenario(STALE_JITTER, cli._resolve_calibration(None)[0], scale=0.01)
+    expected = [["param_value", "total_time_s", "downtime_s", "wire_bytes"]]
+    for value in map(float, BANDWIDTHS.split(",")):
+        report = run_migration(cli._swept(scenario, "bandwidth", value)).report
+        expected.append([f"{value:g}", f"{report.total_seconds:.6f}",
+                         f"{report.downtime_seconds:.6f}", str(report.total_wire_bytes)])
+    assert read_csv(out) == expected
 
 
 def test_sweep_empty_values_exits_2(tmp_path):

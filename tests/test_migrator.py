@@ -20,7 +20,9 @@ from layermig.migrator import (
     StageRecord,
     default_cost_model,
     plan,
+    price,
     run_migration,
+    simulate,
 )
 from layermig.netsim import LinkSpec
 from layermig.workloads import builtin_profiles, profile_by_name
@@ -283,29 +285,27 @@ COST_MODELS = st.builds(
     CostModel, **{name: log_uniform(lo, hi) for name, lo, hi in PARAM_SPACE})
 
 
-def stage_wire_bytes(report):
-    return [(r.stage, r.wire_bytes) for r in report.stages]
-
-
 @settings(max_examples=40, deadline=None)
 @given(combo=st.sampled_from(list(GOLDEN_PLANS)), vm=st.booleans(),
        profile=st.sampled_from(builtin_profiles()), link=LINKS, cost_model=COST_MODELS,
-       speedup=log_uniform(1.0, 100.0))
+       round_trips=st.integers(0, 5), speedup=log_uniform(1.0, 100.0))
 def test_wire_bytes_ignore_link_and_costs_and_time_falls_with_bandwidth(
-        combo, vm, profile, link, cost_model, speedup):
+        combo, vm, profile, link, cost_model, round_trips, speedup):
     mode, dest = combo
     spec, scale = (vm_spec(), 0.001) if vm else (container_spec(), 0.01)
 
-    def report(link, cost_model=None):
-        return run_migration(scenario(profile, mode, dest, spec=spec, scale=scale,
-                                      link=link, cost_model=cost_model)).report
+    def make(link, cost_model=None, round_trips=2):
+        return scenario(profile, mode, dest, spec=spec, scale=scale,
+                        link=link, cost_model=cost_model, round_trips=round_trips)
 
-    drawn = report(link, cost_model)
-    faster = report(dataclasses.replace(link, bandwidth_bps=link.bandwidth_bps * speedup),
-                    cost_model)
-    assert stage_wire_bytes(drawn) == stage_wire_bytes(report(fast_link()))
-    assert stage_wire_bytes(faster) == stage_wire_bytes(drawn)
-    assert faster.total_seconds <= drawn.total_seconds
+    drawn = make(link, cost_model, round_trips)
+    work = simulate(drawn)[0]
+    assert simulate(make(fast_link()))[0] == work
+    report = price(work, drawn)
+    assert report.to_json_dict() == run_migration(drawn).report.to_json_dict()
+    faster = price(work, dataclasses.replace(
+        drawn, link=dataclasses.replace(link, bandwidth_bps=link.bandwidth_bps * speedup)))
+    assert faster.total_seconds <= report.total_seconds
 
 
 # SHA-256 of each report's sorted JSON, pinned so that any drift in the
