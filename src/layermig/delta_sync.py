@@ -77,7 +77,7 @@ from typing import Callable, Collection, Iterable, Iterator
 
 import numpy as np
 
-from .layer_store import ContentDescriptor, FileTree, materialize_entry
+from .layer_store import ContentDescriptor, FileTree, TreeGroup, materialize_entry
 
 WEAK_MOD = 1 << 16
 DIGEST_WIDTH = 16  # SHA-256 truncated to 128 bits, fixed everywhere
@@ -681,16 +681,16 @@ class Deleted:
     pass
 
 
-FileOp = Patched | Deleted | ContentDescriptor
-
-
 @dataclass(frozen=True)
 class TreeDelta:
-    """What a receiver must change to turn its basis into the target:
-    one ``(path, op)`` entry per created, patched or deleted file.  A
-    created file's op is the target's descriptor itself, a patched
-    file's a :class:`Patched` and a deleted file's a :class:`Deleted`.
-    An unchanged file has no entry.
+    """What a receiver must change to turn its basis into the target.
+
+    ``entries`` holds one ``(path, op)`` pair per patched or deleted
+    file: a :class:`Patched` or a :class:`Deleted`.  ``created`` holds
+    the target's entry for every file the basis lacks, as a tree: a
+    group the basis lacks whole is the target's group itself, shared by
+    reference, and the files created in a group the basis partly holds
+    make one new group.  An unchanged file is in neither.
 
     The entries follow :func:`sync_tree`'s walk of the target, in path
     order, followed by the deletions, in path order; nothing depends on
@@ -698,7 +698,8 @@ class TreeDelta:
     """
 
     block_size: int
-    entries: tuple[tuple[str, FileOp], ...]
+    entries: tuple[tuple[str, Patched | Deleted], ...]
+    created: FileTree
 
 
 _DELETED = Deleted()
@@ -742,9 +743,10 @@ def sync_tree(
     looks each up in the basis.  A group the basis holds as the same
     object, or as an equal dict, is unchanged file for file, and is
     charged in bulk from its file count and cached total length; a
-    group the basis lacks is created file for file, and is charged from
-    its descriptors at C speed.  Both charges equal those of the files
-    one by one.  Only the other groups are walked file by file, looking
+    group the basis lacks is created file for file, goes into the
+    delta's ``created`` tree as it is, and is charged from its
+    descriptors at C speed.  Both charges equal those of the files one
+    by one.  Only the other groups are walked file by file, looking
     each path up in the basis's group of the same key.
 
     Files whose descriptors are identical (the same object, or equal
@@ -759,28 +761,28 @@ def sync_tree(
     :class:`_ComparedBasis`), and the target once more for the scan.
 
     As rsync's sender names only the files that need an update, the
-    delta's entries are the created, patched and deleted paths (see
+    delta holds the created, patched and deleted paths (see
     :class:`TreeDelta`); ``stats`` counts the unchanged ones.  The basis
     is walked only when it holds a path the target lacks, which the
     counts tell.
     """
     stats = SyncStats()
-    entries: list[tuple[str, FileOp]] = []
+    entries: list[tuple[str, Patched | Deleted]] = []
+    created_groups: dict[str, TreeGroup] = {}
     for key, group in target.groups():
         held = basis.group(key)
         if held is group or held == group:
             _charge_unchanged(stats, len(group), group.length, verify_unchanged)
             continue
         if held is None:  # the basis lacks the whole group
-            entries += group.items()
+            created_groups[key] = group
             _charge_created(stats, group.values())
             continue
-        created = []
+        created = TreeGroup()
         for path, t in group.items():
             b = held.get(path)
             if b is None:
-                entries.append((path, t))
-                created.append(t)
+                created[path] = t
                 continue
             if b is t or b == t:
                 _charge_unchanged(stats, 1, t.length, verify_unchanged)
@@ -795,7 +797,9 @@ def sync_tree(
             entries.append((path, Patched(delta=delta, target=t)))
             stats.files_patched += 1
             stats.merge(fstats)
-        _charge_created(stats, created)
+        if created:
+            created_groups[key] = created
+            _charge_created(stats, created.values())
     stats.files_deleted = len(basis) + stats.files_created - len(target)
     if stats.files_deleted:
         stats.wire_bytes += FILE_WIRE_OVERHEAD * stats.files_deleted
@@ -803,7 +807,8 @@ def sync_tree(
             group = target.group(key) or _NOTHING
             if held is not group:
                 entries += [(path, _DELETED) for path in held if path not in group]
-    return TreeDelta(block_size=block_size, entries=tuple(entries)), stats
+    delta = TreeDelta(block_size, tuple(entries), FileTree._of(created_groups))
+    return delta, stats
 
 
 class _ComparedBasis:
@@ -834,20 +839,21 @@ def apply_tree_delta(basis: FileTree, delta: TreeDelta) -> FileTree:
     chunk at a time, copies read only their basis ranges, and the
     rebuilt bytes are digested as they are produced, never held whole.
     The target is adopted only once they match the delta's target
-    digest; a mismatch raises :class:`CorruptDeltaError`.
+    digest; a mismatch raises :class:`CorruptDeltaError`.  The created
+    files are added last, by :meth:`FileTree.with_entries` of the
+    ``created`` tree, so a group the basis lacked is adopted by
+    reference, not copied.
     """
     deleted: list[str] = []
-    changed: dict[str, ContentDescriptor] = {}
+    patched: dict[str, ContentDescriptor] = {}
     for path, op in delta.entries:
         if isinstance(op, Deleted):
             deleted.append(path)
-        elif isinstance(op, Patched):
-            basis_entry = basis.get(path)
-            if basis_entry is None:
-                raise CorruptDeltaError(f"patch for {path!r} but basis has no such file")
-            for _ in _rebuilt(_entry_source(path, basis_entry), op.delta):
-                pass
-            changed[path] = op.target
-        else:  # created
-            changed[path] = op
-    return basis.without(deleted).with_entries(changed)
+            continue
+        basis_entry = basis.get(path)
+        if basis_entry is None:
+            raise CorruptDeltaError(f"patch for {path!r} but basis has no such file")
+        for _ in _rebuilt(_entry_source(path, basis_entry), op.delta):
+            pass
+        patched[path] = op.target
+    return basis.without(deleted).with_entries(patched).with_entries(delta.created)

@@ -14,6 +14,7 @@ from .layer_store import (
     MemoryImage,
     SyntheticContent,
     new_memory_image,
+    normalize_path,
     restore_memory,
     serialize_memory,
     synthetic_files,
@@ -126,8 +127,20 @@ def _scaled(size: int, scale: float) -> int:
     return round(size * scale)
 
 
-def _slug(name: str) -> str:
-    return name.lower().replace(" ", "-")
+def profile_slug(name: str) -> str:
+    """The directory name of a profile's files: ``name`` in lower case,
+    spaces as "-".  Raises ValueError for a name whose slug is not a
+    normal path (see :func:`normalize_path`): "../../etc" would leave
+    the tree, and ".." would put the application's files on the data's.
+    """
+    slug = name.lower().replace(" ", "-")
+    try:
+        normal = normalize_path(slug) == slug
+    except ValueError:
+        normal = False
+    if not normal:
+        raise ValueError(f"profile name {name!r} does not make a normal path")
+    return slug
 
 
 def build_guest(
@@ -150,46 +163,27 @@ def build_guest(
     if not 0 < scale <= 1:
         raise ValueError("scale must be in (0, 1]")
     kind = spec.virtualization
-    slug = _slug(app.name)
+    slug = profile_slug(app.name)
+    fs_ratio = spec.fs_wire_ratio
 
-    base = FileTree(
-        synthetic_files(
-            "base", _scaled(spec.base_tree_size, scale), seed=seed ^ 0xB5E,
-            wire_ratio=spec.base_wire_ratio,
-        )
+    # Each call makes one group; the trees adopt them whole and share them.
+    base = synthetic_files("base", _scaled(spec.base_tree_size, scale), seed=seed ^ 0xB5E,
+                           wire_ratio=spec.base_wire_ratio)
+    app_groups = (
+        synthetic_files(f"app/{slug}", _scaled(app.install_bytes[kind], scale),
+                        seed=seed ^ 0xA99, wire_ratio=fs_ratio),
+        synthetic_files(f"data/{slug}", _scaled(app.data_bytes, scale),
+                        seed=seed ^ 0xDA7A, wire_ratio=fs_ratio),
     )
-
-    app_entries = synthetic_files(
-        f"app/{slug}", _scaled(app.install_bytes[kind], scale), seed=seed ^ 0xA99,
-        wire_ratio=spec.fs_wire_ratio,
+    instance_groups = (
+        synthetic_files(f"inst/{slug}", _scaled(app.instance_unique_file_bytes, scale),
+                        seed=seed ^ 0x1457, wire_ratio=fs_ratio),
+        synthetic_files("virt", _scaled(spec.virtualization_overhead_bytes, scale),
+                        seed=seed ^ 0x717, epoch=virt_nonce, wire_ratio=1.0),
     )
-    app_entries.update(
-        synthetic_files(
-            f"data/{slug}", _scaled(app.data_bytes, scale), seed=seed ^ 0xDA7A,
-            wire_ratio=spec.fs_wire_ratio,
-        )
-    )
-
-    instance_entries = synthetic_files(
-        f"inst/{slug}", _scaled(app.instance_unique_file_bytes, scale), seed=seed ^ 0x1457,
-        wire_ratio=spec.fs_wire_ratio,
-    )
-    instance_entries.update(
-        synthetic_files(
-            "virt", _scaled(spec.virtualization_overhead_bytes, scale),
-            seed=seed ^ 0x717, epoch=virt_nonce, wire_ratio=1.0,
-        )
-    )
-
-    app_tree: FileTree | None = None
-    if app_layer:
-        app_tree = base.with_entries(app_entries)
-        instance = app_tree.with_entries(instance_entries)
-    else:
-        # Two-layer packaging: application files live inside the instance.
-        merged = dict(app_entries)
-        merged.update(instance_entries)
-        instance = base.with_entries(merged)
+    # In two-layer packaging the application files live inside the instance.
+    app_tree = FileTree.of_groups(base, *app_groups) if app_layer else None
+    instance = FileTree.of_groups(base, *app_groups, *instance_groups)
 
     memory = new_memory_image(
         _scaled(app.memory_bytes, scale), seed=seed ^ 0x3E3,
@@ -197,7 +191,7 @@ def build_guest(
     )
     return GuestInstance(
         spec=spec,
-        base=base,
+        base=FileTree.of_groups(base),
         app=app_tree,
         instance=instance,
         memory=memory,
@@ -217,16 +211,17 @@ def checkpoint(g: GuestInstance, chunk_size: int = DEFAULT_CHUNK_SIZE) -> GuestI
     """
     if g.run_state is not RunState.RUNNING:
         raise InvalidStateError("guest is already suspended")
-    entries = serialize_memory(
+    files = serialize_memory(
         g.memory, chunk_size, prefix=CHECKPOINT_PREFIX, wire_ratio=g.memory_wire_ratio
     )
     floor = _scaled(g.spec.memory_floor_bytes, g.scale)
-    if floor:
-        entries[VM_STATE_FILE] = SyntheticContent(
+    if floor:  # "vmstate.img" sorts after the chunks and "meta.json"
+        files[VM_STATE_FILE] = SyntheticContent(
             seed=g.seed ^ 0x54A7E, length=floor, epoch=g.memory.epoch,
             wire_ratio=g.spec.memory_floor_wire_ratio,
         )
-    return replace(g, instance=g.instance.with_entries(entries), run_state=RunState.SUSPENDED)
+    instance = g.instance.with_entries(FileTree.of_groups(files))
+    return replace(g, instance=instance, run_state=RunState.SUSPENDED)
 
 
 def restore(g: GuestInstance) -> GuestInstance:

@@ -15,6 +15,12 @@ copy-on-write image layers share what they do not change.  A guest's
 base, application and instance trees hold its base files as one group,
 and copying, comparing or syncing two trees costs per group that
 differs, not per file of the base.
+
+A layer's files travel as one group from the moment they are made:
+:func:`synthetic_files` and :func:`serialize_memory` return a
+:class:`TreeGroup` already in path order, :meth:`FileTree.of_groups`
+builds a tree of such groups without looking at their paths, and a
+tree delta carries a group its basis lacks as the same object.
 """
 
 from __future__ import annotations
@@ -241,10 +247,7 @@ def _grouped(entries: Mapping[str, ContentDescriptor]) -> dict[str, TreeGroup]:
         slash = path.find("/")
         hi = lo + 1 if slash < 0 else bisect_left(paths, path[:slash] + "0", lo)
         run = paths[lo:hi]
-        if len(run) == len(entries) and run == list(entries):  # one group, in order
-            groups[_group_key(path)] = TreeGroup(entries)
-        else:
-            groups[_group_key(path)] = TreeGroup(zip(run, map(find, run)))
+        groups[_group_key(path)] = TreeGroup(zip(run, map(find, run)))
         lo = hi
     return groups
 
@@ -275,9 +278,11 @@ class FileTree:
     file at the root, keyed by its path.  The groups are held in key
     order and each holds its entries in path order, so iteration yields
     every path in sorted order.  Only the constructor and the mapping
-    form of :meth:`with_entries` normalize the paths they store; every
-    other method builds its tree from groups that already hold the
-    invariant and normalizes only the paths it is asked about.
+    form of :meth:`with_entries` normalize the paths they store, and
+    only the constructor takes arbitrary input; every other method,
+    :meth:`of_groups` among them, builds its tree from groups that
+    already hold the invariant and normalizes only the paths it is
+    asked about.
 
     A derived tree copies only the groups it changes and shares the
     rest by reference: the base layer's ``base/`` group is one object in
@@ -298,6 +303,22 @@ class FileTree:
         tree = cls.__new__(cls)
         tree._groups = groups
         return tree
+
+    @classmethod
+    def of_groups(cls, *groups: TreeGroup) -> "FileTree":
+        """A tree that holds ``groups`` by reference, each under the key
+        of its first path; an empty one is skipped.
+
+        Each group must hold one group's normalized paths in path order,
+        as :func:`synthetic_files` and :func:`serialize_memory` make
+        them: no path is read but each group's first, so building a tree
+        costs per group, not per file.  Raises ValueError if two groups
+        share a key.
+        """
+        keyed = {_group_key(next(iter(group))): group for group in groups if group}
+        if len(keyed) < sum(map(bool, groups)):
+            raise ValueError("two groups share a key")
+        return cls._of(dict(sorted(keyed.items())))
 
     def groups(self) -> ItemsView[str, TreeGroup]:
         """(key, group) pairs in key order; callers must not change a group."""
@@ -424,24 +445,26 @@ def synthetic_files(
     wire_ratio: float = 1.0,
     max_file_bytes: int = DEFAULT_CHUNK_SIZE,
     epoch: int = 0,
-) -> dict[str, ContentDescriptor]:
-    """Chunk ``total_bytes`` of synthetic content into files under ``prefix``.
+) -> TreeGroup:
+    """Chunk ``total_bytes`` of synthetic content into files under
+    ``prefix``: one :class:`TreeGroup`, in path order, that
+    :meth:`FileTree.of_groups` adopts as it is.
 
     Content is keyed by (seed, path, epoch), so every full-size file
     shares one descriptor; only a shorter last file gets its own.  The
-    file names are formatted once per process and reused.
+    prefix is normalized once, and the full paths are formatted once per
+    process and reused, hash and all (see :func:`_numbered`).
     """
+    prefix = normalize_path(prefix)
     full, rest = divmod(max(total_bytes, 0), max_file_bytes)
-    names = _numbered("f{:05d}.bin", full + bool(rest))
+    paths = _numbered(_escaped(prefix) + "/f{:05d}.bin", full + bool(rest))
     shared = SyntheticContent(seed=seed, length=max_file_bytes, epoch=epoch, wire_ratio=wire_ratio)
-    entries: dict[str, ContentDescriptor] = dict.fromkeys(
-        map(f"{prefix}/".__add__, names[:full]), shared
-    )
+    group = TreeGroup.fromkeys(islice(paths, full), shared)
     if rest:
-        entries[f"{prefix}/{names[full]}"] = SyntheticContent(
+        group[paths[full]] = SyntheticContent(
             seed=seed, length=rest, epoch=epoch, wire_ratio=wire_ratio
         )
-    return entries
+    return _in_path_order(group)
 
 
 _NUMBERED: dict[str, list[str]] = {}
@@ -449,11 +472,26 @@ _NUMBERED: dict[str, list[str]] = {}
 
 def _numbered(template: str, count: int) -> list[str]:
     """A list whose first ``count`` items are ``template`` formatted with
-    0 to ``count - 1``: "f00000.bin", "f00001.bin" and on.  Each name is
-    formatted once per process and reused, with its hash."""
+    0 to ``count - 1``: "base/f00000.bin", "base/f00001.bin" and on.
+    Each name is formatted once per process and reused, with its hash."""
     names = _NUMBERED.setdefault(template, [])
     names.extend(map(template.format, range(len(names), count)))
     return names
+
+
+def _escaped(prefix: str) -> str:
+    """``prefix`` as literal text of a :func:`_numbered` template."""
+    return prefix.replace("{", "{{").replace("}", "}}")
+
+
+# Indices up to 99999 take five digits and sort in index order; six
+# digits sort out of it ("f100000" sorts before "f10001").
+_FIVE_DIGITS = 100_000
+
+
+def _in_path_order(group: TreeGroup) -> TreeGroup:
+    """``group``, filled in index order, as a group in path order."""
+    return group if len(group) <= _FIVE_DIGITS else TreeGroup(sorted(group.items()))
 
 
 # --- memory images ------------------------------------------------------------
@@ -550,10 +588,11 @@ def serialize_memory(
     *,
     prefix: str = "checkpoint",
     wire_ratio: float = 1.0,
-) -> dict[str, ContentDescriptor]:
+) -> TreeGroup:
     """Render the image as checkpoint files: ceil(pages / chunk pages)
-    page-aligned chunks plus a small metadata file, ready to merge into
-    an instance tree.
+    page-aligned chunks plus a small metadata file, as one
+    :class:`TreeGroup` in path order, ready for an instance tree to
+    adopt.
 
     A chunk holds ``chunk_size // page_size`` pages, at least one; the
     last holds what is left.  The whole epoch array is turned into bytes
@@ -561,14 +600,15 @@ def serialize_memory(
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
+    prefix = normalize_path(prefix)
     pages_per_chunk = max(1, chunk_size // image.page_size)
     step = 4 * pages_per_chunk
     blob = image.page_epochs.astype("<u4", copy=False).tobytes()
     blobs = [blob[i:i + step] for i in range(0, len(blob), step)]
     chunks = map(MemoryChunkContent, repeat(image.seed), repeat(image.page_size),
                  range(0, image.pages, pages_per_chunk), blobs, repeat(wire_ratio))
-    paths = _numbered(f"{prefix}/mem-{{:05d}}.img", len(blobs))
-    entries: dict[str, ContentDescriptor] = dict(zip(paths, chunks))
+    paths = _numbered(_escaped(prefix) + "/mem-{:05d}.img", len(blobs))
+    group = TreeGroup(zip(paths, chunks))
     meta = {
         "seed": image.seed,
         "page_size": image.page_size,
@@ -577,10 +617,11 @@ def serialize_memory(
         "churn_rate": image.churn_rate,
         "chunk_pages": pages_per_chunk,
     }
-    entries[f"{prefix}/{MEMORY_META_FILE}"] = LiteralContent(
+    # "meta.json" sorts after every "mem-" chunk.
+    group[f"{prefix}/{MEMORY_META_FILE}"] = LiteralContent(
         data=json.dumps(meta, sort_keys=True).encode()
     )
-    return entries
+    return _in_path_order(group)
 
 
 _START_PAGE = attrgetter("start_page")

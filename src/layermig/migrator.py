@@ -466,12 +466,15 @@ def price(work: tuple[StageRecord, ...], scenario: MigrationScenario) -> Migrati
     """
     theta = cost_terms(scenario.cost_model, scenario.link)
     records: list[StageRecord] = []
+    syncs = 0
     for record in work:
         link_s = 0.0
         if record.stage in SYNC_STAGES:
-            link_s = transfer_time(scenario.link, scenario.round_trips,
-                                   call_index=sum(r.stage in SYNC_STAGES for r in records))
-        records.append(replace(record, seconds=stage_seconds(stage_features(record), theta, link_s)))
+            link_s = transfer_time(scenario.link, scenario.round_trips, call_index=syncs)
+            syncs += 1
+        seconds = stage_seconds(stage_features(record), theta, link_s)
+        records.append(StageRecord(record.stage, seconds, record.wire_bytes,
+                                   record.scanned_bytes, record.local_bytes))
     return MigrationReport(mode=scenario.mode, destination=scenario.destination,
                            stages=tuple(records), scenario_echo=scenario.echo())
 

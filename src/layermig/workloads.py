@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
-from .guest import Virtualization
+from .guest import Virtualization, profile_slug
 from .netsim import MB, is_finite, require_finite
 
 
@@ -36,6 +36,7 @@ class AppProfile:
 
     def __post_init__(self):
         require_finite(self)
+        profile_slug(self.name)  # the directory of the profile's files
         if not all(map(is_finite, (*self.install_bytes.values(), *self.memory_wire_ratio.values()))):
             raise ValueError("per-kind values must be finite")
         for size in (self.data_bytes, self.memory_bytes, self.instance_unique_file_bytes):

@@ -1,8 +1,9 @@
 """Helpers the tests check the package against: whole renders of trees
-and memory images, checkpoint files built chunk by chunk, the superset
-relation between trees, and the byte-at-a-time weak checksum and its
-rolling update for the greedy reference scan.  Each is linear in what
-it renders or walks, so use them at small scales."""
+and memory images, checkpoint files built chunk by chunk, tree equality
+in path order, the superset relation between trees, and the
+byte-at-a-time weak checksum and its rolling update for the greedy
+reference scan.  Each is linear in what it renders or walks, so use
+them at small scales."""
 
 import json
 
@@ -57,6 +58,13 @@ def serialize_memory_by_chunk(image: MemoryImage, chunk_size: int, *, wire_ratio
         data=json.dumps(meta, sort_keys=True).encode()
     )
     return entries
+
+
+def assert_same_tree(tree: FileTree, ref: FileTree) -> None:
+    """``tree`` equals ``ref``, path for path and in the same order."""
+    assert tree == ref
+    assert tree.paths() == ref.paths()
+    assert list(tree.items()) == list(ref.items())
 
 
 def is_superset(tree: FileTree, other: FileTree) -> bool:

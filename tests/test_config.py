@@ -141,6 +141,11 @@ INVALID = {
     "fractional-guest-bytes": ({"guest": {"memory_floor_bytes": 10.5}}, []),
     "fractional-memory-bytes": ({"profile": {"name": "x", "install_bytes": 1, "memory_bytes": 0.5}}, []),
     "churn-rate-above-one": ({"profile": {"name": "x", "install_bytes": 1, "memory_churn_rate": 2}}, []),
+    # A profile's files live under app/<slug>: these slugs leave the
+    # tree, or put the application's files on the data's.
+    "profile-name-leaving-the-tree": ({"profile": {"name": "../../etc", "install_bytes": 1}},
+                                      ["--scale", "0.1"]),
+    "profile-name-dot-dot": ({"profile": {"name": "..", "install_bytes": 1}}, ["--scale", "0.1"]),
     "zero-memory-wire-ratio": ({"profile": {"name": "x", "install_bytes": 1, "memory_bytes": 10_000,
                                             "memory_wire_ratio": 0},
                                 "destination": {"has_stale_instance": True}}, []),

@@ -616,8 +616,10 @@ def test_sync_tree_created_file_charges_its_length():
     assert stats.files_created == 1
     assert stats.literal_bytes == 10_240
     assert stats.wire_bytes == 2 * FILE_WIRE_OVERHEAD + 10_240 + LITERAL_OP_WIRE
-    ops = dict(delta.entries)
-    assert ops["new.bin"] is target.get("new.bin")  # a created file's op is its descriptor
+    assert delta.entries == ()
+    # A created file is carried as the target's descriptor itself.
+    assert delta.created.paths() == ["new.bin"]
+    assert delta.created.get("new.bin") is target.get("new.bin")
 
 
 def test_sync_tree_deletion():

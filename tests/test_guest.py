@@ -1,6 +1,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from layermig.guest import (
     CHECKPOINT_PREFIX,
@@ -15,9 +17,21 @@ from layermig.guest import (
     restore,
     vm_spec,
 )
-from layermig.layer_store import MemoryChunkContent
-from layermig.workloads import profile_by_name
-from oracles import is_superset, materialize, materialize_memory
+from layermig.layer_store import (
+    DEFAULT_CHUNK_SIZE,
+    DEFAULT_PAGE_SIZE,
+    FileTree,
+    MemoryChunkContent,
+    synthetic_files,
+)
+from layermig.workloads import AppProfile, per_kind, profile_by_name
+from oracles import (
+    assert_same_tree,
+    is_superset,
+    materialize,
+    materialize_memory,
+    serialize_memory_by_chunk,
+)
 
 MB = 1_000_000
 
@@ -170,3 +184,67 @@ def test_build_guest_rejects_bad_scale():
         build_guest(container_spec(), profile_by_name("Game Server"), seed=1, scale=0.0)
     with pytest.raises(ValueError):
         build_guest(container_spec(), profile_by_name("Game Server"), seed=1, scale=1.5)
+
+
+# --- group-built guests: oracle against the constructor ----------------------
+
+
+def ref_trees(spec, app, seed, scale, app_layer, virt_nonce):
+    """``build_guest``'s base, application and instance trees as the
+    FileTree constructor builds them from the merged ``synthetic_files``
+    mappings: every path normalized, sorted and grouped."""
+    kind, slug = spec.virtualization, app.name.lower().replace(" ", "-")
+
+    def files(prefix, size, seed, wire_ratio, epoch=0):
+        return dict(synthetic_files(prefix, round(size * scale), seed,
+                                    wire_ratio=wire_ratio, epoch=epoch))
+
+    base = files("base", spec.base_tree_size, seed ^ 0xB5E, spec.base_wire_ratio)
+    app_files = {**files(f"app/{slug}", app.install_bytes[kind], seed ^ 0xA99, spec.fs_wire_ratio),
+                 **files(f"data/{slug}", app.data_bytes, seed ^ 0xDA7A, spec.fs_wire_ratio)}
+    instance = {**files(f"inst/{slug}", app.instance_unique_file_bytes, seed ^ 0x1457,
+                        spec.fs_wire_ratio),
+                **files("virt", spec.virtualization_overhead_bytes, seed ^ 0x717, 1.0, virt_nonce)}
+    app_tree = FileTree({**base, **app_files}) if app_layer else None
+    return FileTree(base), app_tree, FileTree({**base, **app_files, **instance})
+
+
+SIZES = st.integers(0, 3 * DEFAULT_CHUNK_SIZE + 5)
+# Past 10^5 files, index order and path order part: "f100000" < "f10001".
+PAST_FIVE_DIGITS = (10**5 + 1) * DEFAULT_CHUNK_SIZE + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from([container_spec, vm_spec]),
+       base_bytes=st.integers(1, 3 * DEFAULT_CHUNK_SIZE),
+       name=st.sampled_from(["Face Detection", "a{}b", "x{0}/{y}", ".hidden", "A B/C"]),
+       install=SIZES, data=SIZES, unique=SIZES, pages=st.integers(0, 40),
+       scale=st.sampled_from([0.001, 0.37, 1.0]), app_layer=st.booleans(),
+       virt_nonce=st.integers(0, 2), seed=st.integers(0, 2**32),
+       chunk_size=st.sampled_from([DEFAULT_PAGE_SIZE, 3 * DEFAULT_PAGE_SIZE + 100,
+                                   DEFAULT_CHUNK_SIZE]))
+@example(kind=container_spec, base_bytes=1, name="a{}b", install=PAST_FIVE_DIGITS, data=0,
+         unique=0, pages=10**5 + 1, scale=1.0, app_layer=True, virt_nonce=0, seed=5,
+         chunk_size=DEFAULT_PAGE_SIZE)
+def test_group_built_guests_match_the_constructor(kind, base_bytes, name, install, data, unique,
+                                                  pages, scale, app_layer, virt_nonce, seed,
+                                                  chunk_size):
+    spec = replace(kind(), base_tree_size=base_bytes)
+    app = AppProfile(name=name, install_bytes=per_kind(install, install), data_bytes=data,
+                     instance_unique_file_bytes=unique, memory_bytes=pages * DEFAULT_PAGE_SIZE)
+    g = build_guest(spec, app, seed, scale, app_layer=app_layer, virt_nonce=virt_nonce)
+    ref_base, ref_app, ref_instance = ref_trees(spec, app, seed, scale, app_layer, virt_nonce)
+    assert_same_tree(g.base, ref_base)
+    assert_same_tree(g.instance, ref_instance)
+    if app_layer:
+        assert_same_tree(g.app, ref_app)
+    else:
+        assert g.app is None
+    # The checkpoint group, against the files written chunk by chunk.
+    suspended = checkpoint(g, chunk_size)
+    written = serialize_memory_by_chunk(g.memory, chunk_size, wire_ratio=g.memory_wire_ratio)
+    state = suspended.instance.get(VM_STATE_FILE)
+    assert (state is not None) == bool(round(spec.memory_floor_bytes * scale))
+    if state is not None:
+        written[VM_STATE_FILE] = state
+    assert_same_tree(suspended.instance, FileTree({**dict(ref_instance.items()), **written}))

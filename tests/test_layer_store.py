@@ -35,7 +35,7 @@ from layermig.layer_store import (
     serialize_memory,
     synthetic_files,
 )
-from oracles import is_superset, materialize_memory, serialize_memory_by_chunk
+from oracles import assert_same_tree, is_superset, materialize_memory, serialize_memory_by_chunk
 
 MB = 1_000_000
 
@@ -231,17 +231,10 @@ def ref_apply_tree_delta(basis, delta):
     for path, op in delta.entries:
         if isinstance(op, Deleted):
             out.pop(path, None)
-        elif isinstance(op, Patched):
+        else:
             out[path] = op.target
-        else:  # created: the op is the target's descriptor
-            out[path] = op
+    out.update(delta.created.items())  # created: the target's descriptors
     return FileTree(out)
-
-
-def assert_same_tree(tree, ref):
-    assert tree == ref
-    assert tree.paths() == ref.paths()
-    assert list(tree.items()) == list(ref.items())
 
 
 _NAMES = st.sampled_from(["a", "b", "b.bin", "..c", "d"])
@@ -284,7 +277,7 @@ def test_apply_tree_delta_matches_tree_built_from_scratch(basis, target):
     basis, target = FileTree(basis), FileTree(target)
     delta, _ = sync_tree(basis, target)
     changed = {p for p in set(basis.paths()) | set(target.paths()) if basis.get(p) != target.get(p)}
-    assert sorted(path for path, _ in delta.entries) == sorted(changed)
+    assert sorted([path for path, _ in delta.entries] + delta.created.paths()) == sorted(changed)
     synced = apply_tree_delta(basis, delta)
     assert_same_tree(synced, ref_apply_tree_delta(basis, delta))
     assert_same_tree(synced, target)
@@ -350,19 +343,39 @@ def test_sync_tree_over_shared_groups_matches_trees_built_from_scratch(
     ref_delta, ref_stats = sync_tree(rebuilt_basis, rebuilt_target, verify_unchanged=verify)
     assert stats == ref_stats
     assert delta.entries == ref_delta.entries
+    assert delta.created == ref_delta.created
     ops, per_path = ref_sync_tree(basis, target, verify)
     assert stats == per_path
     changes = [(path, name) for path, name in ops if name != "Unchanged"]
-    assert sorted((path, op_name(target, path, op)) for path, op in delta.entries) == changes
+    assert sorted(op_names(target, delta)) == changes
 
 
-def op_name(target, path, op):
-    """The name of a tree-delta op; a created file's op must be the
-    target's descriptor itself."""
-    if isinstance(op, (Patched, Deleted)):
-        return type(op).__name__
-    assert op is target.get(path)
-    return "Created"
+def op_names(target, delta):
+    """(path, op name) of every change of a tree delta; a created file
+    must be carried as the target's descriptor itself."""
+    for path, op in delta.entries:
+        assert isinstance(op, (Patched, Deleted))
+        yield path, type(op).__name__
+    for path, entry in delta.created.items():
+        assert entry is target.get(path)
+        yield path, "Created"
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_apply_tree_delta_adopts_created_groups(verify):
+    basis = FileTree({"base/a": LiteralContent(b"1"), "app/x": LiteralContent(b"2")})
+    made = FileTree.of_groups(synthetic_files("data/d", 10_000, seed=3, max_file_bytes=4096),
+                              synthetic_files("inst/i", 5_000, seed=4, max_file_bytes=4096))
+    target = basis.with_entries(made).with_entries({"app/y": LiteralContent(b"3")})
+    delta, stats = sync_tree(basis, target, verify_unchanged=verify)
+    synced = apply_tree_delta(basis, delta)
+    assert_same_tree(synced, target)
+    for key in ("data/", "inst/"):
+        assert delta.created.group(key) is target.group(key)
+        assert synced.group(key) is target.group(key)
+    assert delta.created.group("app/") == {"app/y": target.get("app/y")}
+    assert synced.group("base/") is basis.group("base/")
+    assert stats == ref_sync_tree(basis, target, verify)[1]
 
 
 def test_derived_trees_share_untouched_groups():
@@ -434,6 +447,24 @@ def test_split_takes_only_the_paths_under_the_prefix(prefix):
     assert outside.paths() == ["o/z", "p", "p.x", "p0", "p0/a", "pz/a", "q"]
     assert tree.subtree(prefix) == inside
     assert FileTree().split(prefix) == (FileTree(), FileTree())
+
+
+@pytest.mark.parametrize("prefix", ["base", "./x//{0}/"])
+def test_synthetic_files_are_one_group_in_path_order(prefix):
+    # 10^5 + 3 files: names past f99999.bin sort out of index order.
+    count = 10**5 + 3
+    group = synthetic_files(prefix, 2 * count - 1, seed=5, max_file_bytes=2)
+    norm = normalize_path(prefix)
+    by_path = {f"{norm}/f{i:05d}.bin": SyntheticContent(seed=5, length=2) for i in range(count - 1)}
+    by_path[f"{norm}/f{count - 1:05d}.bin"] = SyntheticContent(seed=5, length=1)
+    assert group == by_path
+    assert list(group) == sorted(by_path)
+    assert_same_tree(FileTree.of_groups(group), FileTree(by_path))
+
+
+def test_of_groups_refuses_two_groups_with_one_key():
+    with pytest.raises(ValueError):
+        FileTree.of_groups(synthetic_files("app/a", 1, seed=1), synthetic_files("app/b", 1, seed=2))
 
 
 def test_synthetic_files_share_full_size_descriptors():

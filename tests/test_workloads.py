@@ -64,6 +64,18 @@ def test_negative_sizes_rejected():
         AppProfile(name="bad", install_bytes=per_kind(0, 0), memory_bytes=-5)
 
 
+@pytest.mark.parametrize("name", ["", ".", "..", "../../etc", "a/../b", "a/./b", "a\\b", "/abs",
+                                  "x/", "a//b"])
+def test_profile_name_must_make_a_normal_path(name):
+    with pytest.raises(ValueError, match="normal path"):
+        AppProfile(name=name, install_bytes=per_kind(1, 1))
+
+
+@pytest.mark.parametrize("name", ["Face Detection", "a{}b", "a/b", ".hidden", "x..y"])
+def test_profile_names_that_make_a_normal_path(name):
+    assert AppProfile(name=name, install_bytes=per_kind(1, 1)).name == name
+
+
 def test_profile_from_dict_scalar_install():
     p = build_scenario({"profile": {"name": "tiny", "install_bytes": 1234}}, None).profile
     assert p.install_bytes[C] == 1234
