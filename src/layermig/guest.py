@@ -230,7 +230,9 @@ def restore(g: GuestInstance) -> GuestInstance:
     The memory image is rebuilt from the serialized chunks (so a guest
     whose instance tree arrived over the wire resumes with exactly the
     bytes the source had at suspend time) and the checkpoint files are
-    dropped from the instance tree.
+    dropped from the instance tree.  Chunks that all arrived as the
+    source wrote them give back the source's epoch array itself, not a
+    copy (see :func:`restore_memory`).
     """
     if g.run_state is not RunState.SUSPENDED:
         raise InvalidStateError("guest is not suspended")

@@ -21,6 +21,13 @@ A layer's files travel as one group from the moment they are made:
 :class:`TreeGroup` already in path order, :meth:`FileTree.of_groups`
 builds a tree of such groups without looking at their paths, and a
 tree delta carries a group its basis lacks as the same object.
+
+A memory image's epoch array travels the same way, from suspend to
+restore: :func:`serialize_memory` cuts the checkpoint's chunks as
+read-only views of it, and :func:`restore_memory` adopts it again once
+its checks show that the chunks that arrived tile it.  The array is
+copied only when they were not all cut from it, as after a sync onto a
+stale instance, which keeps the stale image's unchanged chunks.
 """
 
 from __future__ import annotations
@@ -29,10 +36,11 @@ import hashlib
 import json
 import math
 import posixpath
+import threading
 from bisect import bisect_left
-from dataclasses import dataclass, replace
-from itertools import accumulate, chain, islice, repeat
-from operator import attrgetter
+from dataclasses import dataclass, field, replace
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import attrgetter, is_, itemgetter, le, mod, mul
 from typing import ItemsView, Iterator, Mapping
 
 import numpy as np
@@ -48,6 +56,35 @@ def _stream_key(*parts: object) -> np.ndarray:
     return np.frombuffer(digest, dtype=np.uint64)
 
 
+_WORD = 2**64 - 1
+_THREAD = threading.local()
+
+
+def _philox(key: np.ndarray, counter: int) -> np.random.Philox:
+    """This thread's Philox bit generator, in the state a new
+    ``Philox(key=key, counter=counter)`` starts in.
+
+    The constructor also draws an OS-entropy seed sequence that the key
+    then overrides; setting the state of one generator per thread costs
+    a fifth of that.  The generator is made on the first render, so a
+    process that renders no content never imports ``numpy.random``.
+    """
+    try:
+        bg = _THREAD.philox
+    except AttributeError:
+        bg = _THREAD.philox = np.random.Philox(0)
+    bg.state = {
+        "bit_generator": "Philox",
+        "state": {"key": key, "counter": (counter & _WORD, counter >> 64 & _WORD,
+                                          counter >> 128 & _WORD, counter >> 192)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,  # empty: the next draw runs the counter
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bg
+
+
 def _stream_bytes(key: np.ndarray, length: int, offset: int = 0) -> bytes:
     """``length`` deterministic pseudo-random bytes of the stream keyed by
     ``key``, from byte ``offset`` on.
@@ -59,7 +96,7 @@ def _stream_bytes(key: np.ndarray, length: int, offset: int = 0) -> bytes:
     if length <= 0:
         return b""
     skip = offset % _STREAM_BLOCK
-    bg = np.random.Philox(key=key, counter=offset // _STREAM_BLOCK)
+    bg = _philox(key, offset // _STREAM_BLOCK)
     words = bg.random_raw(math.ceil((skip + length) / 8)).astype("<u8", copy=False)
     return words.view(np.uint8)[skip:skip + length].tobytes()
 
@@ -98,30 +135,40 @@ class SyntheticContent:
 class MemoryChunkContent:
     """A slice of a serialized memory image: whole pages, lazily rendered.
 
-    ``epochs`` stores one little-endian uint32 per page, from page
-    ``start_page`` on; it is a slice of the bytes of the image's whole
-    epoch array, taken once by :func:`serialize_memory`.  Each page's
-    bytes depend only on (seed, page index, that page's epoch), so a
-    chunk's content is stable wherever its pages are unchanged.
+    ``epochs`` holds one little-endian uint32 per page, from page
+    ``start_page`` on, as any bytes-like object.  :func:`serialize_memory`
+    gives each chunk a read-only ``memoryview`` of the image's own epoch
+    array, no copy, and privately records that array on the chunk, so
+    that :func:`restore_memory` can adopt it; a chunk made any other way,
+    by this constructor or by ``dataclasses.replace``, carries no record.
+    Equality compares values, so a view chunk equals a ``bytes`` chunk
+    of the same fields.  Each page's bytes depend only on (seed, page
+    index, that page's epoch), so a chunk's content is stable wherever
+    its pages are unchanged.
     """
 
     seed: int
     page_size: int
     start_page: int
-    epochs: bytes
+    epochs: bytes | memoryview
     wire_ratio: float = 1.0
 
-    def __init__(self, seed: int, page_size: int, start_page: int, epochs: bytes,
+    length: int = field(init=False, repr=False, compare=False)  # whole pages, in bytes
+    _cut_from = None  # the epoch array serialize_memory cut the chunk from
+
+    def __init__(self, seed: int, page_size: int, start_page: int, epochs: bytes | memoryview,
                  wire_ratio: float = 1.0):
         # A checkpoint makes one chunk per 4 MiB of RAM: one dict update
-        # costs half of the five object.__setattr__ calls of a frozen
-        # dataclass's own __init__.
+        # costs half of the six object.__setattr__ calls of a frozen
+        # dataclass's own __init__, and a stored length is read at C
+        # speed where a tree sums its files' lengths.
         self.__dict__.update(seed=seed, page_size=page_size, start_page=start_page,
-                             epochs=epochs, wire_ratio=wire_ratio)
+                             epochs=epochs, wire_ratio=wire_ratio,
+                             length=len(epochs) // 4 * page_size)
 
-    @property
-    def length(self) -> int:
-        return len(self.epochs) // 4 * self.page_size
+    def __hash__(self) -> int:
+        # A view of a numpy array is unhashable; equal chunks have equal lengths.
+        return hash((self.seed, self.page_size, self.start_page, self.length, self.wire_ratio))
 
 
 ContentDescriptor = LiteralContent | SyntheticContent | MemoryChunkContent
@@ -505,9 +552,13 @@ class MemoryImage:
     page was last modified in), so two images with equal fields
     materialize to identical bytes.
 
-    The image holds ``page_epochs`` as a read-only view, so an image
-    that guests and migrations share cannot be changed through it; the
-    caller's own array stays writable.
+    The image holds ``page_epochs`` read-only, so an image that guests
+    and migrations share cannot be changed through it: a read-only array
+    as it is given, a writable one as a read-only view, so the caller's
+    own array stays writable.  That is what lets a checkpoint hand the
+    array on by reference: the chunks of :func:`serialize_memory` are
+    views of it, and the image :func:`restore_memory` returns from them
+    may hold that same array.
     """
 
     seed: int
@@ -521,9 +572,10 @@ class MemoryImage:
             raise ValueError("page_size must be a positive multiple of 32")
         if not 0.0 <= self.churn_rate <= 1.0:
             raise ValueError("churn_rate must be within [0, 1]")
-        view = self.page_epochs.view()
-        view.flags.writeable = False
-        object.__setattr__(self, "page_epochs", view)
+        if self.page_epochs.flags.writeable:
+            view = self.page_epochs.view()
+            view.flags.writeable = False
+            object.__setattr__(self, "page_epochs", view)
 
     @property
     def pages(self) -> int:
@@ -539,7 +591,10 @@ class MemoryImage:
             and self.seed == other.seed
             and self.page_size == other.page_size
             and self.epoch == other.epoch
-            and np.array_equal(self.page_epochs, other.page_epochs)
+            # A restore that adopted the checkpointed array holds that
+            # very array, which is equal without a read.
+            and (self.page_epochs is other.page_epochs
+                 or np.array_equal(self.page_epochs, other.page_epochs))
         )
 
 
@@ -595,19 +650,25 @@ def serialize_memory(
     adopt.
 
     A chunk holds ``chunk_size // page_size`` pages, at least one; the
-    last holds what is left.  The whole epoch array is turned into bytes
-    once, and each chunk's ``epochs`` is a slice of them.
+    last holds what is left.  Nothing is copied: each chunk's ``epochs``
+    is a read-only view of its pages in the image's epoch array, and the
+    chunk records that array for :func:`restore_memory`.
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
     prefix = normalize_path(prefix)
     pages_per_chunk = max(1, chunk_size // image.page_size)
+    epochs = np.ascontiguousarray(image.page_epochs, dtype="<u4")
+    if epochs.flags.writeable:  # a copy, which is ours: the image's array is read-only
+        epochs.flags.writeable = False
+    view = memoryview(epochs.view(np.uint8))
     step = 4 * pages_per_chunk
-    blob = image.page_epochs.astype("<u4", copy=False).tobytes()
-    blobs = [blob[i:i + step] for i in range(0, len(blob), step)]
-    chunks = map(MemoryChunkContent, repeat(image.seed), repeat(image.page_size),
-                 range(0, image.pages, pages_per_chunk), blobs, repeat(wire_ratio))
-    paths = _numbered(_escaped(prefix) + "/mem-{:05d}.img", len(blobs))
+    views = [view[i:i + step] for i in range(0, len(view), step)]
+    chunks = list(map(MemoryChunkContent, repeat(image.seed), repeat(image.page_size),
+                      range(0, image.pages, pages_per_chunk), views, repeat(wire_ratio)))
+    for chunk in chunks:
+        chunk.__dict__["_cut_from"] = epochs
+    paths = _numbered(_escaped(prefix) + "/mem-{:05d}.img", len(chunks))
     group = TreeGroup(zip(paths, chunks))
     meta = {
         "seed": image.seed,
@@ -624,44 +685,83 @@ def serialize_memory(
     return _in_path_order(group)
 
 
+# Fields of the metadata that restore_memory reads as JSON integers,
+# each with its floor; "churn_rate" is a number, its range checked by
+# MemoryImage.
+_META_INTS = {"seed": -math.inf, "page_size": 1, "pages": 0, "epoch": 0}
+
+
+def _checkpoint_meta(tree: FileTree, prefix: str) -> dict:
+    """The checkpoint's ``meta.json``, parsed and checked."""
+    entry = tree.get(f"{prefix}/{MEMORY_META_FILE}")
+    if entry is None or not isinstance(entry, LiteralContent):
+        raise ValueError("checkpoint metadata missing")
+    meta = json.loads(entry.data.decode())  # a decode error is a ValueError
+    if not isinstance(meta, dict):
+        raise ValueError("checkpoint metadata is not a JSON object")
+    for key, floor in _META_INTS.items():
+        value = meta.get(key)
+        if type(value) is not int or value < floor:
+            raise ValueError(f"checkpoint metadata has {key} = {value!r}")
+    if type(meta.get("churn_rate")) not in (int, float):
+        raise ValueError(f"checkpoint metadata has churn_rate = {meta.get('churn_rate')!r}")
+    return meta
+
+
+_VALUE = itemgetter(1)
+_SEED = attrgetter("seed")
+_PAGE_SIZE = attrgetter("page_size")
 _START_PAGE = attrgetter("start_page")
+_EPOCHS = attrgetter("epochs")
+_CUT_FROM = attrgetter("_cut_from")
 
 
 def restore_memory(tree: FileTree, *, prefix: str = "checkpoint") -> MemoryImage:
     """Rebuild a MemoryImage from checkpoint files previously produced by
     :func:`serialize_memory`.
 
-    Every chunk must carry the seed and page size of the metadata and
-    whole uint32 pages, and the chunks, in ``start_page`` order, must
-    cover pages 0 to ``pages - 1`` with no gap or overlap.  Those checks
-    read only the chunks' fields and lengths; the epoch array is then
-    built by one join of their bytes, and is read-only.  Raises
-    ValueError when a file is missing or a check fails.
+    ``meta.json`` must be a JSON object whose seed, page size, page
+    count and epoch are integers (the last three not negative) and whose
+    churn rate is a number.  Every chunk must carry the seed and page
+    size of the metadata and whole uint32 pages, and the chunks, in
+    ``start_page`` order, must cover pages 0 to ``pages - 1`` with no
+    gap or overlap.  Those checks read only the chunks' fields and
+    lengths.  When every chunk was cut from one epoch array of ``pages``
+    entries, they have just shown that the chunks tile it, and the image
+    adopts that array; otherwise, as after a sync that patched some
+    chunks of a stale checkpoint, the epochs are joined.  Either way the
+    image's array is read-only.  Raises ValueError when a file is
+    missing or a check fails.
     """
-    meta_entry = tree.get(f"{prefix}/{MEMORY_META_FILE}")
-    if meta_entry is None or not isinstance(meta_entry, LiteralContent):
-        raise ValueError("checkpoint metadata missing")
-    meta = json.loads(meta_entry.data.decode())
-    chunks = sorted(
-        (entry for _, entry in tree.subtree(prefix).items() if isinstance(entry, MemoryChunkContent)),
-        key=_START_PAGE,
-    )
-    if {(chunk.seed, chunk.page_size) for chunk in chunks} - {(meta["seed"], meta["page_size"])}:
+    meta = _checkpoint_meta(tree, prefix)
+    entries = list(map(_VALUE, tree.subtree(prefix).items()))
+    chunks = list(compress(entries, map(isinstance, entries, repeat(MemoryChunkContent))))
+    if set(map(_SEED, chunks)) - {meta["seed"]} or set(map(_PAGE_SIZE, chunks)) - {meta["page_size"]}:
         raise ValueError("checkpoint chunk seed or page size differs from its metadata")
-    blobs = [chunk.epochs for chunk in chunks]
-    offsets = [0, *accumulate(map(len, blobs))]
+    starts = list(map(_START_PAGE, chunks))
+    if not all(map(le, starts, islice(starts, 1, None))):
+        chunks.sort(key=_START_PAGE)
+        starts.sort()
+    lengths = list(map(len, map(_EPOCHS, chunks)))
+    offsets = [0, *accumulate(lengths)]
     # Compared in bytes, the offsets also catch a chunk that holds a
     # partial page: every offset after it is off a page boundary.
-    if [4 * chunk.start_page for chunk in chunks] != offsets[:-1] or offsets[-1] % 4:
-        if any(len(blob) % 4 for blob in blobs):
+    if list(map(mul, starts, repeat(4))) != offsets[:-1] or offsets[-1] % 4:
+        if any(map(mod, lengths, repeat(4))):
             raise ValueError("checkpoint chunk holds a partial page")
         raise ValueError("checkpoint chunks are not contiguous")
     if offsets[-1] != 4 * meta["pages"]:
         raise ValueError(f"checkpoint covers {offsets[-1] // 4} pages, expected {meta['pages']}")
+    cut_from = chunks[0]._cut_from if chunks else None
+    if (cut_from is not None and len(cut_from) == meta["pages"]
+            and all(map(is_, map(_CUT_FROM, chunks), repeat(cut_from)))):
+        page_epochs = cut_from
+    else:
+        page_epochs = np.frombuffer(b"".join(map(_EPOCHS, chunks)), dtype="<u4")
     return MemoryImage(
         seed=meta["seed"],
         page_size=meta["page_size"],
         epoch=meta["epoch"],
-        page_epochs=np.frombuffer(b"".join(blobs), dtype="<u4"),
+        page_epochs=page_epochs,
         churn_rate=meta["churn_rate"],
     )

@@ -1,11 +1,16 @@
 """Helpers the tests check the package against: whole renders of trees
-and memory images, checkpoint files built chunk by chunk, tree equality
+and memory images, content streams from a new generator each,
+checkpoint files built chunk by chunk and restored by one join, the
+tracemalloc peak of a call, tree equality
 in path order, the superset relation between trees, and the
 byte-at-a-time weak checksum and its rolling update for the greedy
 reference scan.  Each is linear in what it renders or walks, so use
 them at small scales."""
 
 import json
+import math
+import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 
@@ -29,6 +34,27 @@ def materialize(tree: FileTree) -> dict[str, bytes]:
 def materialize_memory(image: MemoryImage) -> bytes:
     """All pages of ``image``, concatenated."""
     return _page_run_bytes(image.seed, image.page_size, 0, image.page_epochs, 0, image.total_bytes)
+
+
+def stream_bytes_by_constructor(key: np.ndarray, length: int, offset: int = 0) -> bytes:
+    """``layer_store._stream_bytes`` from a new ``Philox(key, counter)``
+    per stream, as the package rendered content before it reused one
+    generator per thread."""
+    if length <= 0:
+        return b""
+    skip = offset % 32
+    bg = np.random.Philox(key=key, counter=offset // 32)
+    words = bg.random_raw(math.ceil((skip + length) / 8)).astype("<u8", copy=False)
+    return words.view(np.uint8)[skip:skip + length].tobytes()
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the tracemalloc peak of the call alone."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def serialize_memory_by_chunk(image: MemoryImage, chunk_size: int, *, wire_ratio: float = 1.0):
@@ -58,6 +84,28 @@ def serialize_memory_by_chunk(image: MemoryImage, chunk_size: int, *, wire_ratio
         data=json.dumps(meta, sort_keys=True).encode()
     )
     return entries
+
+
+def restore_memory_by_join(tree: FileTree, *, prefix: str = "checkpoint") -> MemoryImage:
+    """:func:`layer_store.restore_memory` as a copy-always reference:
+    the same checks with the same messages, over the chunks sorted by
+    ``start_page``, then one join of every chunk's epochs."""
+    meta = json.loads(tree.get(f"{prefix}/{MEMORY_META_FILE}").data.decode())
+    chunks = sorted((entry for _, entry in tree.subtree(prefix).items()
+                     if isinstance(entry, MemoryChunkContent)), key=lambda c: c.start_page)
+    if {(chunk.seed, chunk.page_size) for chunk in chunks} - {(meta["seed"], meta["page_size"])}:
+        raise ValueError("checkpoint chunk seed or page size differs from its metadata")
+    blobs = [chunk.epochs for chunk in chunks]
+    offsets = [0, *accumulate(map(len, blobs))]
+    if [4 * chunk.start_page for chunk in chunks] != offsets[:-1] or offsets[-1] % 4:
+        if any(len(blob) % 4 for blob in blobs):
+            raise ValueError("checkpoint chunk holds a partial page")
+        raise ValueError("checkpoint chunks are not contiguous")
+    if offsets[-1] != 4 * meta["pages"]:
+        raise ValueError(f"checkpoint covers {offsets[-1] // 4} pages, expected {meta['pages']}")
+    return MemoryImage(seed=meta["seed"], page_size=meta["page_size"], epoch=meta["epoch"],
+                       page_epochs=np.frombuffer(b"".join(blobs), dtype="<u4"),
+                       churn_rate=meta["churn_rate"])
 
 
 def assert_same_tree(tree: FileTree, ref: FileTree) -> None:

@@ -41,7 +41,7 @@ from layermig.layer_store import (
     new_memory_image,
     serialize_memory,
 )
-from oracles import block_length, materialize, weak_roll
+from oracles import block_length, materialize, traced_peak, weak_roll
 from oracles import weak_checksum as ref_weak_checksum
 
 
@@ -480,15 +480,6 @@ def test_scan_filter_passes_few_starts_of_a_large_basis():
     assert filt[delta_sync._filter_slots(known, filt)].all()
     probe = delta_sync._window_weaks(g.bytes(delta_sync.SCAN_WINDOW + L - 1), L)
     assert filt[delta_sync._filter_slots(probe, filt)].mean() <= 0.05
-
-
-def traced_peak(fn, *args):
-    """``fn(*args)`` and the tracemalloc peak of the call alone."""
-    tracemalloc.start()
-    try:
-        return fn(*args), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")

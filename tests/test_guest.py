@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import pytest
@@ -21,6 +22,7 @@ from layermig.layer_store import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_PAGE_SIZE,
     FileTree,
+    LiteralContent,
     MemoryChunkContent,
     synthetic_files,
 )
@@ -161,7 +163,7 @@ FOREIGN_CHUNKS = {
     "foreign-seed": lambda chunk: replace(chunk, seed=chunk.seed + 1),
     "foreign-page-size": lambda chunk: replace(chunk, page_size=2 * chunk.page_size),
     "partial-page": lambda chunk: replace(chunk, epochs=chunk.epochs[:-2]),
-    "page-and-a-half": lambda chunk: replace(chunk, epochs=chunk.epochs + b"\0\0"),
+    "page-and-a-half": lambda chunk: replace(chunk, epochs=bytes(chunk.epochs) + b"\0\0"),
 }
 
 
@@ -177,6 +179,35 @@ def test_restore_rejects_a_chunk_the_checkpoint_did_not_write(alter, index):
     with pytest.raises(CorruptInstanceError):
         restore(broken)
     assert restore(g).memory == g.memory
+
+
+# A meta.json that serialize_memory never writes, each refused as corrupt.
+MALFORMED_META = {
+    "pages-missing": lambda meta: {k: v for k, v in meta.items() if k != "pages"},
+    "json-list": lambda meta: list(meta.items()),
+    "negative-epoch": lambda meta: {**meta, "epoch": -1},
+    "float-pages": lambda meta: {**meta, "pages": float(meta["pages"])},
+    "bool-page-size": lambda meta: {**meta, "page_size": True},
+    "string-seed": lambda meta: {**meta, "seed": str(meta["seed"])},
+    "zero-page-size": lambda meta: {**meta, "page_size": 0},
+    "churn-rate-missing": lambda meta: {k: v for k, v in meta.items() if k != "churn_rate"},
+    "churn-rate-string": lambda meta: {**meta, "churn_rate": "0.5"},
+    "not-json": lambda meta: "{",
+    "not-utf-8": lambda meta: b"\xff",
+}
+
+
+@pytest.mark.parametrize("malform", MALFORMED_META.values(), ids=MALFORMED_META.keys())
+def test_restore_rejects_malformed_metadata(malform):
+    g = checkpoint(build_guest(container_spec(), profile_by_name("Game Server"),
+                               seed=8, scale=0.01))
+    path = f"{CHECKPOINT_PREFIX}/meta.json"
+    meta = malform(json.loads(g.instance.get(path).data))
+    data = meta if isinstance(meta, bytes) else meta.encode() if isinstance(meta, str) \
+        else json.dumps(meta).encode()
+    broken = replace(g, instance=g.instance.with_entries({path: LiteralContent(data)}))
+    with pytest.raises(CorruptInstanceError):
+        restore(broken)
 
 
 def test_build_guest_rejects_bad_scale():

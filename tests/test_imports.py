@@ -1,7 +1,11 @@
-"""No module of the package imports a name it never uses.  Standard
-library only: each module's syntax tree, its imports against its names."""
+"""No module of the package imports a name it never uses, checked on
+each module's syntax tree; and a reference migration imports no
+module it does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +46,30 @@ def test_checker_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# One Table 1 migration as ``layermig reproduce`` runs it, with the
+# packaged calibration; it renders no content byte.
+REFERENCE_MIGRATION = """
+import json, sys
+from importlib import resources
+import layermig
+from layermig.calibrate import load_calibration
+from layermig.cli import _reference_scenario
+ref = resources.files("layermig").joinpath("reference", "calibration_default.json")
+calibration = load_calibration(json.loads(ref.read_text(encoding="utf-8")))
+for kind in layermig.Virtualization:
+    scenario = _reference_scenario(kind, layermig.profile_by_name("RAM Simulation"),
+                                   "three_layer_app_found", calibration, seed_base=1, scale=1.0)
+    layermig.run_migration(scenario)
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_a_reference_migration_leaves_numpy_random_unloaded():
+    # Importing numpy.random costs a fresh process about 14 ms and 6 MB;
+    # only rendering content, or churning memory, needs it.
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", REFERENCE_MIGRATION], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.split() == ["False"]

@@ -1,10 +1,12 @@
+import json
 import math
 import posixpath
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from layermig.delta_sync import (
@@ -32,10 +34,19 @@ from layermig.layer_store import (
     new_memory_image,
     normalize_path,
     restore_memory,
+    _stream_bytes,
     serialize_memory,
     synthetic_files,
 )
-from oracles import assert_same_tree, is_superset, materialize_memory, serialize_memory_by_chunk
+from oracles import (
+    assert_same_tree,
+    is_superset,
+    materialize_memory,
+    restore_memory_by_join,
+    serialize_memory_by_chunk,
+    stream_bytes_by_constructor,
+    traced_peak,
+)
 
 MB = 1_000_000
 
@@ -96,6 +107,31 @@ def test_ranged_render_is_a_slice_of_the_whole(kind, size, page_size, steps, see
     start = data.draw(st.integers(0, entry.length + 40))
     stop = data.draw(st.none() | st.integers(0, entry.length + 40))
     assert materialize_entry("a/f.bin", entry, start, stop) == whole[start:stop]
+
+
+# Offsets on and off the 32-byte stream block, with counters past 2^64.
+STREAM_OFFSETS = st.tuples(st.integers(0, 2**70), st.integers(0, 31)).map(lambda bs: 32 * bs[0] + bs[1])
+STREAM_KEYS = st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=STREAM_KEYS, offset=STREAM_OFFSETS, length=st.integers(0, 3 * 4096),
+       before=st.tuples(STREAM_KEYS, STREAM_OFFSETS, st.integers(0, 100)))
+def test_stream_bytes_match_a_new_generator(key, offset, length, before):
+    # ``before`` leaves the thread's generator mid-stream first.
+    _stream_bytes(np.array(before[0], dtype=np.uint64), before[2], before[1])
+    key = np.array(key, dtype=np.uint64)
+    assert _stream_bytes(key, length, offset) == stream_bytes_by_constructor(key, length, offset)
+
+
+def test_stream_bytes_are_the_same_on_another_thread():
+    key = np.array([7, 2**63 + 5], dtype=np.uint64)
+    here = _stream_bytes(key, 5000, 77)
+    there = []
+    worker = threading.Thread(target=lambda: there.append(_stream_bytes(key, 5000, 77)))
+    worker.start()
+    worker.join()
+    assert there == [here] and here == stream_bytes_by_constructor(key, 5000, 77)
 
 
 def test_path_normalization():
@@ -552,9 +588,12 @@ def test_checkpoint_files_match_the_chunk_by_chunk_reference(pages, page_size, c
     entries = serialize_memory(image, chunk_size, wire_ratio=0.5)
     reference = serialize_memory_by_chunk(image, chunk_size, wire_ratio=0.5)
     assert list(entries.items()) == list(reference.items())
-    assert all(type(e.epochs) is bytes for e in entries.values() if isinstance(e, MemoryChunkContent))
+    # Each chunk's epochs are a read-only view, and restore adopts the array they view.
+    assert all(memoryview(e.epochs).readonly
+               for e in entries.values() if isinstance(e, MemoryChunkContent))
     restored = restore_memory(FileTree(entries))
     assert restored == image
+    assert np.shares_memory(restored.page_epochs, image.page_epochs) or image.pages == 0
     assert serialize_memory(restored, chunk_size, wire_ratio=0.5) == entries
 
 
@@ -570,6 +609,123 @@ def test_memory_image_holds_a_read_only_view():
     restored = restore_memory(FileTree(serialize_memory(stepped)))
     with pytest.raises(ValueError):
         restored.page_epochs[0] = 5
+
+
+def test_restore_adopts_the_checkpointed_array():
+    image = advance_memory(new_memory_image(3 * MB, seed=9, churn_rate=0.2), 2)
+    restored = restore_memory(FileTree(serialize_memory(image, 1 * MB)))
+    assert restored == image
+    # The very array, read-only, so comparing the two images reads no page.
+    assert restored.page_epochs is image.page_epochs
+    assert not restored.page_epochs.flags.writeable
+
+
+def test_view_chunks_equal_bytes_chunks():
+    image = advance_memory(new_memory_image(5 * 4096, seed=4, churn_rate=0.4), 1)
+    entries = serialize_memory(image, 2 * 4096)
+    for path, written in serialize_memory_by_chunk(image, 2 * 4096).items():
+        chunk = entries[path]
+        assert chunk == written and hash(chunk) == hash(written)
+        if isinstance(chunk, MemoryChunkContent):
+            assert type(written.epochs) is bytes and type(chunk.epochs) is memoryview
+            assert chunk._cut_from is not None and written._cut_from is None
+            assert replace(chunk)._cut_from is None  # a replaced chunk claims no array
+
+
+def checkpoint_tree(chunks: list, meta: LiteralContent) -> FileTree:
+    """A checkpoint holding ``chunks`` in path order, and ``meta``."""
+    entries = {f"checkpoint/mem-{i:05d}.img": chunk for i, chunk in enumerate(chunks)}
+    entries["checkpoint/meta.json"] = meta
+    return FileTree(entries)
+
+
+CHUNK_EDITS = {
+    "seed": lambda chunk, k: replace(chunk, seed=chunk.seed + k),
+    "page_size": lambda chunk, k: replace(chunk, page_size=chunk.page_size * (k + 1)),
+    "start_page": lambda chunk, k: replace(chunk, start_page=chunk.start_page + k),
+    "same": lambda chunk, k: replace(chunk),
+    "shorter": lambda chunk, k: replace(chunk, epochs=bytes(chunk.epochs)[:-k]),
+    "longer": lambda chunk, k: replace(chunk, epochs=bytes(chunk.epochs) + bytes(k)),
+    "other epochs": lambda chunk, k: replace(
+        chunk, epochs=bytes(b ^ k for b in bytes(chunk.epochs))),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(pages=st.integers(0, 24), page_size=st.sampled_from([32, 96]),
+       chunk_pages=st.integers(1, 5), other_seed=st.booleans(), data=st.data())
+def test_restore_matches_the_join_oracle(pages, page_size, chunk_pages, other_seed, data):
+    # Chunks of two images of one size, mixed, dropped, duplicated,
+    # permuted and edited: restore returns what the join returns, or
+    # raises the same error, and shares an image's array exactly when
+    # every chunk is one that image's checkpoint wrote.
+    a = advance_memory(new_memory_image(pages * page_size, 1, page_size=page_size,
+                                        churn_rate=0.3), 1)
+    b = (new_memory_image(pages * page_size, 2, page_size=page_size) if other_seed
+         else advance_memory(a, 1))
+    b_pages = data.draw(st.sampled_from([chunk_pages, chunk_pages + 1]))
+    a_group = serialize_memory(a, chunk_pages * page_size)
+    a_chunks = [e for e in a_group.values() if isinstance(e, MemoryChunkContent)]
+    b_chunks = [e for e in serialize_memory(b, b_pages * page_size).values()
+                if isinstance(e, MemoryChunkContent)]
+    chunks = list(a_chunks)
+    edits = st.sampled_from(["mix", "drop", "duplicate", "permute", "edit"])
+    for edit in data.draw(st.lists(edits, max_size=4)):
+        if not chunks:
+            break
+        i = data.draw(st.integers(0, len(chunks) - 1))
+        if edit == "mix" and b_chunks:
+            chunks[i] = b_chunks[min(i, len(b_chunks) - 1)]
+        elif edit == "drop":
+            del chunks[i]
+        elif edit == "duplicate":
+            chunks.insert(data.draw(st.integers(0, len(chunks))), chunks[i])
+        elif edit == "permute":
+            chunks = data.draw(st.permutations(chunks))
+        elif edit == "edit":
+            change = CHUNK_EDITS[data.draw(st.sampled_from(sorted(CHUNK_EDITS)))]
+            chunks[i] = change(chunks[i], data.draw(st.integers(1, 3)))
+    tree = checkpoint_tree(chunks, a_group["checkpoint/meta.json"])
+    try:
+        expected = restore_memory_by_join(tree)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            restore_memory(tree)
+        assert str(caught.value) == str(exc)
+        event(f"refused: {exc}".split(",")[0])
+        return
+    restored = restore_memory(tree)
+    assert restored == expected
+    assert not restored.page_epochs.flags.writeable
+    adopted = []
+    for image, written in ((a, a_chunks), (b, b_chunks)):
+        adopts = bool(chunks) and all(any(c is w for w in written) for c in chunks)
+        assert np.shares_memory(restored.page_epochs, image.page_epochs) == adopts
+        adopted.append(adopts)
+    event("restored by adoption" if any(adopted) else "restored by a join")
+
+
+def test_restore_of_a_checkpoint_prefix_is_a_copy():
+    # Chunks cut from one array that tile only its first pages, under a
+    # meta.json that counts just those pages: the array is too long to adopt.
+    image = advance_memory(new_memory_image(10 * 4096, seed=5, churn_rate=0.5), 1)
+    group = serialize_memory(image, 4 * 4096)
+    meta = json.loads(group["checkpoint/meta.json"].data)
+    chunks = [group["checkpoint/mem-00000.img"], group["checkpoint/mem-00001.img"]]
+    tree = checkpoint_tree(chunks, LiteralContent(json.dumps({**meta, "pages": 8}).encode()))
+    restored = restore_memory(tree)
+    assert restored == restore_memory_by_join(tree)
+    assert list(restored.page_epochs) == list(image.page_epochs[:8])
+
+
+def test_checkpoint_by_reference_allocates_a_fraction_of_the_epochs():
+    image = new_memory_image(600 * MB, seed=3)  # 146,485 pages: 586 KB of epochs
+    serialize_memory(image)  # names the chunk paths, once per process
+    group, serialize_peak = traced_peak(serialize_memory, image)
+    restored, restore_peak = traced_peak(restore_memory, FileTree.of_groups(group))
+    assert np.shares_memory(restored.page_epochs, image.page_epochs)
+    assert serialize_peak < 0.25 * image.page_epochs.nbytes
+    assert restore_peak < 0.1 * image.page_epochs.nbytes
 
 
 def test_restore_rejects_missing_chunks():

@@ -26,7 +26,7 @@ from layermig.migrator import (
 )
 from layermig.netsim import LinkSpec
 from layermig.workloads import builtin_profiles, profile_by_name
-from oracles import materialize, materialize_memory
+from oracles import materialize, materialize_memory, traced_peak
 
 TWO = MigrationMode.TWO_LAYER
 THREE = MigrationMode.THREE_LAYER
@@ -116,6 +116,18 @@ def test_inconsistent_destination_rejected():
 
 
 # --- run_migration -------------------------------------------------------------
+
+
+def test_vm_600mb_migration_holds_one_epoch_array():
+    # The Fig. 5 RAM sweep's 600 MB VM cell: the epoch array flows from
+    # suspend to restore by reference, so the peak holds it about once.
+    profile = profile_by_name("RAM Simulation").with_memory(600_000_000)
+    s = scenario(profile, THREE, DestinationState(True, True, False), spec=vm_spec(), scale=1.0)
+    epochs_bytes = 4 * math.ceil(600_000_000 / 4096)
+    run_migration(s)  # names the files once per process
+    outcome, peak = traced_peak(run_migration, s)
+    assert outcome.destination.memory == outcome.source_at_suspend.memory
+    assert peak <= 1.6 * epochs_bytes
 
 
 def assert_destination_matches_source(outcome):
