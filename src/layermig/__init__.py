@@ -20,7 +20,6 @@ from .guest import (
     GuestSpec,
     InvalidStateError,
     CorruptInstanceError,
-    RunState,
     Virtualization,
     build_guest,
     checkpoint,

@@ -26,11 +26,11 @@ a bound, as the data do not identify it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError, calibration_block, read_json
 from .guest import GuestSpec, Virtualization, container_spec, vm_spec
 from .migrator import (
     COST_TERMS,
@@ -289,20 +289,17 @@ def calibration_to_dict(results: dict[Virtualization, FitResult]) -> dict:
 
 
 def load_calibration(path_or_dict) -> dict[Virtualization, tuple[CostModel, float]]:
-    """Calibration file -> {virtualization: (cost model, processing cap)}."""
-    if isinstance(path_or_dict, dict):
-        data = path_or_dict
-    else:
-        with open(path_or_dict, encoding="utf-8") as fh:
-            data = json.load(fh)
-    out = {}
-    for virtualization in Virtualization:
-        section = data.get(virtualization.value)
-        if section:
-            out[virtualization] = (
-                CostModel(**section["cost_model"]),
-                float(section["processing_cap_bps"]),
-            )
+    """Calibration file -> {virtualization: (cost model, processing cap)}.
+
+    A file that cannot be read, is not a JSON object, holds no block of
+    either kind or holds a block :func:`config.calibration_block`
+    refuses raises :class:`ConfigError`."""
+    data = path_or_dict if isinstance(path_or_dict, dict) else read_json(
+        path_or_dict, "calibration file")
+    if not isinstance(data, dict):
+        raise ConfigError("calibration file must be a JSON object")
+    out = {kind: calibration_block(data[kind.value], f"calibration.{kind.value}")
+           for kind in Virtualization if data.get(kind.value)}
     if not out:
-        raise CalibrationError("calibration file holds no cost models")
+        raise ConfigError("calibration file holds no cost models")
     return out

@@ -1,8 +1,8 @@
 """Command-line harness: run scenarios, parameter sweeps, calibration,
 and reference-reproduction reports.
 
-Exit codes: 0 success, 2 invalid config, 3 internal failure, 4 missing
-calibration file, 5 underdetermined calibration fit.
+Exit codes: 0 success, 2 invalid config or calibration file, 3 internal
+failure, 4 missing calibration file, 5 underdetermined calibration fit.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .calibrate import (
     fit_cost_model,
     load_calibration,
 )
-from .config import ConfigError, build_scenario, load_scenario_config
+from .config import ConfigError, build_scenario, calibrated, load_scenario_config
 from .guest import Virtualization, container_spec, vm_spec
 from .migrator import (
     CostModel,
@@ -196,7 +196,7 @@ def _reference_scenario(
     scale: float,
 ) -> MigrationScenario:
     mode, dest = CONFIG_DESTS[config]
-    cost_model, cap = calibration[kind]
+    cost_model, cap = calibrated(calibration, kind)
     spec = container_spec() if kind is Virtualization.CONTAINER else vm_spec()
     return MigrationScenario(
         guest_spec=spec,

@@ -39,6 +39,10 @@ are in range:
 An integer field takes an integral number (``2048.0`` reads as 2048).
 Every problem, including a value a dataclass rejects, raises
 :class:`ConfigError`.
+
+A calibration file is input of the same kind: each virtualization's
+block holds a ``cost_model``, walked as the config block of that name
+is, and a ``processing_cap_bps`` number (see :func:`calibration_block`).
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from dataclasses import MISSING, fields, replace
 
 from .guest import GuestSpec, Virtualization, container_spec, vm_spec
 from .migrator import CostModel, DestinationState, MigrationMode, MigrationScenario
-from .netsim import MB, LinkSpec
+from .netsim import MB, LinkSpec, require_rate
 from .workloads import AppProfile, profile_by_name
 
 _SCALARS = {f.name: f.type for f in fields(MigrationScenario) if f.default is not MISSING}
@@ -124,17 +128,41 @@ def _choice(cls, value, where: str):
         raise ConfigError(f"{where} must be {names}") from None
 
 
-def load_scenario_config(path) -> dict:
-    """Read a config file and check it; needs no calibration."""
+def read_json(path, what: str):
+    """The JSON value of the file at ``path``, the ``what`` of an error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read scenario config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario config is not valid JSON: {exc}") from exc
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def load_scenario_config(path) -> dict:
+    """Read a config file and check it; needs no calibration."""
+    data = read_json(path, "scenario config")
     build_scenario(data, None)
     return data
+
+
+def calibration_block(block, where: str) -> tuple[CostModel, float]:
+    """One virtualization's block of a calibration file: (its cost
+    model, its processing cap in bits/s)."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object")
+    cost_model = _record(CostModel, block.get("cost_model"), f"{where}.cost_model")
+    cap = _value(block.get("processing_cap_bps"), "float", f"{where}.processing_cap_bps")
+    _build(where, require_rate, "processing_cap_bps", cap)  # infinite: no cap
+    return cost_model, float(cap)
+
+
+def calibrated(calibration: dict[Virtualization, tuple[CostModel, float]],
+               kind: Virtualization) -> tuple[CostModel, float]:
+    """``kind``'s (cost model, processing cap) in ``calibration``."""
+    if kind not in calibration:
+        raise ConfigError(f"calibration holds no cost model for {kind.value!r}")
+    return calibration[kind]
 
 
 def build_scenario(
@@ -183,9 +211,7 @@ def build_scenario(
     if data.get("cost_model") is not None:
         cost_model = _record(CostModel, data["cost_model"], "scenario.cost_model")
     elif calibration is not None:
-        if kind not in calibration:
-            raise ConfigError(f"calibration holds no cost model for {kind.value!r}")
-        cost_model, cap = calibration[kind]
+        cost_model, cap = calibrated(calibration, kind)
 
     link = data.get("link", {})
     _reject_unknown(link, _LINK_FIELDS, "scenario.link")

@@ -697,7 +697,6 @@ class TreeDelta:
     that order.
     """
 
-    block_size: int
     entries: tuple[tuple[str, Patched | Deleted], ...]
     created: FileTree
 
@@ -807,7 +806,7 @@ def sync_tree(
             group = target.group(key) or _NOTHING
             if held is not group:
                 entries += [(path, _DELETED) for path in held if path not in group]
-    delta = TreeDelta(block_size, tuple(entries), FileTree._of(created_groups))
+    delta = TreeDelta(tuple(entries), FileTree._of(created_groups))
     return delta, stats
 
 

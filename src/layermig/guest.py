@@ -1,6 +1,7 @@
 """Guest lifecycle: build a layered guest from a base image and an
-application profile, checkpoint it (suspend and serialize memory into
-the instance tree), and restore it."""
+application profile, checkpoint it (suspend and serialize its memory
+into a checkpoint tree of its own, as CRIU dumps to an image directory),
+and restore it."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from dataclasses import dataclass, fields, replace
 from .layer_store import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_PAGE_SIZE,
+    VM_STATE_FILE,
     FileTree,
     MemoryImage,
     SyntheticContent,
@@ -21,22 +23,15 @@ from .layer_store import (
 )
 from .netsim import MB, require_finite
 
-CHECKPOINT_PREFIX = "checkpoint"
-VM_STATE_FILE = "checkpoint/vmstate.img"
-
 
 class Virtualization(enum.Enum):
     CONTAINER = "container"
     VM = "vm"
 
 
-class RunState(enum.Enum):
-    RUNNING = "running"
-    SUSPENDED = "suspended"
-
-
 class InvalidStateError(Exception):
-    """Operation not legal in the guest's current run state."""
+    """Operation not legal while the guest is running, or while it is
+    suspended."""
 
 
 class CorruptInstanceError(Exception):
@@ -104,12 +99,13 @@ def vm_spec() -> GuestSpec:
 @dataclass(frozen=True)
 class GuestInstance:
     """A built guest: the trees of its base, application and instance
-    layers, its memory image, and its run state.
+    layers, its memory image, and its checkpoint.
 
-    Each tree holds its layer's own files and every file of the layers
-    below it.  In two-layer packaging ``app`` is None and ``instance``
-    holds the application files.  Checkpoint files are present in the
-    instance tree exactly while the guest is suspended.
+    Each layer tree holds its layer's own files and every file of the
+    layers below it.  In two-layer packaging ``app`` is None and
+    ``instance`` holds the application files.  ``checkpoint`` is the
+    tree of checkpoint files while the guest is suspended, and None
+    while it runs.
     """
 
     spec: GuestSpec
@@ -117,10 +113,10 @@ class GuestInstance:
     app: FileTree | None
     instance: FileTree
     memory: MemoryImage
-    run_state: RunState
     seed: int
     scale: float
     memory_wire_ratio: float = 1.0
+    checkpoint: FileTree | None = None
 
 
 def _scaled(size: int, scale: float) -> int:
@@ -195,7 +191,6 @@ def build_guest(
         app=app_tree,
         instance=instance,
         memory=memory,
-        run_state=RunState.RUNNING,
         seed=seed,
         scale=scale,
         memory_wire_ratio=app.memory_wire_ratio[kind],
@@ -203,42 +198,39 @@ def build_guest(
 
 
 def checkpoint(g: GuestInstance, chunk_size: int = DEFAULT_CHUNK_SIZE) -> GuestInstance:
-    """Suspend the guest and serialize its memory into the instance tree.
+    """Suspend the guest and serialize its memory into its checkpoint
+    tree; the instance tree is left as it is, the same object.
 
     VM guests additionally write a save-state file (device and mapping
     state plus untouched RAM) whose size does not depend on the
     application.
     """
-    if g.run_state is not RunState.RUNNING:
+    if g.checkpoint is not None:
         raise InvalidStateError("guest is already suspended")
-    files = serialize_memory(
-        g.memory, chunk_size, prefix=CHECKPOINT_PREFIX, wire_ratio=g.memory_wire_ratio
-    )
+    files = serialize_memory(g.memory, chunk_size, wire_ratio=g.memory_wire_ratio)
     floor = _scaled(g.spec.memory_floor_bytes, g.scale)
     if floor:  # "vmstate.img" sorts after the chunks and "meta.json"
         files[VM_STATE_FILE] = SyntheticContent(
             seed=g.seed ^ 0x54A7E, length=floor, epoch=g.memory.epoch,
             wire_ratio=g.spec.memory_floor_wire_ratio,
         )
-    instance = g.instance.with_entries(FileTree.of_groups(files))
-    return replace(g, instance=instance, run_state=RunState.SUSPENDED)
+    return replace(g, checkpoint=FileTree.of_groups(files))
 
 
 def restore(g: GuestInstance) -> GuestInstance:
-    """Resume a suspended guest from its checkpoint files.
+    """Resume a suspended guest from its checkpoint tree.
 
     The memory image is rebuilt from the serialized chunks (so a guest
-    whose instance tree arrived over the wire resumes with exactly the
-    bytes the source had at suspend time) and the checkpoint files are
-    dropped from the instance tree.  Chunks that all arrived as the
-    source wrote them give back the source's epoch array itself, not a
-    copy (see :func:`restore_memory`).
+    whose checkpoint arrived over the wire resumes with exactly the
+    bytes the source had at suspend time) and the checkpoint is
+    dropped; the instance tree is left as it is, the same object.
+    Chunks that all arrived as the source wrote them give back the
+    source's epoch array itself, not a copy (see :func:`restore_memory`).
     """
-    if g.run_state is not RunState.SUSPENDED:
+    if g.checkpoint is None:
         raise InvalidStateError("guest is not suspended")
     try:
-        memory = restore_memory(g.instance, prefix=CHECKPOINT_PREFIX)
+        memory = restore_memory(g.checkpoint)
     except ValueError as exc:
         raise CorruptInstanceError(str(exc)) from exc
-    _, kept = g.instance.split(CHECKPOINT_PREFIX)
-    return replace(g, instance=kept, memory=memory, run_state=RunState.RUNNING)
+    return replace(g, memory=memory, checkpoint=None)

@@ -8,13 +8,17 @@ still materializing to real, incompressible bytes whenever the delta
 engine needs them.
 
 A :class:`FileTree` holds its entries in groups, one per top-level
-directory (``base/``, ``app/``, ``data/``, ``inst/``, ``virt/``,
-``checkpoint/``) or file at the root, and trees derived from one
-another share every group they leave unchanged, as git trees and
-copy-on-write image layers share what they do not change.  A guest's
-base, application and instance trees hold its base files as one group,
-and copying, comparing or syncing two trees costs per group that
-differs, not per file of the base.
+directory (``base/``, ``app/``, ``data/``, ``inst/``, ``virt/``) or
+file at the root, and trees derived from one another share every group
+they leave unchanged, as git trees and copy-on-write image layers share
+what they do not change.  A guest's base, application and instance
+trees hold its base files as one group, and copying, comparing or
+syncing two trees costs per group that differs, not per file of the
+base.
+
+A checkpoint is a tree of its own, as CRIU dumps to an image directory
+of its own: every path of it lies under ``CHECKPOINT_PREFIX``, and no
+layer tree holds one.
 
 A layer's files travel as one group from the moment they are made:
 :func:`synthetic_files` and :func:`serialize_memory` return a
@@ -47,6 +51,11 @@ import numpy as np
 
 DEFAULT_PAGE_SIZE = 4096
 DEFAULT_CHUNK_SIZE = 4 * 1024 * 1024
+# Every path of a checkpoint tree lies under this directory; the VM save
+# file's bytes are keyed by its path.
+CHECKPOINT_PREFIX = "checkpoint"
+VM_STATE_FILE = f"{CHECKPOINT_PREFIX}/vmstate.img"
+MEMORY_META_FILE = f"{CHECKPOINT_PREFIX}/meta.json"
 _STREAM_BLOCK = 32  # bytes produced per Philox counter increment
 
 
@@ -334,8 +343,7 @@ class FileTree:
     A derived tree copies only the groups it changes and shares the
     rest by reference: the base layer's ``base/`` group is one object in
     the base, application and instance trees of a guest, and in every
-    tree a migration derives from them.  A top-level :meth:`split` or
-    :meth:`subtree` is O(groups), and equality compares groups, which
+    tree a migration derives from them.  Equality compares groups, which
     short-cuts on shared ones.
     """
 
@@ -448,40 +456,6 @@ class FileTree:
             if not group:
                 del groups[key]
         return FileTree._of(groups)
-
-    def subtree(self, prefix: str) -> "FileTree":
-        return self.split(prefix)[0]
-
-    def split(self, prefix: str) -> tuple["FileTree", "FileTree"]:
-        """(entries under prefix/, everything else).
-
-        A top-level prefix names a whole group, which goes to one side
-        as it is.  A deeper one splits its group at the sorted run from
-        ``prefix/`` up to ``prefix0``, found by bisection.
-        """
-        prefix = normalize_path(prefix)
-        key = _group_key(prefix + "/")
-        group = self._groups.get(key)
-        if group is None:
-            return FileTree._of({}), self
-        outside = dict(self._groups)
-        if key == prefix + "/":
-            del outside[key]
-            return FileTree._of({key: group}), FileTree._of(outside)
-        keys = list(group)
-        lo = bisect_left(keys, prefix + "/")
-        hi = bisect_left(keys, prefix + "0", lo)
-        if lo == hi:
-            return FileTree._of({}), self
-        items = iter(group.items())
-        rest = TreeGroup(islice(items, lo))
-        inside = TreeGroup(islice(items, hi - lo))
-        rest.update(items)
-        if rest:
-            outside[key] = rest
-        else:
-            del outside[key]
-        return FileTree._of({key: inside}), FileTree._of(outside)
 
 
 def synthetic_files(
@@ -634,20 +608,16 @@ def advance_memory(image: MemoryImage, steps: int) -> MemoryImage:
     return replace(image, epoch=epoch, page_epochs=epochs)
 
 
-MEMORY_META_FILE = "meta.json"
-
-
 def serialize_memory(
     image: MemoryImage,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     *,
-    prefix: str = "checkpoint",
     wire_ratio: float = 1.0,
 ) -> TreeGroup:
     """Render the image as checkpoint files: ceil(pages / chunk pages)
-    page-aligned chunks plus a small metadata file, as one
-    :class:`TreeGroup` in path order, ready for an instance tree to
-    adopt.
+    page-aligned chunks ``checkpoint/mem-NNNNN.img`` plus a small
+    ``checkpoint/meta.json``, as one :class:`TreeGroup` in path order,
+    ready for a checkpoint tree to adopt.
 
     A chunk holds ``chunk_size // page_size`` pages, at least one; the
     last holds what is left.  Nothing is copied: each chunk's ``epochs``
@@ -656,7 +626,6 @@ def serialize_memory(
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
-    prefix = normalize_path(prefix)
     pages_per_chunk = max(1, chunk_size // image.page_size)
     epochs = np.ascontiguousarray(image.page_epochs, dtype="<u4")
     if epochs.flags.writeable:  # a copy, which is ours: the image's array is read-only
@@ -668,7 +637,7 @@ def serialize_memory(
                       range(0, image.pages, pages_per_chunk), views, repeat(wire_ratio)))
     for chunk in chunks:
         chunk.__dict__["_cut_from"] = epochs
-    paths = _numbered(_escaped(prefix) + "/mem-{:05d}.img", len(chunks))
+    paths = _numbered(CHECKPOINT_PREFIX + "/mem-{:05d}.img", len(chunks))
     group = TreeGroup(zip(paths, chunks))
     meta = {
         "seed": image.seed,
@@ -679,7 +648,7 @@ def serialize_memory(
         "chunk_pages": pages_per_chunk,
     }
     # "meta.json" sorts after every "mem-" chunk.
-    group[f"{prefix}/{MEMORY_META_FILE}"] = LiteralContent(
+    group[MEMORY_META_FILE] = LiteralContent(
         data=json.dumps(meta, sort_keys=True).encode()
     )
     return _in_path_order(group)
@@ -691,9 +660,9 @@ def serialize_memory(
 _META_INTS = {"seed": -math.inf, "page_size": 1, "pages": 0, "epoch": 0}
 
 
-def _checkpoint_meta(tree: FileTree, prefix: str) -> dict:
+def _checkpoint_meta(tree: FileTree) -> dict:
     """The checkpoint's ``meta.json``, parsed and checked."""
-    entry = tree.get(f"{prefix}/{MEMORY_META_FILE}")
+    entry = tree.get(MEMORY_META_FILE)
     if entry is None or not isinstance(entry, LiteralContent):
         raise ValueError("checkpoint metadata missing")
     meta = json.loads(entry.data.decode())  # a decode error is a ValueError
@@ -716,9 +685,10 @@ _EPOCHS = attrgetter("epochs")
 _CUT_FROM = attrgetter("_cut_from")
 
 
-def restore_memory(tree: FileTree, *, prefix: str = "checkpoint") -> MemoryImage:
-    """Rebuild a MemoryImage from checkpoint files previously produced by
-    :func:`serialize_memory`.
+def restore_memory(tree: FileTree) -> MemoryImage:
+    """Rebuild a MemoryImage from a checkpoint tree: the files of
+    :func:`serialize_memory`, and any other file, such as the VM save
+    file, which is not a memory chunk and is passed over.
 
     ``meta.json`` must be a JSON object whose seed, page size, page
     count and epoch are integers (the last three not negative) and whose
@@ -733,8 +703,8 @@ def restore_memory(tree: FileTree, *, prefix: str = "checkpoint") -> MemoryImage
     image's array is read-only.  Raises ValueError when a file is
     missing or a check fails.
     """
-    meta = _checkpoint_meta(tree, prefix)
-    entries = list(map(_VALUE, tree.subtree(prefix).items()))
+    meta = _checkpoint_meta(tree)
+    entries = list(map(_VALUE, tree.items()))
     chunks = list(compress(entries, map(isinstance, entries, repeat(MemoryChunkContent))))
     if set(map(_SEED, chunks)) - {meta["seed"]} or set(map(_PAGE_SIZE, chunks)) - {meta["page_size"]}:
         raise ValueError("checkpoint chunk seed or page size differs from its metadata")

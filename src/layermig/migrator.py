@@ -13,7 +13,11 @@ each stage one linear formula: its ``stage_features`` row over
 link, plus the link's round trips for a sync stage.  The calibration fit
 stacks the same rows.  Service downtime is the span from suspending the
 instance to restoring it at the destination: the suspend, instance
-filesystem sync, in-memory-state sync and restore stages.
+filesystem sync, in-memory-state sync and restore stages.  The two
+downtime syncs move two separate trees, as the paper's framework syncs
+the instance filesystem and the in-memory state as two stages: the
+instance tree, then the checkpoint tree that suspending the instance
+wrote.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .delta_sync import (
     sync_tree,
 )
 from .guest import (
-    CHECKPOINT_PREFIX,
     GuestInstance,
     GuestSpec,
     Virtualization,
@@ -369,6 +372,7 @@ def simulate(
     dest_base_tree = source.base if dest_state.has_base else None
     dest_app_tree = source.app if (app_layer and dest_state.has_app) else None
     dest_instance_tree: FileTree | None = None
+    dest_checkpoint = FileTree()
     if dest_state.has_stale_instance:
         stale = checkpoint(
             build_guest(spec, scenario.profile, scenario.seed, scenario.scale,
@@ -376,6 +380,7 @@ def simulate(
             scenario.chunk_size,
         )
         dest_instance_tree = stale.instance
+        dest_checkpoint = stale.checkpoint
         if scenario.staleness_epochs:
             source = replace(
                 source, memory=advance_memory(source.memory, scenario.staleness_epochs)
@@ -417,17 +422,11 @@ def simulate(
 
         elif stage is Stage.SYNC_INSTANCE_FILESYSTEM:
             assert suspended is not None and dest_instance_tree is not None
-            _, src_fs = suspended.instance.split(CHECKPOINT_PREFIX)
-            dest_mem, dest_fs = dest_instance_tree.split(CHECKPOINT_PREFIX)
-            synced_fs = run_sync(stage, dest_fs, src_fs)
-            dest_instance_tree = synced_fs.with_entries(dest_mem)
+            dest_instance_tree = run_sync(stage, dest_instance_tree, suspended.instance)
 
         elif stage is Stage.SYNC_INSTANCE_MEMORY:
-            assert suspended is not None and dest_instance_tree is not None
-            src_mem, _ = suspended.instance.split(CHECKPOINT_PREFIX)
-            dest_mem, dest_fs = dest_instance_tree.split(CHECKPOINT_PREFIX)
-            synced_mem = run_sync(stage, dest_mem, src_mem)
-            dest_instance_tree = dest_fs.with_entries(synced_mem)
+            assert suspended is not None
+            dest_checkpoint = run_sync(stage, dest_checkpoint, suspended.checkpoint)
 
         elif stage is Stage.RESTORE_INSTANCE:
             assert suspended is not None and dest_instance_tree is not None
@@ -439,16 +438,16 @@ def simulate(
     assert suspended is not None and dest_base_tree is not None and dest_instance_tree is not None
 
     # The destination's trees in the suspended guest; restore rebuilds
-    # its memory from the checkpoint files that arrived.
+    # its memory from the checkpoint that arrived.
     dest_guest = restore(replace(
         suspended, base=dest_base_tree, app=dest_app_tree, instance=dest_instance_tree,
+        checkpoint=dest_checkpoint,
     ))
 
     # Internal consistency: the migrated guest must hold exactly the
     # source's state at suspend time.  A mismatch means a sync stage
     # went wrong and the report would be meaningless.
-    _, source_fs = suspended.instance.split(CHECKPOINT_PREFIX)
-    if dest_guest.instance != source_fs:
+    if dest_guest.instance != suspended.instance:
         raise RuntimeError("destination instance tree diverged from source at suspend")
     if dest_guest.memory != suspended.memory:
         raise RuntimeError("destination memory diverged from source at suspend")

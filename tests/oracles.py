@@ -16,7 +16,6 @@ import numpy as np
 
 from layermig.delta_sync import WEAK_MOD, FileSignature
 from layermig.layer_store import (
-    MEMORY_META_FILE,
     FileTree,
     LiteralContent,
     MemoryChunkContent,
@@ -80,18 +79,19 @@ def serialize_memory_by_chunk(image: MemoryImage, chunk_size: int, *, wire_ratio
         "churn_rate": image.churn_rate,
         "chunk_pages": pages_per_chunk,
     }
-    entries[f"checkpoint/{MEMORY_META_FILE}"] = LiteralContent(
+    entries["checkpoint/meta.json"] = LiteralContent(
         data=json.dumps(meta, sort_keys=True).encode()
     )
     return entries
 
 
-def restore_memory_by_join(tree: FileTree, *, prefix: str = "checkpoint") -> MemoryImage:
+def restore_memory_by_join(tree: FileTree) -> MemoryImage:
     """:func:`layer_store.restore_memory` as a copy-always reference:
-    the same checks with the same messages, over the chunks sorted by
-    ``start_page``, then one join of every chunk's epochs."""
-    meta = json.loads(tree.get(f"{prefix}/{MEMORY_META_FILE}").data.decode())
-    chunks = sorted((entry for _, entry in tree.subtree(prefix).items()
+    the same checks with the same messages, over the checkpoint tree's
+    chunks sorted by ``start_page``, then one join of every chunk's
+    epochs."""
+    meta = json.loads(tree.get("checkpoint/meta.json").data.decode())
+    chunks = sorted((entry for _, entry in tree.items()
                      if isinstance(entry, MemoryChunkContent)), key=lambda c: c.start_page)
     if {(chunk.seed, chunk.page_size) for chunk in chunks} - {(meta["seed"], meta["page_size"])}:
         raise ValueError("checkpoint chunk seed or page size differs from its metadata")

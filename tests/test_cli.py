@@ -426,6 +426,73 @@ def test_reproduce_with_default_model_flags_metadata(tmp_path):
     assert meta["calibration"] == "default"
 
 
+def edited_calibration(edit):
+    """A fresh copy of the packaged calibration with ``edit`` applied."""
+    data = cli._packaged_json("calibration_default.json")
+    edit(data)
+    return data
+
+
+# A calibration file is input: each of these exits 2 with "error:" and
+# the message, from every command that reads one.
+BAD_CALIBRATIONS = {
+    "not-json": ("{not json", "calibration file is not valid JSON"),
+    "json-list": ([1, 2], "calibration file must be a JSON object"),
+    "no-blocks": ({}, "calibration file holds no cost models"),
+    "block-not-an-object": ({"container": [1]}, "calibration.container must be an object"),
+    "cost-model-lacks-a-field": (
+        edited_calibration(lambda d: d["container"]["cost_model"].pop("scan_rate")),
+        "calibration.container.cost_model missing field(s): scan_rate"),
+    "cost-model-unknown-field": (
+        edited_calibration(lambda d: d["container"]["cost_model"].update(speed=1)),
+        "unknown field(s) in calibration.container.cost_model: speed"),
+    "negative-clone-rate": (
+        edited_calibration(lambda d: d["container"]["cost_model"].update(clone_rate=-1)),
+        "clone_rate must be positive"),
+    "string-cap": (
+        edited_calibration(lambda d: d["container"].update(processing_cap_bps="x")),
+        "calibration.container.processing_cap_bps must be a number"),
+    "zero-cap": (
+        edited_calibration(lambda d: d["container"].update(processing_cap_bps=0)),
+        "processing_cap_bps must be positive"),
+    "no-block-for-the-kind": (edited_calibration(lambda d: d.pop("container")),
+                              "calibration holds no cost model for 'container'"),
+}
+
+
+@pytest.mark.parametrize("content,message", BAD_CALIBRATIONS.values(),
+                         ids=BAD_CALIBRATIONS.keys())
+@pytest.mark.parametrize("command", ["run", "sweep", "reproduce"])
+def test_a_bad_calibration_file_exits_2(content, message, command, fd_config, tmp_path, capsys):
+    calibration = tmp_path / "cal.json"
+    calibration.write_text(content if isinstance(content, str) else json.dumps(content),
+                           encoding="utf-8")
+    out = tmp_path / "out"
+    args = {"run": ["run", "--scenario", str(fd_config), "--out", str(out)],
+            "sweep": ["sweep", "--param", "ram", "--values", "20", "--out", str(out)],
+            "reproduce": ["reproduce", "--target", "fig4", "--out-dir", str(out)]}[command]
+    assert main([*args, "--calibration", str(calibration), "--scale", "0.01"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+def test_reproduce_with_a_one_kind_calibration_exits_2(tmp_path, capsys):
+    # calibrate writes a one-kind file when the reference measures one kind.
+    reference = cli._packaged_json("measurements.json")
+    del reference["fig4_stages"]["vm"]
+    ref_path, calibration = tmp_path / "ref.json", tmp_path / "cal.json"
+    ref_path.write_text(json.dumps(reference), encoding="utf-8")
+    assert main(["calibrate", "--reference", str(ref_path), "--out", str(calibration)]) == 0
+    assert sorted(json.loads(calibration.read_text())) == ["container", "fitted", "schema"]
+    capsys.readouterr()
+    out_dir = tmp_path / "rep"
+    assert main(["reproduce", "--target", "table1", "--out-dir", str(out_dir),
+                 "--calibration", str(calibration), "--scale", "0.01"]) == 2
+    assert capsys.readouterr().err == "error: calibration holds no cost model for 'vm'\n"
+    assert not out_dir.exists()
+
+
 # --- calibrate -----------------------------------------------------------------
 
 

@@ -6,11 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from layermig.guest import (
-    CHECKPOINT_PREFIX,
-    VM_STATE_FILE,
     CorruptInstanceError,
     InvalidStateError,
-    RunState,
     Virtualization,
     build_guest,
     checkpoint,
@@ -19,8 +16,10 @@ from layermig.guest import (
     vm_spec,
 )
 from layermig.layer_store import (
+    CHECKPOINT_PREFIX,
     DEFAULT_CHUNK_SIZE,
     DEFAULT_PAGE_SIZE,
+    VM_STATE_FILE,
     FileTree,
     LiteralContent,
     MemoryChunkContent,
@@ -87,6 +86,23 @@ def test_layers_share_the_base_group(app_layer):
         assert suspended.instance.group("app/") is g.app.group("app/")
 
 
+@pytest.mark.parametrize("spec", [container_spec, vm_spec])
+def test_checkpoint_and_restore_keep_the_instance_tree(spec):
+    # The checkpoint is a tree of its own: suspending and resuming hand
+    # the instance tree on as the same object, and no layer tree ever
+    # holds a checkpoint path.
+    g = build_guest(spec(), profile_by_name("RAM Simulation"), seed=3, scale=0.01)
+    suspended = checkpoint(g)
+    assert suspended.instance is g.instance
+    assert suspended.checkpoint.paths()
+    assert all(p.startswith(CHECKPOINT_PREFIX + "/") for p in suspended.checkpoint.paths())
+    resumed = restore(suspended)
+    assert resumed.instance is suspended.instance
+    assert resumed.checkpoint is None
+    for tree in (g.base, g.app, g.instance):
+        assert not any(p.startswith(CHECKPOINT_PREFIX + "/") for p in tree.paths())
+
+
 def test_two_layer_guest_has_no_app_layer():
     g = build_guest(container_spec(), profile_by_name("Video Streaming"),
                     seed=3, scale=0.01, app_layer=False)
@@ -94,24 +110,24 @@ def test_two_layer_guest_has_no_app_layer():
     assert is_superset(g.instance, g.base)
 
 
-def test_checkpoint_grows_instance_tree_by_memory_size():
+def test_checkpoint_holds_the_memory_size():
     profile = profile_by_name("RAM Simulation")  # 330 MB RAM by default
     g = build_guest(container_spec(), profile, seed=4, scale=1.0)
     suspended = checkpoint(g)
-    assert suspended.run_state is RunState.SUSPENDED
+    assert suspended.checkpoint is not None
     chunks = [
-        e for _, e in suspended.instance.subtree(CHECKPOINT_PREFIX).items()
+        e for _, e in suspended.checkpoint.items()
         if isinstance(e, MemoryChunkContent)
     ]
     total = sum(c.length for c in chunks)
     assert 0 <= total - 330 * MB < g.memory.page_size
-    assert g.run_state is RunState.RUNNING  # original untouched
+    assert g.checkpoint is None  # original untouched
 
 
 def test_vm_checkpoint_adds_state_floor_file():
     g = build_guest(vm_spec(), profile_by_name("No Application"), seed=4, scale=0.01)
     suspended = checkpoint(g)
-    state = suspended.instance.get(VM_STATE_FILE)
+    state = suspended.checkpoint.get(VM_STATE_FILE)
     assert state is not None
     assert state.length == round(600 * MB * 0.01)
 
@@ -131,7 +147,7 @@ def test_restore_running_guest_is_invalid():
 def test_checkpoint_restore_round_trip_preserves_memory():
     g = build_guest(container_spec(), profile_by_name("Video Streaming"), seed=6, scale=0.01)
     resumed = restore(checkpoint(g))
-    assert resumed.run_state is RunState.RUNNING
+    assert resumed.checkpoint is None
     assert resumed.memory == g.memory
     assert materialize_memory(resumed.memory) == materialize_memory(g.memory)
     assert resumed.instance == g.instance
@@ -141,19 +157,17 @@ def test_recheckpoint_without_churn_is_bit_identical():
     g = build_guest(container_spec(), profile_by_name("Video Streaming"), seed=7, scale=0.01)
     first = checkpoint(g)
     second = checkpoint(restore(first))
-    a = first.instance.subtree(CHECKPOINT_PREFIX)
-    b = second.instance.subtree(CHECKPOINT_PREFIX)
-    assert materialize(a) == materialize(b)
+    assert materialize(first.checkpoint) == materialize(second.checkpoint)
 
 
 def test_restore_with_missing_checkpoint_is_corrupt():
     g = checkpoint(build_guest(container_spec(), profile_by_name("Game Server"),
                                seed=8, scale=0.01))
     chunk_paths = [
-        p for p, e in g.instance.subtree(CHECKPOINT_PREFIX).items()
+        p for p, e in g.checkpoint.items()
         if isinstance(e, MemoryChunkContent)
     ]
-    broken = replace(g, instance=g.instance.without(chunk_paths))
+    broken = replace(g, checkpoint=g.checkpoint.without(chunk_paths))
     with pytest.raises(CorruptInstanceError):
         restore(broken)
 
@@ -173,9 +187,9 @@ def test_restore_rejects_a_chunk_the_checkpoint_did_not_write(alter, index):
     g = checkpoint(build_guest(container_spec(), profile_by_name("RAM Simulation"),
                                seed=8, scale=0.01), chunk_size=64 * 1024)
     path = f"{CHECKPOINT_PREFIX}/mem-{index:05d}.img"
-    chunk = g.instance.get(path)
-    assert chunk is not None and g.instance.get(f"{CHECKPOINT_PREFIX}/mem-00003.img") is not None
-    broken = replace(g, instance=g.instance.with_entries({path: alter(chunk)}))
+    chunk = g.checkpoint.get(path)
+    assert chunk is not None and g.checkpoint.get(f"{CHECKPOINT_PREFIX}/mem-00003.img") is not None
+    broken = replace(g, checkpoint=g.checkpoint.with_entries({path: alter(chunk)}))
     with pytest.raises(CorruptInstanceError):
         restore(broken)
     assert restore(g).memory == g.memory
@@ -202,10 +216,10 @@ def test_restore_rejects_malformed_metadata(malform):
     g = checkpoint(build_guest(container_spec(), profile_by_name("Game Server"),
                                seed=8, scale=0.01))
     path = f"{CHECKPOINT_PREFIX}/meta.json"
-    meta = malform(json.loads(g.instance.get(path).data))
+    meta = malform(json.loads(g.checkpoint.get(path).data))
     data = meta if isinstance(meta, bytes) else meta.encode() if isinstance(meta, str) \
         else json.dumps(meta).encode()
-    broken = replace(g, instance=g.instance.with_entries({path: LiteralContent(data)}))
+    broken = replace(g, checkpoint=g.checkpoint.with_entries({path: LiteralContent(data)}))
     with pytest.raises(CorruptInstanceError):
         restore(broken)
 
@@ -274,8 +288,9 @@ def test_group_built_guests_match_the_constructor(kind, base_bytes, name, instal
     # The checkpoint group, against the files written chunk by chunk.
     suspended = checkpoint(g, chunk_size)
     written = serialize_memory_by_chunk(g.memory, chunk_size, wire_ratio=g.memory_wire_ratio)
-    state = suspended.instance.get(VM_STATE_FILE)
+    state = suspended.checkpoint.get(VM_STATE_FILE)
     assert (state is not None) == bool(round(spec.memory_floor_bytes * scale))
     if state is not None:
         written[VM_STATE_FILE] = state
-    assert_same_tree(suspended.instance, FileTree({**dict(ref_instance.items()), **written}))
+    assert suspended.instance is g.instance
+    assert_same_tree(suspended.checkpoint, FileTree(written))

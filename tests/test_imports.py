@@ -15,6 +15,17 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "layermig"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
+def quoted_annotation_names(node) -> set[str]:
+    """The names of ``node``'s annotation, or return annotation, when it
+    is quoted."""
+    if isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef, ast.AsyncFunctionDef)):
+        note = node.returns if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+            else node.annotation
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            return {n.id for n in ast.walk(ast.parse(note.value)) if isinstance(n, ast.Name)}
+    return set()
+
+
 def unused_imports(source: str) -> list[str]:
     """The names ``source`` binds by import and never reads, sorted.  A
     name read only inside a quoted annotation counts as read."""
@@ -27,11 +38,8 @@ def unused_imports(source: str) -> list[str]:
                 imported.add(alias.asname or alias.name.split(".")[0])
         elif isinstance(node, ast.Name):
             read.add(node.id)
-        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef, ast.AsyncFunctionDef)):
-            note = node.returns if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                else node.annotation
-            if isinstance(note, ast.Constant) and isinstance(note.value, str):
-                read.update(n.id for n in ast.walk(ast.parse(note.value)) if isinstance(n, ast.Name))
+        else:
+            read |= quoted_annotation_names(node)
     return sorted(imported - read)
 
 
@@ -46,6 +54,54 @@ def test_checker_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The ``module._name``s that a module of ``sources`` (module name ->
+    source) defines at its top level and that no module reads, sorted.
+    A read is a name loaded, an attribute of that name, a name imported
+    by ``from`` or a name in a quoted annotation.  Dunder names are not
+    private."""
+    defined = {}
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.update((name, f"{module}.{name}") for name in names
+                           if name.startswith("_") and not name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+            else:
+                read |= quoted_annotation_names(node)
+    return sorted(where for name, where in defined.items() if name not in read)
+
+
+def test_checker_finds_unread_private_names():
+    sources = {
+        "a": "_USED = 1\n_LEFT = 2\n__dunder__ = 3\ndef _helper():\n    return _USED\n"
+             "class _Kept: pass\ndef f(x: '_Kept'): pass\ny = '_LEFT'\n",
+        "b": "from .a import _helper\nimport a\n_ONLY_SET = 0\n_ONLY_SET = 1\n"
+             "print(a._attr_read)\n_attr_read = 4\n",
+    }
+    assert unread_private_names(sources) == ["a._LEFT", "b._ONLY_SET"]
+
+
+def test_every_private_name_is_read():
+    # A helper that a refactor leaves with no caller fails here.
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert unread_private_names(sources) == []
 
 
 # One Table 1 migration as ``layermig reproduce`` runs it, with the

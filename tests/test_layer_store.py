@@ -248,20 +248,6 @@ def ref_without(tree, paths):
     return FileTree({p: e for p, e in tree.items() if p not in drop})
 
 
-def ref_subtree(tree, prefix):
-    prefix = normalize_path(prefix) + "/"
-    return FileTree({p: e for p, e in tree.items() if p.startswith(prefix)})
-
-
-def ref_split(tree, prefix):
-    prefix = normalize_path(prefix) + "/"
-    inside = {}
-    outside = {}
-    for p, e in tree.items():
-        (inside if p.startswith(prefix) else outside)[p] = e
-    return FileTree(inside), FileTree(outside)
-
-
 def ref_apply_tree_delta(basis, delta):
     out = dict(basis.items())
     for path, op in delta.entries:
@@ -294,17 +280,12 @@ ENTRIES = st.dictionaries(SPELLINGS, CONTENT, max_size=12)
 
 
 @settings(max_examples=200, deadline=None)
-@given(base=ENTRIES, extra=ENTRIES, drop=st.lists(SPELLINGS, max_size=6), prefix=SPELLINGS)
-def test_derived_trees_match_trees_built_from_scratch(base, extra, drop, prefix):
+@given(base=ENTRIES, extra=ENTRIES, drop=st.lists(SPELLINGS, max_size=6))
+def test_derived_trees_match_trees_built_from_scratch(base, extra, drop):
     tree = FileTree(base)
     assert_same_tree(tree.with_entries(extra), ref_with_entries(tree, extra))
     assert_same_tree(tree.with_entries(FileTree(extra)), ref_with_entries(tree, extra))
     assert_same_tree(tree.without(drop), ref_without(tree, drop))
-    assert_same_tree(tree.subtree(prefix), ref_subtree(tree, prefix))
-    inside, outside = tree.split(prefix)
-    ref_inside, ref_outside = ref_split(tree, prefix)
-    assert_same_tree(inside, ref_inside)
-    assert_same_tree(outside, ref_outside)
 
 
 @settings(max_examples=150, deadline=None)
@@ -421,11 +402,6 @@ def test_derived_trees_share_untouched_groups():
     base, app = tree.group("base/"), tree.group("app/")
     assert tree.with_entries({"app/z": LiteralContent(b"6")}).group("base/") is base
     assert tree.without(["app/x", "root.bin"]).group("base/") is base
-    inside, outside = tree.split("app")
-    assert inside.group("app/") is app and outside.group("base/") is base
-    assert tree.subtree("app").group("app/") is app
-    inside, outside = tree.split("base/b")  # a deeper prefix splits only base/
-    assert inside.paths() == ["base/b/c"] and outside.group("app/") is app
     target = tree.with_entries({"app/x": LiteralContent(b"33"), "new/n": LiteralContent(b"7")})
     synced = apply_tree_delta(tree, sync_tree(tree, target)[0])
     assert synced == target and synced.group("base/") is base
@@ -471,18 +447,6 @@ def test_with_entries_normalizes_only_its_extra_paths():
     assert merged.get("a/b") == LiteralContent(b"3")
     with pytest.raises(ValueError):
         tree.with_entries({"../x": LiteralContent(b"4")})
-
-
-@pytest.mark.parametrize("prefix", ["p", "/p/", "./p"])
-def test_split_takes_only_the_paths_under_the_prefix(prefix):
-    # "." sorts just before "/", and "0" just after it: the neighbours of the range.
-    names = ["o/z", "p", "p.x", "p/a", "p/b/c", "p0", "p0/a", "pz/a", "q"]
-    tree = FileTree({name: LiteralContent(name.encode()) for name in names})
-    inside, outside = tree.split(prefix)
-    assert inside.paths() == ["p/a", "p/b/c"]
-    assert outside.paths() == ["o/z", "p", "p.x", "p0", "p0/a", "pz/a", "q"]
-    assert tree.subtree(prefix) == inside
-    assert FileTree().split(prefix) == (FileTree(), FileTree())
 
 
 @pytest.mark.parametrize("prefix", ["base", "./x//{0}/"])
