@@ -25,7 +25,7 @@ from .calibrate import (
     fit_cost_model,
     load_calibration,
 )
-from .config import ConfigError, build_scenario, calibrated, load_scenario_config
+from .config import ConfigError, build_scenario, calibrated, load_scenario_config, read_json
 from .guest import Virtualization, container_spec, vm_spec
 from .migrator import (
     CostModel,
@@ -317,8 +317,9 @@ def cmd_calibrate(args) -> int:
         path = Path(args.reference)
         if not path.exists():
             raise CalibrationMissingError(f"reference data not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            reference = json.load(fh)
+        reference = read_json(path, "reference data")
+        if not isinstance(reference, dict):
+            raise ConfigError("reference data must be a JSON object")
     else:
         reference = _packaged_json("measurements.json")
 

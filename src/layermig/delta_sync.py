@@ -19,24 +19,32 @@ A signature is two columns, as rsync keeps a basis's sums in one flat
 array: the blocks' weak checksums as uint32 and their strong digests
 back to back, each column one ``bytes`` object, about 20 bytes per
 block in all.  Signatures take the weak checksums of full blocks a
-slice of rows at a time, carrying blocks across chunk seams: one
-float64 matmul of the rows against the weight columns (1, ..., 1) and
-(L, ..., 1) gives every block's ``a`` and ``b``.  That is exact in any
-summation order, because every partial sum is an integer below
-255 * L * (L + 1) / 2 < 2^53 for blocks up to ``MAX_BLOCK_SIZE``.
+slice of rows at a time, carrying blocks across chunk seams: a row's
+``a`` is its sum and its ``b`` the sum of its products with the weights
+(L, ..., 1), both taken in uint16.  rsync defines both sums mod 2^16,
+and uint16 arithmetic wraps mod 2^16, so the sums are exact for any
+block size and in any order.
 
 The delta scan computes the weak checksum of every window start one
-scan window at a time, in uint32 with window-local offsets, which is
-exact because 2^16 divides 2^32.  A start goes on to the exact lookup
-only if its weak checksum passes a membership table keyed, as rsync
-hashes its whole rolling sum into its tag table, by the top bits of a
-multiplicative mix of all 32 weak bits: the low bits alone hold all of
-``a``, which for random data sits in a narrow band, so a table keyed
-on them fills up as the basis grows.  The table is sized from the
-basis, with at least 2^``FILTER_MIN_BITS`` slots and
-``FILTER_SLOTS_PER_WEAK`` slots per known weak checksum, so at most
-one slot in 32 is set and, with well-mixed keys, about as small a
-share of the unmatched starts pass it at any basis size.
+scan window at a time, also in uint16: the sums of every run of ``m``
+bytes give those of every run of ``2m`` bytes in a few whole-array
+steps, so one doubling per bit of the block size builds every start's
+``a`` and ``b`` (see :func:`_window_weaks`).  A start goes on to the
+exact lookup only if its weak checksum passes a two-probe membership
+table.  Each known weak sets two slots, keyed, as rsync hashes its
+whole rolling sum into its tag table, by the top bits of two
+multiplicative mixes of all 32 weak bits: the low bits alone hold all
+of ``a``, which for random data sits in a narrow band, so a table
+keyed on them fills up as the basis grows.  A start passes only if
+both of its slots are set, and its second slot is read only if its
+first is set.  The table is sized from the basis, with at least
+2^``FILTER_MIN_BITS`` slots and ``FILTER_SLOTS_PER_WEAK`` slots per
+known weak checksum, so at most one slot in 8 is set and, with
+well-mixed keys, at most about one unmatched start in 64 passes both
+probes at any basis size.  A single probe would need a table twice
+the size to pass one in 32: probing two slots keeps the pass rate with
+half the table, which keeps more of it in cache (Putze, Sanders and
+Singler, WEA 2007).
 
 Wherever a copy run could continue, the block at the scan position is
 first looked up by strong digest alone, so aligned matches skip the
@@ -82,7 +90,9 @@ from .layer_store import ContentDescriptor, FileTree, TreeGroup, materialize_ent
 WEAK_MOD = 1 << 16
 DIGEST_WIDTH = 16  # SHA-256 truncated to 128 bits, fixed everywhere
 MIN_BLOCK_SIZE = 16
-# Largest block whose weak checksum sums stay exact in float64.
+# Largest block size.  It bounds the working memory of one block:
+# signatures and scans hold a few uint16 and uint32 arrays of a block's
+# length (or of a scan window's, if longer), tens of MiB at this size.
 MAX_BLOCK_SIZE = 1 << 23
 DEFAULT_BLOCK_SIZE = 2048
 
@@ -99,11 +109,12 @@ VERIFY_WIRE = DIGEST_WIDTH  # whole-file checksum for forced re-verification
 # vectorized steps.
 SCAN_WINDOW = 1 << 16
 # The delta scan's membership filter: at least 2^FILTER_MIN_BITS slots
-# and FILTER_SLOTS_PER_WEAK slots per known weak checksum, keyed by the
-# top bits of the weak times WEAK_MIX (2^32 over the golden ratio).
-FILTER_MIN_BITS = 20
-FILTER_SLOTS_PER_WEAK = 32
-WEAK_MIX = np.uint32(0x9E3779B1)
+# and FILTER_SLOTS_PER_WEAK slots per known weak checksum.  Each known
+# weak sets two slots, keyed by the top bits of the weak times each of
+# WEAK_MIXES (2^32 over the golden ratio, and xxHash's second prime).
+FILTER_MIN_BITS = 18
+FILTER_SLOTS_PER_WEAK = 16
+WEAK_MIXES = (np.uint32(0x9E3779B1), np.uint32(0x85EBCA77))
 # Bytes per read when a file streams through the engine: the tree
 # sync's equal-content check, signatures, delta scans and rebuilds all
 # read their file this many bytes at a time.
@@ -138,13 +149,26 @@ def weak_checksum(block: bytes) -> tuple[int, int]:
 
     For block bytes X[k..l]: a = sum(X) mod 2^16 and
     b = sum((l - i + 1) * X[i]) mod 2^16.  The combined value is
-    ``a + 2^16 * b``.  The sums are taken in uint64, which is exact
-    because 2^16 divides 2^64.
+    ``a + 2^16 * b``.  Both sums are taken in uint16, against the
+    weights of :func:`_weights`, and wrap mod 2^16 as rsync defines
+    them, so they are exact for any length.
     """
     x = np.frombuffer(block, dtype=np.uint8)
-    a = int(x.sum(dtype=np.uint64))
-    b = int(np.arange(len(x), 0, -1, dtype=np.uint64) @ x)
-    return a % WEAK_MOD, b % WEAK_MOD
+    return int(x.sum(dtype=np.uint16)), int((x * _weights(len(x))).sum(dtype=np.uint16))
+
+
+def _weights(L: int) -> np.ndarray:
+    """The weights (L, ..., 1) of ``b``, mod 2^16, as uint16."""
+    return np.arange(L, 0, -1, dtype=np.uint32).astype(np.uint16)
+
+
+def _packed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Weak checksums ``a + 2^16 * b`` from uint16 ``a`` and ``b``, as
+    little-endian uint32."""
+    weak = b.astype("<u4")
+    weak <<= 16
+    weak |= a
+    return weak
 
 
 def combine_weak(a: int, b: int) -> int:
@@ -251,22 +275,22 @@ def _add_full_blocks(weaks: bytearray, strongs: bytearray, data: memoryview, L: 
     """Append the weak checksums and strong digests of ``data``'s whole
     blocks to the signature columns.
 
-    Full blocks are rows, taken a bounded slice of rows at a time: one
-    float64 matmul against the columns (1, ..., 1) and (L, ..., 1) gives
-    each row's a and b.  Every partial sum is an integer below
-    255 * L * (L + 1) / 2 < 2^53 for blocks up to ``MAX_BLOCK_SIZE``, so
-    the float sums are exact in any order the BLAS takes them.
+    Full blocks are rows, taken a bounded slice of rows at a time: each
+    row's ``a`` is ``rows.sum(axis=1)`` and its ``b`` the row sum of its
+    products with :func:`_weights`, all in uint16, which wraps mod 2^16
+    as the weak checksum is defined, so the sums are exact.
     """
     n_full = len(data) // L
     if not n_full:
         return
     rows = np.frombuffer(data, dtype=np.uint8, count=n_full * L).reshape(n_full, L)
-    weights = np.ones((L, 2))
-    weights[:, 1] = np.arange(L, 0, -1)
+    weights = _weights(L)
     step = max(1, SCAN_WINDOW // L)
     for first in range(0, n_full, step):
-        ab = (rows[first:first + step] @ weights).astype(np.uint32)
-        weaks += ((ab[:, 0] & 0xFFFF) | (ab[:, 1] << 16)).astype("<u4", copy=False).tobytes()
+        part = rows[first:first + step]
+        a = part.sum(axis=1, dtype=np.uint16)
+        b = (part * weights).sum(axis=1, dtype=np.uint16)
+        weaks += _packed(a, b).tobytes()
     digest = hashlib.sha256
     for i in range(0, n_full * L, L):
         strongs += digest(data[i:i + L]).digest()[:DIGEST_WIDTH]
@@ -325,45 +349,57 @@ def _charged_literal(length: int, wire_ratio: float) -> int:
 def _window_weaks(window: bytes, L: int) -> np.ndarray:
     """Weak checksum of every ``L``-byte window of ``window``, as uint32.
 
-    With ``P`` the prefix sums of the bytes and ``S`` those of ``P``,
-    the window at ``i`` has ``a = P[i+L] - P[i]`` and
-    ``b = S[i+L] - S[i] - L * P[i]``, since each byte ``x[t]`` is
-    counted once per ``k`` in ``t < k <= i+L``.  The sums wrap in
-    uint32, which is exact because 2^16 divides 2^32.
+    Built by doubling, in uint16.  With ``a_m[i]`` and ``b_m[i]`` the
+    sums of the ``m`` bytes from ``i``, weighted (1, ..., 1) and
+    (m, ..., 1):
+
+        a_2m[i] = a_m[i] + a_m[i+m]
+        b_2m[i] = b_m[i] + b_m[i+m] + m * a_m[i]
+
+    and one more byte at the end gives ``a_{m+1}[i] = a_m[i] + x[i+m]``
+    and ``b_{m+1}[i] = b_m[i] + a_{m+1}[i]``.  From ``m = 1``, one
+    doubling per bit of ``L`` below its top bit, plus one byte for each
+    of those bits that is set, reaches ``m = L`` in about 4 * log2(L)
+    whole-array steps, with no sequential prefix sum.  uint16 wraps mod
+    2^16, as the weak checksum is defined, so every step is exact.
     """
-    x = np.frombuffer(window, dtype=np.uint8)
-    P = np.zeros(len(x) + 1, dtype=np.uint32)
-    np.cumsum(x, dtype=np.uint32, out=P[1:])
-    S = np.cumsum(P, dtype=np.uint32)
-    a = P[L:] - P[:-L]
-    b = S[L:] - S[:-L]
-    b -= P[:-L] * np.uint32(L)
-    a &= 0xFFFF
-    b <<= 16
-    b |= a
-    return b
+    x = np.frombuffer(window, dtype=np.uint8).astype(np.uint16)
+    a = b = x
+    m = 1
+    for bit in bin(L)[3:]:
+        b = b[:-m] + b[m:]
+        b += a[:-m] * np.uint16(m & 0xFFFF)
+        a = a[:-m] + a[m:]
+        m *= 2
+        if bit == "1":
+            a = a[:-1] + x[m:]
+            b = b[:-1] + a
+            m += 1
+    return _packed(a, b)
 
 
 def _weak_filter(known: np.ndarray) -> np.ndarray:
-    """The scan's membership table for the weak checksums ``known``:
-    ``2^bits`` flags, with at least ``FILTER_MIN_BITS`` bits and
-    ``FILTER_SLOTS_PER_WEAK`` slots per known weak, set at the slots
-    of ``known``."""
+    """The scan's two-probe membership table for the weak checksums
+    ``known``: ``2^bits`` flags, with at least ``FILTER_MIN_BITS`` bits
+    and ``FILTER_SLOTS_PER_WEAK`` slots per known weak, with each known
+    weak's slots under both ``WEAK_MIXES`` set."""
     bits = max(FILTER_MIN_BITS, (FILTER_SLOTS_PER_WEAK * len(known) - 1).bit_length())
     filt = np.zeros(1 << bits, dtype=bool)
-    filt[_filter_slots(known, filt)] = True
+    for mix in WEAK_MIXES:
+        filt[_filter_slots(known, filt, mix)] = True
     return filt
 
 
-def _filter_slots(weaks: np.ndarray, filt: np.ndarray) -> np.ndarray:
-    """The slots of the table ``filt`` that ``weaks`` key into: the top
-    bits of ``weak * WEAK_MIX`` mod 2^32, which mixes all 32 weak bits.
-    The slots come as ``intp``: a gather by a uint32 index, which numpy
-    converts on its own, takes about twice as long as this ``astype``
-    and a gather by ``intp`` together."""
-    keys = weaks * WEAK_MIX
+def _filter_slots(weaks: np.ndarray, filt: np.ndarray, mix: np.uint32) -> np.ndarray:
+    """The slots of the table ``filt`` that ``weaks`` key into under
+    the odd multiplier ``mix``, as uint32: the top bits of
+    ``weak * mix`` mod 2^32, which mixes all 32 weak bits.  The scan
+    gathers by them with ``take``, which converts them to ``intp``
+    itself and reads a table larger than the cache somewhat faster
+    than ``filt[slots]`` does."""
+    keys = weaks * mix
     keys >>= 33 - len(filt).bit_length()
-    return keys.astype(np.intp)
+    return keys
 
 
 def _scan_window(
@@ -373,12 +409,16 @@ def _scan_window(
 
     ``window`` holds target bytes ``[start, stop + L - 1)`` for the
     starts ``[start, stop)``, and offsets are local to it.  Candidates
-    pass the membership table ``filt`` (see :func:`_weak_filter`) and
-    then an exact lookup in the sorted array ``known``.
+    pass both probes of the membership table ``filt`` (see
+    :func:`_weak_filter`), the second only for the first's survivors,
+    and then an exact lookup in the sorted array ``known``.
     """
+    first, second = WEAK_MIXES
     weaks = _window_weaks(window, L)
-    hits = np.flatnonzero(filt[_filter_slots(weaks, filt)])
+    hits = np.flatnonzero(filt.take(_filter_slots(weaks, filt, first)))
     hit_weaks = weaks[hits]
+    passed = filt.take(_filter_slots(hit_weaks, filt, second))
+    hits, hit_weaks = hits[passed], hit_weaks[passed]
     slots = np.minimum(np.searchsorted(known, hit_weaks), len(known) - 1)
     return (hits[known[slots] == hit_weaks] + start).tolist()
 
@@ -487,8 +527,8 @@ def compute_delta(
     ``wire_ratio`` scales literal payloads on the wire to model
     compression; the reconstruction itself is always byte-exact.
     """
-    if wire_ratio <= 0:
-        raise ValueError("wire_ratio must be positive")
+    if not 0 < wire_ratio < math.inf:
+        raise ValueError(f"wire_ratio must be positive and finite, got {wire_ratio}")
     reader = _ForwardReader(target if isinstance(target, tuple) else _bytes_source(target))
     read = reader.get
     L = sig.block_size

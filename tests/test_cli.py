@@ -503,6 +503,24 @@ def test_calibrate_empty_reference_exits_5(tmp_path, capsys):
                  "--out", str(tmp_path / "cal.json")]) == 5
 
 
+# A reference file is input too: each of these exits 2 with "error:".
+BAD_REFERENCES = {
+    "not-json": ("{not json", "reference data is not valid JSON"),
+    "json-list": ("[1, 2]", "reference data must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("content,message", BAD_REFERENCES.values(), ids=BAD_REFERENCES.keys())
+def test_a_bad_reference_file_exits_2(content, message, tmp_path, capsys):
+    ref = tmp_path / "ref.json"
+    ref.write_text(content, encoding="utf-8")
+    out = tmp_path / "cal.json"
+    assert main(["calibrate", "--reference", str(ref), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
 def test_calibrate_missing_reference_exits_4(tmp_path):
     assert main(["calibrate", "--reference", str(tmp_path / "none.json"),
                  "--out", str(tmp_path / "cal.json")]) == 4

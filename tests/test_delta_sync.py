@@ -120,6 +120,38 @@ def test_weak_checksum_matches_byte_loop(block):
     assert weak_checksum(block) == ref_weak_checksum(block)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    L=st.sampled_from([16, 17, 700, 2048, 65537]),
+    fill=st.sampled_from(["random", "ff"]),
+    starts=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_window_weaks_match_the_byte_loop_at_every_start(L, fill, starts, seed):
+    # Block sizes with one set bit below the top (17, 65537), several
+    # (700) and none (16, 2048); above 2^16, the weights (L, ..., 1)
+    # wrap, and all-0xFF bytes give the largest sums.  The byte loop
+    # costs L steps per start, so long blocks get fewer starts.
+    starts = min(starts, max(1, 400_000 // L))
+    n = starts + L - 1
+    window = b"\xff" * n if fill == "ff" else rng(seed).bytes(n)
+    weaks = delta_sync._window_weaks(window, L)
+    assert weaks.tolist() == [combine_weak(*ref_weak_checksum(window[i:i + L]))
+                              for i in range(starts)]
+
+
+def test_signature_weaks_match_the_byte_loop_above_2_16():
+    # A block size above 2^16 that is not a power of two: its weights
+    # wrap mod 2^16, and the last block is short.
+    L = 3 * 2**15 + 7
+    data = rng(62).bytes(2 * L + 1234)
+    sig = compute_signature(data, L)
+    blocks = [data[i:i + L] for i in range(0, len(data), L)]
+    assert np.frombuffer(sig.weaks, dtype="<u4").tolist() == [
+        combine_weak(*ref_weak_checksum(block)) for block in blocks]
+    assert sig.strongs == b"".join(map(strong_digest, blocks))
+
+
 def test_signature_retains_at_most_24_bytes_per_block():
     # The columns hold 4 + DIGEST_WIDTH = 20 bytes per block; a tuple of
     # per-block objects held about 176.
@@ -226,6 +258,16 @@ def test_wire_ratio_scales_literal_charge():
     assert full.literal_bytes == 10_000
     assert half.wire_bytes < full.wire_bytes
     assert half.literal_bytes <= half.wire_bytes
+
+
+@pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+def test_compute_delta_refuses_a_bad_wire_ratio_before_reading(ratio):
+    def unread(start, stop):
+        raise AssertionError("the target was read")
+
+    sig = compute_signature(rng(10).bytes(4096), 1024)
+    with pytest.raises(ValueError, match="wire_ratio must be positive and finite"):
+        compute_delta(sig, (10_000, unread), wire_ratio=ratio)
 
 
 def test_monotone_efficiency_in_changed_blocks():
@@ -469,17 +511,23 @@ def test_scan_matches_reference_at_real_window_seams(shift):
 
 def test_scan_filter_passes_few_starts_of_a_large_basis():
     # About 10^5 known weaks of random 2 KiB windows, and a full window
-    # of random starts: few of them may reach the exact lookup.  A key of
-    # the weak's low 20 bits (all of a, which sits in a narrow band for
-    # random bytes, and four bits of b) passes about 40% of them here.
+    # of random starts: few of them may reach the exact lookup, which
+    # they reach only through both probes.  A key of the weak's low 20
+    # bits (all of a, which sits in a narrow band for random bytes, and
+    # four bits of b) passes about 40% of them here; the first probe
+    # alone passes about 9%, and both about 0.8%.
     L = 2048
     g = rng(60)
     known = np.unique(delta_sync._window_weaks(g.bytes(10**5 + L - 1), L))
     filt = delta_sync._weak_filter(known)
-    assert len(filt) >= max(2**20, 32 * len(known))
-    assert filt[delta_sync._filter_slots(known, filt)].all()
+    assert len(filt) >= max(2**18, 16 * len(known))
+    for mix in delta_sync.WEAK_MIXES:
+        assert filt[delta_sync._filter_slots(known, filt, mix)].all()
     probe = delta_sync._window_weaks(g.bytes(delta_sync.SCAN_WINDOW + L - 1), L)
-    assert filt[delta_sync._filter_slots(probe, filt)].mean() <= 0.05
+    first, second = (filt[delta_sync._filter_slots(probe, filt, mix)]
+                     for mix in delta_sync.WEAK_MIXES)
+    passed = first & second
+    assert passed.mean() <= 0.05
 
 
 @pytest.fixture(scope="module")
