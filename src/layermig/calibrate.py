@@ -26,39 +26,39 @@ a bound, as the data do not identify it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, calibration_block, read_json
-from .guest import GuestSpec, Virtualization, container_spec, vm_spec
+from .config import (
+    CONFIG_DESTS,
+    ConfigError,
+    ReferenceRecord,
+    calibrated,
+    calibration_block,
+    read_json,
+    read_reference,
+)
+from .guest import Virtualization, container_spec, vm_spec
 from .migrator import (
     COST_TERMS,
     DOWNTIME_STAGES,
     CostModel,
-    DestinationState,
-    MigrationMode,
     MigrationScenario,
-    StageRecord,
     cost_terms,
     simulate,
     stage_features,
     stage_seconds,
 )
 from .netsim import MB, LinkSpec
+from .workloads import AppProfile, builtin_profiles
 
 CONTAINER_PROCESSING_CAP = 50.0 * MB  # bits/s; saturation point of the sync engine
 INITIAL_VM_PROCESSING_CAP = 45.0 * MB  # bits/s; the VM cap of ``--calibration default``
+REFERENCE_BANDWIDTH = 100.0 * MB  # bits/s; the testbed's inter-MEC link
 FIT_SEED = 2024
-
-CONFIG_DESTS = {
-    "two_layer": (MigrationMode.TWO_LAYER, DestinationState(has_base=True)),
-    "three_layer_app_not_found": (MigrationMode.THREE_LAYER, DestinationState(has_base=True)),
-    "three_layer_app_found": (
-        MigrationMode.THREE_LAYER,
-        DestinationState(has_base=True, has_app=True),
-    ),
-}
+_SPECS = {Virtualization.CONTAINER: container_spec(), Virtualization.VM: vm_spec()}
 
 # (name, lower bound, upper bound); rates in bytes/s, times in seconds.
 PARAM_SPACE = [
@@ -78,64 +78,31 @@ class CalibrationError(Exception):
     """Reference data unusable: empty or underdetermined."""
 
 
-def reference_link() -> LinkSpec:
-    return LinkSpec(bandwidth_bps=100 * MB, latency_s=0.0, jitter_s=0.0, seed=0)
-
-
-def _extract_features(
-    spec: GuestSpec, profiles, link: LinkSpec
-) -> dict[str, dict[str, tuple[StageRecord, ...]]]:
-    """Per (profile, configuration) unpriced stage records from real
-    simulator runs; the fit prices them."""
-    features: dict[str, dict[str, tuple[StageRecord, ...]]] = {}
-    for profile in profiles:
-        per_config = {}
-        for config, (mode, dest) in CONFIG_DESTS.items():
-            scenario = MigrationScenario(
-                guest_spec=spec,
-                profile=profile,
-                mode=mode,
-                destination=dest,
-                link=link,
-                cost_model=None,
-                scale=1.0,
-                seed=FIT_SEED,
-            )
-            per_config[config] = simulate(scenario)[0]
-        features[profile.name] = per_config
-    return features
-
-
-def _observations(reference: dict, kind: str, profiles, features) -> tuple[list, list]:
-    """The fit's observations over the simulator runs ``features``.
-
-    Stage observations are ``(profile name, record, measured seconds)``
-    for each measured stage of the three-layer, app-not-found runs; cell
-    observations are ``(records, measured seconds)`` for each measured
-    total or downtime of a configuration, a downtime's records being its
-    downtime stages.
-    """
-    stages_ref = reference.get("fig4_stages", {}).get(kind, {})
-    cells_ref = reference.get("table1", {}).get(kind, {})
-    stage_obs = []
-    for profile in profiles:
-        measured = stages_ref[profile.name]
-        for record in features[profile.name]["three_layer_app_not_found"]:
-            value = measured.get(record.stage.value)
-            if value:
-                stage_obs.append((profile.name, record, float(value)))
-    cell_obs = []
-    for profile in profiles:
-        for config, values in cells_ref.get(profile.name, {}).items():
-            records = features[profile.name].get(config)
-            if not records:
-                continue
-            if values.get("total_s"):
-                cell_obs.append((records, float(values["total_s"])))
-            if values.get("downtime_s"):
-                downtime = [r for r in records if r.stage in DOWNTIME_STAGES]
-                cell_obs.append((downtime, float(values["downtime_s"])))
-    return stage_obs, cell_obs
+def reference_scenario(record: ReferenceRecord, profile: AppProfile, calibration, seed: int,
+                       scale: float) -> MigrationScenario:
+    """The migration that ``record`` measured, with ``profile`` at a Fig. 5
+    RAM point's memory size or on a bandwidth point's link.  It is priced
+    by ``calibration``'s model for the kind, or left without a cost model
+    or cap when ``calibration`` is None."""
+    mode, destination = CONFIG_DESTS[record.configuration]
+    cost_model, cap = None, math.inf
+    if calibration is not None:
+        cost_model, cap = calibrated(calibration, record.kind)
+    bandwidth = REFERENCE_BANDWIDTH
+    if record.figure == "fig5_ram":
+        profile = profile.with_memory(int(record.x * MB))
+    elif record.figure == "fig5_bandwidth":
+        bandwidth = record.x * MB
+    return MigrationScenario(
+        guest_spec=_SPECS[record.kind],
+        profile=profile,
+        mode=mode,
+        destination=destination,
+        link=LinkSpec(bandwidth_bps=bandwidth, processing_cap_bps=cap, seed=0),
+        cost_model=cost_model,
+        scale=scale,
+        seed=seed,
+    )
 
 
 def bvls(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -196,48 +163,46 @@ class FitResult:
     at_bound: list[str]  # fitted parameters the solve left on a bound
 
 
-def fit_cost_model(
-    reference: dict,
-    virtualization: Virtualization,
-    *,
-    spec: GuestSpec | None = None,
-    profiles=None,
-) -> FitResult:
+def fit_cost_model(reference: dict, virtualization: Virtualization, *, profiles=None) -> FitResult:
     """Fit one virtualization kind's cost model to the reference data.
 
-    Stage durations (three-layer, app-not-found breakdown) and the
-    per-configuration total/downtime cells all enter the objective as
-    squared relative errors.  The container processing cap is pinned at
-    its known 50 Mbps saturation point; the VM cap is fitted.
+    The Fig. 4 stage durations and the Table 1 total and downtime cells
+    of ``profiles`` (default: the built-in ones) all enter the objective
+    as squared relative errors.  The container processing cap is pinned
+    at its known 50 Mbps saturation point; the VM cap is fitted.
     """
-    from .workloads import builtin_profiles
-
-    kind = virtualization.value
-    stages_ref = reference.get("fig4_stages", {}).get(kind, {})
-    if not stages_ref:
-        raise CalibrationError(f"reference contains no stage measurements for {kind!r}")
-
-    spec = spec or (container_spec() if virtualization is Virtualization.CONTAINER else vm_spec())
-    profiles = profiles or builtin_profiles()
-    profiles = [p for p in profiles if p.name in stages_ref]
-    if not profiles:
-        raise CalibrationError("no reference profiles match the built-in workloads")
-    link = reference_link()
-    features = _extract_features(spec, profiles, link)
-
-    stage_obs, cell_obs = _observations(reference, kind, profiles, features)
+    by_name = {p.name: p for p in (builtin_profiles() if profiles is None else profiles)}
+    records = [r for r in read_reference(reference)[0]
+               if r.kind is virtualization and r.profile in by_name]
+    stage_obs = [r for r in records if r.figure == "fig4"]
+    if not stage_obs:
+        raise CalibrationError(f"no reference profiles match: the reference holds no stage "
+                               f"measurements of {virtualization.value!r} for the profiles to fit")
     if len(stage_obs) < len(PARAM_SPACE):
         raise CalibrationError(
             f"{len(stage_obs)} stage observations cannot determine {len(PARAM_SPACE)} parameters"
         )
-    observed = [[r] for _, r, _ in stage_obs] + [records for records, _ in cell_obs]
-    measured = [m for *_, m in stage_obs] + [m for _, m in cell_obs]
-    rows = np.array([np.sum([stage_features(r) for r in records], axis=0) for records in observed])
+    cell_obs = [r for r in records if r.figure == "table1" and r.metric != "wire_mb"]
+
+    # One unpriced run per (profile, configuration); each observation sums
+    # the features of the stages it measured: one stage, all, or downtime's.
+    runs, observed = {}, []
+    for record in stage_obs + cell_obs:
+        key = record.profile, record.configuration
+        if key not in runs:
+            scenario = reference_scenario(record, by_name[record.profile], None, FIT_SEED, 1.0)
+            runs[key] = [(r.stage.value, r.stage in DOWNTIME_STAGES, stage_features(r))
+                         for r in simulate(scenario)[0]]
+        observed.append([f for stage, downtime, f in runs[key]
+                         if record.metric in (stage, "total_s")
+                         or record.metric == "downtime_s" and downtime])
+    measured = [r.value for r in stage_obs + cell_obs]
+    rows = np.array([[sum(column) for column in zip(*features)] for features in observed])
 
     # Each term's box, from its parameter's; a rate's term is its reciprocal.
     caps = CAP_PARAM[1:] if virtualization is Virtualization.VM else (CONTAINER_PROCESSING_CAP,) * 2
     boxes = {name: (lo, hi) for name, lo, hi in PARAM_SPACE}
-    boxes["effective_rate"] = tuple(min(link.bandwidth_bps, cap) for cap in caps)
+    boxes["effective_rate"] = tuple(min(REFERENCE_BANDWIDTH, cap) for cap in caps)
     lo, hi = np.array([(1.0 / boxes[name][1], 1.0 / boxes[name][0]) if reciprocal else boxes[name]
                        for name, reciprocal in COST_TERMS]).T
     theta = bvls(rows / np.array(measured)[:, None], np.ones(len(measured)), lo, hi)
@@ -254,14 +219,14 @@ def fit_cost_model(
     cost_model = CostModel(**values)
 
     # The fit's predictions come from the simulator's own stage formula.
-    theta = cost_terms(cost_model, LinkSpec(link.bandwidth_bps, processing_cap_bps=cap))
-    predicted = [sum(stage_seconds(stage_features(r), theta) for r in records)
-                 for records in observed]
+    theta = cost_terms(cost_model, LinkSpec(REFERENCE_BANDWIDTH, processing_cap_bps=cap))
+    seconds = {f: stage_seconds(f, theta) for run in runs.values() for *_, f in run}
+    predicted = [sum(seconds[f] for f in features) for features in observed]
     rel = [(p - m) / m for p, m in zip(predicted, measured)]
     n = len(stage_obs)
-    residuals = [dict(profile=name, stage=record.stage.value, measured_s=m,
+    residuals = [dict(profile=r.profile, stage=r.metric, measured_s=r.value,
                       predicted_s=round(p, 4), relative_error=round(e, 4))
-                 for (name, record, m), p, e in zip(stage_obs, predicted, rel)]
+                 for r, p, e in zip(stage_obs, predicted, rel)]
     return FitResult(
         cost_model=cost_model,
         processing_cap_bps=cap,

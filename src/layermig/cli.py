@@ -1,8 +1,9 @@
 """Command-line harness: run scenarios, parameter sweeps, calibration,
 and reference-reproduction reports.
 
-Exit codes: 0 success, 2 invalid config or calibration file, 3 internal
-failure, 4 missing calibration file, 5 underdetermined calibration fit.
+Exit codes: 0 success, 2 invalid config, calibration or reference file,
+3 internal failure, 4 missing calibration or reference file, 5
+underdetermined calibration fit.
 """
 
 from __future__ import annotations
@@ -17,16 +18,16 @@ from importlib import resources
 from pathlib import Path
 
 from .calibrate import (
-    CONFIG_DESTS,
     CONTAINER_PROCESSING_CAP,
     INITIAL_VM_PROCESSING_CAP,
     CalibrationError,
     calibration_to_dict,
     fit_cost_model,
     load_calibration,
+    reference_scenario,
 )
-from .config import ConfigError, build_scenario, calibrated, load_scenario_config, read_json
-from .guest import Virtualization, container_spec, vm_spec
+from .config import ConfigError, build_scenario, load_scenario_config, read_json, read_reference
+from .guest import Virtualization
 from .migrator import (
     CostModel,
     MigrationReport,
@@ -36,8 +37,8 @@ from .migrator import (
     price,
     simulate,
 )
-from .netsim import MB, LinkSpec
-from .workloads import builtin_profiles, derive_seed, profile_by_name, stable_index
+from .netsim import MB
+from .workloads import builtin_profiles, derive_seed, stable_index
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -186,117 +187,56 @@ def cmd_sweep(args) -> int:
 # --- reproduce ---------------------------------------------------------------
 
 
-def _reference_scenario(
-    kind: Virtualization,
-    profile,
-    config: str,
-    calibration,
-    *,
-    seed_base: int,
-    scale: float,
-) -> MigrationScenario:
-    mode, dest = CONFIG_DESTS[config]
-    cost_model, cap = calibrated(calibration, kind)
-    spec = container_spec() if kind is Virtualization.CONTAINER else vm_spec()
-    return MigrationScenario(
-        guest_spec=spec,
-        profile=profile,
-        mode=mode,
-        destination=dest,
-        link=LinkSpec(bandwidth_bps=100.0 * MB, processing_cap_bps=cap, seed=0),
-        cost_model=cost_model,
-        scale=scale,
-        seed=derive_seed(seed_base, stable_index(profile.name)),
-    )
-
-
-def _rel(model: float, ref: float) -> str:
-    return _cell((model - ref) / ref, "+.4f") if ref else ""
+# Each CSV's columns between the virtualization and the relative error.
+_REPRODUCE_COLUMNS = {
+    "table1": ["profile", "configuration", "metric", "model", "reference"],
+    "fig4": ["profile", "stage", "stage_label", "model_s", "reference_s"],
+    "fig5_ram": ["ram_mb", "model_total_s", "reference_total_s"],
+    "fig5_bandwidth": ["bandwidth_mbps", "model_total_s", "reference_total_s"],
+}
 
 
 def cmd_reproduce(args) -> int:
-    reference = _packaged_json("measurements.json")
+    records, labels = read_reference(_packaged_json("measurements.json"))
     calibration, provenance = _resolve_calibration(args.calibration)
     out_dir = Path(args.out_dir)
     seed_base = args.seed if args.seed is not None else 0
     scale = args.scale if args.scale is not None else 1.0
+    profiles = {profile.name: profile for profile in builtin_profiles()}
 
-    if args.target == "table1":
-        header = ["virtualization", "profile", "configuration", "metric",
-                  "model", "reference", "relative_error"]
-        rows = []
-        for kind in Virtualization:
-            ref_kind = reference["table1"][kind.value]
-            for profile in builtin_profiles():
-                report = None
-                for config in CONFIG_DESTS:
-                    scenario = _reference_scenario(
-                        kind, profile, config, calibration, seed_base=seed_base, scale=scale)
-                    report = _report(scenario)
-                    cells = ref_kind[profile.name][config]
-                    for metric, model, ref in [
-                        ("total_s", report.total_seconds, cells["total_s"]),
-                        ("wire_mb", report.total_wire_bytes / MB, cells["wire_mb"]),
-                        ("downtime_s", report.downtime_seconds, cells["downtime_s"]),
-                    ]:
-                        rows.append([kind.value, profile.name, config, metric,
-                                     _cell(model, ".4f"), _cell(ref, ".4f"), _rel(model, ref)])
-        _write_csv(out_dir / "table1.csv", header, rows)
-
-    elif args.target == "fig4":
-        labels = reference["fig4_stages"]["stage_labels"]
-        header = ["virtualization", "profile", "stage", "stage_label",
-                  "model_s", "reference_s", "relative_error"]
-        rows = []
-        for kind in Virtualization:
-            ref_kind = reference["fig4_stages"][kind.value]
-            for profile in builtin_profiles():
-                scenario = _reference_scenario(
-                    kind, profile, "three_layer_app_not_found", calibration,
-                    seed_base=seed_base, scale=scale)
-                report = _report(scenario)
-                for record in report.stages:
-                    ref = ref_kind[profile.name].get(record.stage.value)
-                    rows.append([
-                        kind.value, profile.name, record.stage.value,
-                        labels.get(record.stage.value, record.stage.value),
-                        _cell(record.seconds, ".4f"),
-                        _cell(ref, ".4f") if ref is not None else "",
-                        _rel(record.seconds, ref) if ref else "",
-                    ])
-        _write_csv(out_dir / "fig4.csv", header, rows)
-
-    else:  # fig5
-        ram_rows = []
-        bw_rows = []
-        for kind in Virtualization:
-            # Each cell varies the RAM Simulation scenario's memory or link.
-            base = _reference_scenario(kind, profile_by_name("RAM Simulation"),
-                                       "three_layer_app_found", calibration,
-                                       seed_base=seed_base, scale=scale)
-            ram_ref = dict(
-                (int(x), y) for x, y in reference["fig5_sweeps"]["ram"][kind.value]
-            )
-            for ram_mb in sorted(ram_ref):
-                report = _report(_swept(base, "ram", ram_mb))
-                ref = ram_ref[ram_mb]
-                ram_rows.append([kind.value, ram_mb, _cell(report.total_seconds, ".4f"),
-                                 _cell(ref, ".4f"), _rel(report.total_seconds, ref)])
-            bw_ref = dict(
-                (float(x), y) for x, y in reference["fig5_sweeps"]["bandwidth"][kind.value]
-            )
-            work = simulate(base)[0]
-            for bw in sorted(bw_ref):
-                report = _report(_swept(base, "bandwidth", bw), work)
-                ref = bw_ref[bw]
-                bw_rows.append([kind.value, _cell(bw, "g"), _cell(report.total_seconds, ".4f"),
-                                _cell(ref, ".4f"), _rel(report.total_seconds, ref)])
-        _write_csv(out_dir / "fig5_ram.csv",
-                   ["virtualization", "ram_mb", "model_total_s", "reference_total_s",
-                    "relative_error"], ram_rows)
-        _write_csv(out_dir / "fig5_bandwidth.csv",
-                   ["virtualization", "bandwidth_mbps", "model_total_s", "reference_total_s",
-                    "relative_error"], bw_rows)
+    # One row per reference record of the target.  Each distinct migration
+    # is simulated once, and priced once on each link it was measured on.
+    rows = {figure: [] for figure in _REPRODUCE_COLUMNS if figure.startswith(args.target)}
+    works, models = {}, {}
+    for record in records:
+        if record.figure not in rows:
+            continue
+        measured = record.figure, record.kind, record.profile, record.configuration, record.x
+        if measured not in models:
+            scenario = reference_scenario(record, profiles[record.profile], calibration,
+                                          derive_seed(seed_base, stable_index(record.profile)),
+                                          scale)
+            run = record.kind, record.profile, record.configuration, scenario.profile.memory_bytes
+            if run not in works:
+                works[run] = simulate(scenario)[0]
+            report = _report(scenario, works[run])
+            models[measured] = {"total_s": report.total_seconds,
+                                "wire_mb": report.total_wire_bytes / MB,
+                                "downtime_s": report.downtime_seconds,
+                                **{stage.stage.value: stage.seconds for stage in report.stages}}
+        model = models[measured][record.metric]
+        if record.figure == "table1":
+            keys = [record.profile, record.configuration, record.metric]
+        elif record.figure == "fig4":
+            keys = [record.profile, record.metric, labels.get(record.metric, record.metric)]
+        else:
+            keys = [_cell(record.x, "g")]
+        rows[record.figure].append([record.kind.value, *keys, _cell(model, ".4f"),
+                                    _cell(record.value, ".4f"),
+                                    _cell((model - record.value) / record.value, "+.4f")])
+    for figure, figure_rows in rows.items():
+        _write_csv(out_dir / f"{figure}.csv",
+                   ["virtualization", *_REPRODUCE_COLUMNS[figure], "relative_error"], figure_rows)
 
     _write_json(out_dir / "metadata.json", {
         "schema": "layermig.reproduce/v1",
@@ -318,15 +258,11 @@ def cmd_calibrate(args) -> int:
         if not path.exists():
             raise CalibrationMissingError(f"reference data not found: {path}")
         reference = read_json(path, "reference data")
-        if not isinstance(reference, dict):
-            raise ConfigError("reference data must be a JSON object")
     else:
         reference = _packaged_json("measurements.json")
 
-    results = {}
-    for kind in Virtualization:
-        if reference.get("fig4_stages", {}).get(kind.value):
-            results[kind] = fit_cost_model(reference, kind)
+    measured = {record.kind for record in read_reference(reference)[0] if record.figure == "fig4"}
+    results = {kind: fit_cost_model(reference, kind) for kind in Virtualization if kind in measured}
     if not results:
         raise CalibrationError("reference data holds no stage measurements")
 

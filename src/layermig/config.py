@@ -43,17 +43,53 @@ Every problem, including a value a dataclass rejects, raises
 A calibration file is input of the same kind: each virtualization's
 block holds a ``cost_model``, walked as the config block of that name
 is, and a ``processing_cap_bps`` number (see :func:`calibration_block`).
+
+The reference file (``measurements.json``) is input too, and
+:func:`read_reference` is its one reader.  Its blocks:
+
+``table1``
+    Keyed by virtualization, built-in profile name and configuration
+    (a key of :data:`CONFIG_DESTS`): the measured ``total_s``,
+    ``wire_mb`` and ``downtime_s``.  It may also hold ``description``
+    and ``units``.
+``fig4_stages``
+    Keyed by virtualization and profile: each measured stage's seconds
+    in the three-layer, app-not-found migration, keyed by the stages
+    that migration runs.  ``stage_labels`` names those stages for the
+    CSV; ``description`` and ``scenario`` are not read.
+``fig5_sweeps``
+    ``ram`` and ``bandwidth``, each keyed by virtualization: a list of
+    ``[x, y]`` points, x the RAM in MB or the bandwidth in Mbps and y
+    the RAM Simulation profile's total seconds, app found.  Each may
+    hold ``units``, and the block a ``description``.
+``schema``, ``description``, ``base_package``
+    Not read.
+
+Each measured number becomes one :class:`ReferenceRecord`: its figure
+(the ``reproduce`` CSV it fills: ``table1``, ``fig4``, ``fig5_ram`` or
+``fig5_bandwidth``), virtualization, profile name, configuration,
+metric (``total_s``, ``wire_mb``, ``downtime_s`` or a stage name),
+measured value and, for a Fig. 5 point, its x.  Records come in a fixed
+order: figure, virtualization, :func:`builtin_profiles` order, then
+configuration, metric or stage order, and Fig. 5 points by x.  A cell
+that was not measured is left out of the file, so it yields no record.
+The reader refuses, with a :class:`ConfigError` naming the path, an
+unknown key at any level (so an unknown profile, configuration or
+stage name), a value that is not a positive finite number (0 and
+``null`` included), and a Fig. 5 point that is not an ``[x, y]`` pair.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, fields, replace
+from typing import NamedTuple
 
 from .guest import GuestSpec, Virtualization, container_spec, vm_spec
-from .migrator import CostModel, DestinationState, MigrationMode, MigrationScenario
+from .migrator import CostModel, DestinationState, MigrationMode, MigrationScenario, plan
 from .netsim import MB, LinkSpec, require_rate
-from .workloads import AppProfile, profile_by_name
+from .workloads import AppProfile, builtin_profiles, profile_by_name
 
 _SCALARS = {f.name: f.type for f in fields(MigrationScenario) if f.default is not MISSING}
 _TOP_FIELDS = {"profile", "virtualization", "mode", "destination", "link", "guest", "cost_model",
@@ -61,6 +97,19 @@ _TOP_FIELDS = {"profile", "virtualization", "mode", "destination", "link", "gues
 _LINK_FIELDS = {"bandwidth_mbps", "latency_ms", "jitter_ms", "processing_cap_mbps", "seed"}
 _PER_KIND = "Mapping[Virtualization, "
 _KINDS = [kind.value for kind in Virtualization]
+
+CONFIG_DESTS = {
+    "two_layer": (MigrationMode.TWO_LAYER, DestinationState(has_base=True)),
+    "three_layer_app_not_found": (MigrationMode.THREE_LAYER, DestinationState(has_base=True)),
+    "three_layer_app_found": (
+        MigrationMode.THREE_LAYER,
+        DestinationState(has_base=True, has_app=True),
+    ),
+}
+_PROFILE_NAMES = [profile.name for profile in builtin_profiles()]
+_FIG4_STAGES = [stage.value for stage in plan(*CONFIG_DESTS["three_layer_app_not_found"])]
+_TABLE1_METRICS = ("total_s", "wire_mb", "downtime_s")
+_FIG5_MIGRATION = ("RAM Simulation", "three_layer_app_found")  # both sweeps' profile, configuration
 
 
 class ConfigError(Exception):
@@ -70,9 +119,9 @@ class ConfigError(Exception):
 def _reject_unknown(obj, allowed, where: str) -> None:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object")
-    unknown = sorted(set(obj) - set(allowed))
+    unknown = obj.keys() - allowed
     if unknown:
-        raise ConfigError(f"unknown field(s) in {where}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown field(s) in {where}: {', '.join(sorted(unknown))}")
 
 
 def _value(value, kind: str, where: str):
@@ -236,3 +285,77 @@ def build_scenario(
         scalars["scale"] = scale
     return _build("scenario", MigrationScenario, guest_spec=spec, profile=app, mode=mode,
                   destination=destination, link=link, cost_model=cost_model, **scalars)
+
+
+class ReferenceRecord(NamedTuple):
+    """One measured number of the reference file."""
+
+    figure: str  # the reproduce CSV: "table1", "fig4", "fig5_ram" or "fig5_bandwidth"
+    kind: Virtualization
+    profile: str
+    configuration: str  # a key of CONFIG_DESTS
+    metric: str  # "total_s", "wire_mb", "downtime_s" or a Fig. 4 stage
+    value: float
+    x: float | None = None  # a Fig. 5 point's RAM in MB or bandwidth in Mbps
+
+
+def _walk(obj, keys, where: str, unread=()) -> list:
+    """(key, value, path) for each of ``keys`` that the object ``obj``
+    holds, in the order of ``keys``; any key but those and ``unread``
+    is refused."""
+    _reject_unknown(obj, (*keys, *unread), where)
+    return [(key, obj[key], f"{where}.{key}") for key in keys if key in obj]
+
+
+def _measured(value, where: str) -> float:
+    if type(value) not in (int, float) or not 0 < value < math.inf:
+        raise ConfigError(f"{where} must be a positive finite number")
+    return float(value)
+
+
+def _profiles(block, where: str, unread) -> list:
+    """(kind, profile name, value, path) for each profile of a figure
+    keyed by virtualization and profile name."""
+    return [(Virtualization(kind), name, value, path)
+            for kind, per_profile, kind_path in _walk(block, _KINDS, where, unread)
+            for name, value, path in _walk(per_profile, _PROFILE_NAMES, kind_path)]
+
+
+def _points(points, where: str) -> list[tuple[float, float]]:
+    """A Fig. 5 sweep's (x, y) points."""
+    if not isinstance(points, list):
+        raise ConfigError(f"{where} must be a list of [x, y] points")
+    for i, point in enumerate(points):
+        if not (isinstance(point, list) and len(point) == 2):
+            raise ConfigError(f"{where}[{i}] must be an [x, y] pair")
+    return [(_measured(x, f"{where}[{i}][0]"), _measured(y, f"{where}[{i}][1]"))
+            for i, (x, y) in enumerate(points)]
+
+
+def read_reference(data) -> tuple[list[ReferenceRecord], dict[str, str]]:
+    """The reference file's records, and its Fig. 4 stage labels."""
+    if not isinstance(data, dict):
+        raise ConfigError("reference data must be a JSON object")
+    _reject_unknown(data, ("schema", "description", "table1", "fig4_stages", "fig5_sweeps",
+                           "base_package"), "reference")
+    records = []
+    for kind, name, configs, where in _profiles(data.get("table1", {}), "reference.table1",
+                                                ("description", "units")):
+        for config, metrics, path in _walk(configs, CONFIG_DESTS, where):
+            records += [ReferenceRecord("table1", kind, name, config, metric, _measured(v, w))
+                        for metric, v, w in _walk(metrics, _TABLE1_METRICS, path)]
+    fig4 = data.get("fig4_stages", {})
+    for kind, name, stages, where in _profiles(fig4, "reference.fig4_stages",
+                                               ("description", "scenario", "stage_labels")):
+        records += [ReferenceRecord("fig4", kind, name, "three_layer_app_not_found", stage,
+                                    _measured(v, w))
+                    for stage, v, w in _walk(stages, _FIG4_STAGES, where)]
+    labels = {stage: _value(label, "str", w) for stage, label, w in _walk(
+        fig4.get("stage_labels", {}), _FIG4_STAGES, "reference.fig4_stages.stage_labels")}
+    for sweep, per_kind, where in _walk(data.get("fig5_sweeps", {}), ("ram", "bandwidth"),
+                                        "reference.fig5_sweeps", ("description",)):
+        for kind, points, path in _walk(per_kind, _KINDS, where, ("units",)):
+            records += [ReferenceRecord(f"fig5_{sweep}", Virtualization(kind), *_FIG5_MIGRATION,
+                                        "total_s", y, x)
+                        for x, y in sorted(_points(points, path))]
+    return records, labels

@@ -11,15 +11,16 @@ from hypothesis import strategies as st
 from layermig.calibrate import (
     CAP_PARAM,
     CONTAINER_PROCESSING_CAP,
+    FIT_SEED,
     PARAM_SPACE,
-    _extract_features,
-    _observations,
+    REFERENCE_BANDWIDTH,
+    CalibrationError,
     bvls,
     calibration_to_dict,
     fit_cost_model,
-    reference_link,
 )
 from layermig.cli import _packaged_json
+from layermig.config import CONFIG_DESTS, read_reference
 from layermig.guest import Virtualization, container_spec, vm_spec
 from layermig.migrator import (
     DOWNTIME_STAGES,
@@ -31,6 +32,7 @@ from layermig.migrator import (
     cost_terms,
     default_cost_model,
     run_migration,
+    simulate,
     stage_features,
     stage_seconds,
 )
@@ -106,20 +108,37 @@ SEARCHED = {
 # --- fixtures ------------------------------------------------------------------
 
 
+REFERENCE_LINK = LinkSpec(bandwidth_bps=REFERENCE_BANDWIDTH)
+
+
+def reference_runs(spec, profiles):
+    """{(profile name, configuration): unpriced stage records} of the
+    fit's migrations, each scenario built here by hand."""
+    return {(profile.name, config): simulate(MigrationScenario(
+                guest_spec=spec, profile=profile, mode=mode, destination=dest,
+                link=REFERENCE_LINK, cost_model=None, scale=1.0, seed=FIT_SEED))[0]
+            for profile in profiles for config, (mode, dest) in CONFIG_DESTS.items()}
+
+
 @pytest.fixture(scope="module")
 def problems():
     """Per kind: (stage observations, cell observations, link), built from
-    the packaged measurements exactly as ``fit_cost_model`` builds them."""
-    reference = _packaged_json("measurements.json")
-    link = reference_link()
+    the packaged reference records as ``fit_cost_model`` builds them.  A
+    stage observation is (profile name, stage record, measured seconds),
+    a cell observation (the stage records of a total or a downtime,
+    measured seconds)."""
+    records, _ = read_reference(_packaged_json("measurements.json"))
     out = {}
     for kind, spec in ((Virtualization.CONTAINER, container_spec()),
                        (Virtualization.VM, vm_spec())):
-        stages_ref = reference["fig4_stages"][kind.value]
-        profiles = [p for p in builtin_profiles() if p.name in stages_ref]
-        features = _extract_features(spec, profiles, link)
-        stage_obs, cell_obs = _observations(reference, kind.value, profiles, features)
-        out[kind] = (stage_obs, cell_obs, link)
+        runs = reference_runs(spec, builtin_profiles())
+        measured = [r for r in records if r.kind is kind]
+        stage_obs = [(r.profile, s, r.value) for r in measured if r.figure == "fig4"
+                     for s in runs[r.profile, r.configuration] if s.stage.value == r.metric]
+        cell_obs = [([s for s in runs[r.profile, r.configuration]
+                      if r.metric == "total_s" or s.stage in DOWNTIME_STAGES], r.value)
+                    for r in measured if r.figure == "table1" and r.metric != "wire_mb"]
+        out[kind] = (stage_obs, cell_obs, REFERENCE_LINK)
     return out
 
 
@@ -285,9 +304,8 @@ def test_fit_residuals_come_from_the_fitted_model():
     result = fit_cost_model(_packaged_json("measurements.json"), Virtualization.CONTAINER,
                             profiles=profiles)
     params = params_of(result.cost_model, result.processing_cap_bps)
-    features = _extract_features(container_spec(), profiles, reference_link())
-    records = features["Game Server"]["three_layer_app_not_found"]
-    by_stage = {r.stage.value: predict_stage(params, r, reference_link()) for r in records}
+    records = reference_runs(container_spec(), profiles)["Game Server", "three_layer_app_not_found"]
+    by_stage = {r.stage.value: predict_stage(params, r, REFERENCE_LINK) for r in records}
     assert result.stage_residuals
     for row in result.stage_residuals:
         predicted = by_stage[row["stage"]]
@@ -298,3 +316,8 @@ def test_fit_residuals_come_from_the_fitted_model():
     assert result.within_30pct == sum(abs(e) <= 0.30 for e in rel) / len(rel)
     payload = calibration_to_dict({Virtualization.CONTAINER: result})
     assert payload["container"]["fit"]["stage_residuals"] == result.stage_residuals
+
+
+def test_fit_of_no_profiles_is_refused():
+    with pytest.raises(CalibrationError, match="no reference profiles match"):
+        fit_cost_model(_packaged_json("measurements.json"), Virtualization.CONTAINER, profiles=[])

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import layermig
 from layermig import cli
 from layermig.cli import main
-from layermig.config import build_scenario
+from layermig.config import build_scenario, read_reference
 from layermig.migrator import CostModel, run_migration, simulate
 from layermig.netsim import LinkSpec
 
@@ -350,15 +351,39 @@ def test_reproduce_csvs_are_byte_identical_to_golden(target, tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+# The seeds of the scenarios that ``reproduce --target table1`` simulates.
+def test_reproduce_writes_one_row_per_reference_record(tmp_path):
+    records, labels = read_reference(cli._packaged_json("measurements.json"))
+    figures = {"table1": 90, "fig4": 80, "fig5_ram": 13, "fig5_bandwidth": 16}
+    assert Counter(record.figure for record in records) == figures
+    for target in ("table1", "fig4", "fig5"):
+        assert main(["reproduce", "--target", target, "--out-dir", str(tmp_path),
+                     "--scale", "0.01"]) == 0
+    for figure in figures:
+        rows = read_csv(tmp_path / f"{figure}.csv")[1:]
+        measured = [record for record in records if record.figure == figure]
+        assert len(rows) == len(measured)
+        for row, record in zip(rows, measured):
+            if figure == "table1":
+                keys = [record.profile, record.configuration, record.metric]
+            elif figure == "fig4":
+                keys = [record.profile, record.metric, labels[record.metric]]
+            else:
+                keys = [f"{record.x:g}"]
+            assert row[:1 + len(keys)] == [record.kind.value, *keys]
+            assert row[-2] == f"{record.value:.4f}"
+
+
 REFERENCE_SEEDS = """
-from layermig.cli import _reference_scenario
-from layermig.guest import Virtualization
-from layermig.migrator import default_cost_model
-from layermig.workloads import builtin_profiles
-calibration = {kind: (default_cost_model(kind), 1e9) for kind in Virtualization}
-print([_reference_scenario(Virtualization.CONTAINER, profile, "three_layer_app_found",
-                           calibration, seed_base=7, scale=1.0).seed
-       for profile in builtin_profiles()])
+import sys, tempfile
+from layermig import cli
+seeds = []
+simulate = cli.simulate
+cli.simulate = lambda scenario: seeds.append(scenario.seed) or simulate(scenario)
+with tempfile.TemporaryDirectory() as out_dir:
+    assert cli.main(["reproduce", "--target", "table1", "--seed", "7", "--scale", "0.01",
+                     "--out-dir", out_dir]) == 0
+print(seeds, file=sys.stderr)
 """
 
 
@@ -371,7 +396,7 @@ def test_reference_scenario_seeds_ignore_hash_seed():
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
         done = subprocess.run([sys.executable, "-c", REFERENCE_SEEDS], env=env, check=True,
                               capture_output=True, text=True, timeout=120)
-        outputs.append(done.stdout)
+        outputs.append(done.stderr)
     assert outputs[0] == outputs[1]
     assert len(set(json.loads(outputs[0]))) == len(layermig.builtin_profiles())
 
@@ -503,17 +528,71 @@ def test_calibrate_empty_reference_exits_5(tmp_path, capsys):
                  "--out", str(tmp_path / "cal.json")]) == 5
 
 
-# A reference file is input too: each of these exits 2 with "error:".
+def edited_reference(edit):
+    """A fresh copy of the packaged measurements with ``edit`` applied."""
+    data = cli._packaged_json("measurements.json")
+    edit(data)
+    return data
+
+
+def renamed(block: dict, old: str, new: str) -> None:
+    block[new] = block.pop(old)
+
+
+def edited_stage(value):
+    return edited_reference(
+        lambda d: d["fig4_stages"]["container"]["Game Server"].update(other_tasks=value))
+
+
+# A reference file is input too: each of these exits 2 with "error:" and
+# the message, which names the path of the fault.
 BAD_REFERENCES = {
     "not-json": ("{not json", "reference data is not valid JSON"),
     "json-list": ("[1, 2]", "reference data must be a JSON object"),
+    "stage-profile-a-string": (
+        edited_reference(lambda d: d["fig4_stages"]["vm"].update({"Game Server": "x"})),
+        "reference.fig4_stages.vm.Game Server must be an object"),
+    "stage-a-string": (
+        edited_stage("x"),
+        "reference.fig4_stages.container.Game Server.other_tasks must be a positive finite number"),
+    "table1-cell-a-string": (
+        edited_reference(lambda d: d["table1"]["vm"]["Face Detection"]["two_layer"].update(
+            total_s="x")),
+        "reference.table1.vm.Face Detection.two_layer.total_s must be a positive finite number"),
+    "infinite-stage": (
+        edited_stage(float("1e999")),
+        "reference.fig4_stages.container.Game Server.other_tasks must be a positive finite number"),
+    "negative-stage": (
+        edited_stage(-2.0),
+        "reference.fig4_stages.container.Game Server.other_tasks must be a positive finite number"),
+    "zero-cell": (
+        edited_reference(lambda d: d["table1"]["container"]["RAM Simulation"]["two_layer"].update(
+            downtime_s=0)),
+        "reference.table1.container.RAM Simulation.two_layer.downtime_s must be a positive"),
+    "stages-a-list": (edited_reference(lambda d: d.update(fig4_stages=[1])),
+                      "reference.fig4_stages must be an object"),
+    "misspelt-stage": (
+        edited_reference(lambda d: renamed(d["fig4_stages"]["container"]["Game Server"],
+                                           "other_tasks", "other_taks")),
+        "unknown field(s) in reference.fig4_stages.container.Game Server: other_taks"),
+    "misspelt-configuration": (
+        edited_reference(lambda d: renamed(d["table1"]["container"]["Game Server"],
+                                           "two_layer", "two_layr")),
+        "unknown field(s) in reference.table1.container.Game Server: two_layr"),
+    "misspelt-profile": (
+        edited_reference(lambda d: renamed(d["fig4_stages"]["container"],
+                                           "Game Server", "Gaem Server")),
+        "unknown field(s) in reference.fig4_stages.container: Gaem Server"),
+    "fig5-point-not-a-pair": (
+        edited_reference(lambda d: d["fig5_sweeps"]["ram"]["vm"].append([700])),
+        "reference.fig5_sweeps.ram.vm[6] must be an [x, y] pair"),
 }
 
 
 @pytest.mark.parametrize("content,message", BAD_REFERENCES.values(), ids=BAD_REFERENCES.keys())
 def test_a_bad_reference_file_exits_2(content, message, tmp_path, capsys):
     ref = tmp_path / "ref.json"
-    ref.write_text(content, encoding="utf-8")
+    ref.write_text(content if isinstance(content, str) else json.dumps(content), encoding="utf-8")
     out = tmp_path / "cal.json"
     assert main(["calibrate", "--reference", str(ref), "--out", str(out)]) == 2
     err = capsys.readouterr().err

@@ -135,7 +135,7 @@ INVALID = {
     "zero-clone-rate": ({"cost_model": dict(INLINE_COST, clone_rate=0)}, []),
     "scale-override-above-one": (VALID, ["--scale", "2"]),
     "fractional-block-size": ({"block_size": 100.7}, []),
-    "block-size-past-exact-float-sums": ({"block_size": 2**23 + 1}, []),
+    "block-size-past-max-block-size": ({"block_size": 2**23 + 1}, []),
     "fractional-seed": ({"seed": 1.5}, []),
     "fractional-link-seed": ({"link": {"seed": 2.5}}, []),
     "fractional-guest-bytes": ({"guest": {"memory_floor_bytes": 10.5}}, []),

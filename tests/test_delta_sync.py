@@ -75,8 +75,10 @@ def test_signature_rejects_tiny_block_size():
 
 
 def test_signature_sums_are_exact_up_to_the_largest_block_size():
-    # All-0xFF bytes give the largest float64 partial sums of a block,
-    # 255 * L * (L + 1) / 2; a block one byte longer is refused.
+    # All-0xFF bytes give a block's largest sums, a = 255 * L and
+    # b = 255 * L * (L + 1) / 2, which the signature keeps in uint16
+    # (mod 2^16).  MAX_BLOCK_SIZE = 2^23 bounds one block's working
+    # memory, so a block one byte longer is refused.
     L = MAX_BLOCK_SIZE
     sig = compute_signature(b"\xff" * L, L)
     a, b = 255 * L % 2**16, 255 * L * (L + 1) // 2 % 2**16

@@ -1,6 +1,6 @@
-"""No module of the package imports a name it never uses, checked on
-each module's syntax tree; and a reference migration imports no
-module it does not need."""
+"""No module of the package imports a name it never uses, and only
+``config`` indexes the reference file, checked on each module's syntax
+tree; and a reference migration imports no module it does not need."""
 
 import ast
 import os
@@ -104,20 +104,62 @@ def test_every_private_name_is_read():
     assert unread_private_names(sources) == []
 
 
+REFERENCE_BLOCKS = {"table1", "fig4_stages", "fig5_sweeps"}
+
+
+def reference_block_reads(source: str) -> list[int]:
+    """The lines of ``source`` that subscript, or call ``.get`` with, the
+    key of a block of the reference file."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript):
+            keys = [node.slice]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get"):
+            keys = node.args[:1]
+        else:
+            continue
+        if any(isinstance(key, ast.Constant) and key.value in REFERENCE_BLOCKS for key in keys):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_finds_reference_block_reads():
+    source = ('a = reference["table1"]\nb = reference.get("fig4_stages", {}).get("vm")\n'
+              'c = ["table1", "fig4", "fig5"]\nd = reference.get("schema")\n'
+              'e = {"fig5_sweeps": 1}\nf = reference["fig5_sweeps"]["ram"]\n')
+    assert reference_block_reads(source) == [1, 2, 6]
+
+
+@pytest.mark.parametrize("path", [path for path in sorted(PACKAGE.glob("*.py"))
+                                  if path.name != "config.py"], ids=lambda path: path.name)
+def test_only_config_reads_the_reference_file(path):
+    # config.read_reference is the one reader of measurements.json;
+    # everything else takes its records.
+    assert reference_block_reads(path.read_text(encoding="utf-8")) == []
+
+
 # One Table 1 migration as ``layermig reproduce`` runs it, with the
 # packaged calibration; it renders no content byte.
 REFERENCE_MIGRATION = """
 import json, sys
 from importlib import resources
 import layermig
-from layermig.calibrate import load_calibration
-from layermig.cli import _reference_scenario
-ref = resources.files("layermig").joinpath("reference", "calibration_default.json")
-calibration = load_calibration(json.loads(ref.read_text(encoding="utf-8")))
-for kind in layermig.Virtualization:
-    scenario = _reference_scenario(kind, layermig.profile_by_name("RAM Simulation"),
-                                   "three_layer_app_found", calibration, seed_base=1, scale=1.0)
-    layermig.run_migration(scenario)
+from layermig.calibrate import load_calibration, reference_scenario
+from layermig.config import read_reference
+from layermig.workloads import derive_seed, stable_index
+ref = resources.files("layermig").joinpath("reference")
+calibration = load_calibration(json.loads(ref.joinpath("calibration_default.json").read_text(
+    encoding="utf-8")))
+records, _ = read_reference(json.loads(ref.joinpath("measurements.json").read_text(
+    encoding="utf-8")))
+for record in records:
+    if (record.figure, record.profile, record.configuration, record.metric) == (
+            "table1", "RAM Simulation", "three_layer_app_found", "total_s"):
+        seed = derive_seed(1, stable_index(record.profile))
+        scenario = reference_scenario(record, layermig.profile_by_name("RAM Simulation"),
+                                      calibration, seed, 1.0)
+        layermig.run_migration(scenario)
 print("numpy.random" in sys.modules)
 """
 
