@@ -9,11 +9,15 @@ target exactly from the basis.  :func:`sync_tree` lifts the same scheme
 to whole file trees.
 
 The engine works in bounded memory.  Files stream through it
-``READ_CHUNK`` bytes at a time: :func:`sync_tree` compares, signs and
-scans tree entries by rendering one byte range at a time, and
-:func:`apply_tree_delta` reads only the basis ranges each copy needs and
-digests the rebuilt bytes as they are produced, so no basis, target or
-rebuilt file is held whole.
+``READ_CHUNK`` bytes at a time, and a file's scan and rebuild are one
+pipeline, as rsync's sender streams literal data between block tokens
+and its receiver writes as it reads: the scan yields copy runs and
+literal bytes as soon as it has passed them, and the rebuild reads only
+the basis ranges each copy needs and digests the rebuilt bytes as they
+come.  :func:`sync_tree` signs and scans tree entries by rendering one
+byte range at a time and feeds each patched file's scan straight into
+the rebuild of its basis, so no basis, target, literal or rebuilt file
+is held whole.
 
 A signature is two columns, as rsync keeps a basis's sums in one flat
 array: the blocks' weak checksums as uint32 and their strong digests
@@ -51,14 +55,14 @@ first looked up by strong digest alone, so aligned matches skip the
 rolling scan.  Where that check fails, the scan opens a window of
 ``4 * block size`` starts, since the next match is usually near; each
 window that runs out without a match doubles the next one, up to
-``SCAN_WINDOW`` starts, and a match resets it.  Beyond the signature
-and the literal output, working memory is O(``READ_CHUNK`` +
-``SCAN_WINDOW`` + block size), whatever the file size; only a literal
-is held whole, as its op carries it.
+``SCAN_WINDOW`` starts, and a match resets it.  Beyond the signature,
+working memory is O(``READ_CHUNK`` + ``SCAN_WINDOW`` + block size),
+whatever the file size.
 Every delta carries the digest of its target, and the receiver checks
 the rebuilt bytes against it.  The bytes API (:func:`apply_delta`, and
 bytes passed to :func:`compute_signature` and :func:`compute_delta`)
-runs the same code over views of the caller's buffers.
+runs the same code over views of the caller's buffers, and collects
+each literal run of the scan into one op.
 
 The strong digest of blocks and whole files is SHA-256 truncated to
 ``DIGEST_WIDTH`` = 16 bytes, as rsync moved its strong checksum from
@@ -115,9 +119,9 @@ SCAN_WINDOW = 1 << 16
 FILTER_MIN_BITS = 18
 FILTER_SLOTS_PER_WEAK = 16
 WEAK_MIXES = (np.uint32(0x9E3779B1), np.uint32(0x85EBCA77))
-# Bytes per read when a file streams through the engine: the tree
-# sync's equal-content check, signatures, delta scans and rebuilds all
-# read their file this many bytes at a time.
+# Bytes per read when a file streams through the engine: signatures,
+# delta scans and rebuilds all read their file this many bytes at a
+# time.
 READ_CHUNK = 1 << 18
 
 # A file to read: its length, and a function returning bytes [start, stop).
@@ -129,7 +133,7 @@ class DeltaSyncError(Exception):
 
 
 class BasisMismatchError(DeltaSyncError):
-    """The basis handed to apply_delta is not the one the delta was made for."""
+    """The basis a delta is applied to is not the one it was made for."""
 
 
 class CorruptDeltaError(DeltaSyncError):
@@ -212,6 +216,11 @@ class CopyOp:
 @dataclass(frozen=True)
 class LiteralOp:
     data: bytes
+
+
+# A delta as a stream, in target order: copy runs, and literal bytes in
+# pieces; consecutive pieces belong to one literal run.
+Token = CopyOp | bytes | memoryview
 
 
 @dataclass(frozen=True)
@@ -482,6 +491,15 @@ class _ForwardReader:
         first = start // self._chunk
         return self._pieces[first - self._first], first * self._chunk
 
+    def views(self, start: int, stop: int) -> Iterator[memoryview]:
+        """Bytes ``[start, stop)``, with ``keep <= start``, as views of
+        the read pieces, front to back."""
+        while start < stop:
+            piece, base = self.piece(start)
+            end = min(stop, base + len(piece))
+            yield piece[start - base:end - base]
+            start = end
+
     def digest(self) -> bytes:
         """Digest of the whole source, reading what is left of it."""
         self._fill(self.length)
@@ -493,6 +511,7 @@ def compute_delta(
     target: bytes | Source,
     *,
     wire_ratio: float = 1.0,
+    basis: Source | None = None,
 ) -> tuple[FileDelta, SyncStats]:
     """Delta that rebuilds ``target`` from any basis matching ``sig``.
 
@@ -519,10 +538,18 @@ def compute_delta(
     and each window that runs out without a match doubles the next, up
     to ``SCAN_WINDOW``.  How the starts are cut into windows does not
     change the ops, only how far past the next match the scan reads.
-    Only the pending literal bytes and the read pieces the scan window
-    reaches are held, so beyond the signature and the literal output,
-    working memory is O(``READ_CHUNK`` + ``SCAN_WINDOW`` + block size)
-    for any file size.
+
+    The scan streams (see :func:`_scan`).  Without ``basis``, its
+    literal pieces are collected into one :class:`LiteralOp` per run,
+    and the delta's ops rebuild the target from any matching basis.
+    With ``basis``, the receiver's basis as a source, the target is
+    rebuilt from it as the scan goes and checked as :func:`apply_delta`
+    checks it, raising the same errors; the delta returned then has no
+    ops, since they are applied already, and no literal is ever held
+    whole.  Either way, beyond the signature, working memory is
+    O(``READ_CHUNK`` + ``SCAN_WINDOW`` + block size) for any file size,
+    plus the collected ops; and the ops, charged alike, give the same
+    ``SyncStats``.
 
     ``wire_ratio`` scales literal payloads on the wire to model
     compression; the reconstruction itself is always byte-exact.
@@ -530,11 +557,35 @@ def compute_delta(
     if not 0 < wire_ratio < math.inf:
         raise ValueError(f"wire_ratio must be positive and finite, got {wire_ratio}")
     reader = _ForwardReader(target if isinstance(target, tuple) else _bytes_source(target))
-    read = reader.get
+    stats = SyncStats(wire_bytes=sig.wire_bytes + FILE_WIRE_OVERHEAD, scanned_bytes=reader.length)
+    tokens = _scan(sig, reader, wire_ratio, stats)
+
+    def made(ops: tuple[CopyOp | LiteralOp, ...] = ()) -> FileDelta:
+        return FileDelta(block_size=sig.block_size, ops=ops, target_length=reader.length,
+                         basis_digest=sig.content_digest, target_digest=reader.digest())
+
+    if basis is None:
+        return made(tuple(_collected(tokens))), stats
+    for _ in _rebuilt(basis, sig.block_size, tokens, made):
+        pass
+    return made(), stats
+
+
+def _scan(
+    sig: FileSignature, reader: _ForwardReader, wire_ratio: float, stats: SyncStats
+) -> Iterator[Token]:
+    """The delta from ``sig`` to the target ``reader`` reads, as a stream
+    (see :func:`compute_delta` for the scan).
+
+    Tokens come as soon as the scan has passed them, after each scan
+    window that finds no match and before each copy: a copy run once it
+    closes, and literal bytes as views of the read pieces, which the
+    reader then drops.  Each copy run is charged to ``stats`` when it
+    opens, and each literal run once, when it closes.
+    """
     L = sig.block_size
     n = reader.length
-    ops: list[CopyOp | LiteralOp] = []
-    stats = SyncStats(wire_bytes=sig.wire_bytes + FILE_WIRE_OVERHEAD, scanned_bytes=n)
+    read = reader.get
 
     # Only full-size blocks participate in the mid-stream scan; a short
     # final block is matched against the target tail afterwards.
@@ -549,31 +600,37 @@ def compute_delta(
     first_block = dict(zip(reversed(digests), range(full_blocks - 1, -1, -1)))
 
     run_first = run_count = 0  # the open copy run: blocks [run_first, run_first + run_count)
+    # The open literal run is bytes [lit_start, pos); [lit_start, sent) of it are yielded.
+    lit_start = sent = 0
 
-    def close_run() -> None:
-        nonlocal run_count
-        if run_count:
-            ops.append(CopyOp(first_block=run_first, block_count=run_count))
-            run_count = 0
-
-    def emit_literal(chunk: bytes | memoryview) -> None:
-        close_run()
-        ops.append(LiteralOp(data=bytes(chunk)))
-        charged = _charged_literal(len(chunk), wire_ratio)
-        stats.literal_bytes += charged
-        stats.wire_bytes += charged + LITERAL_OP_WIRE
-
-    def emit_copy(block: int) -> None:
+    def copied(block: int) -> Iterator[Token]:
+        """Add ``block`` to the open copy run, or else yield that run, if
+        any, and open a new one with ``block``."""
         nonlocal run_first, run_count
         if run_count and run_first + run_count == block:
             run_count += 1
             return
-        close_run()
+        if run_count:
+            yield CopyOp(first_block=run_first, block_count=run_count)
         run_first, run_count = block, 1
         stats.wire_bytes += COPY_OP_WIRE
 
+    def passed(stop: int) -> Iterator[Token]:
+        """The open copy run, then literal bytes [sent, stop): what the
+        scan has passed up to ``stop``, where no later match can start."""
+        nonlocal run_count, sent
+        if run_count:
+            yield CopyOp(first_block=run_first, block_count=run_count)
+            run_count = 0
+        yield from reader.views(sent, stop)
+        sent = reader.keep = stop
+
+    def close_literal(stop: int) -> None:
+        charged = _charged_literal(stop - lit_start, wire_ratio)
+        stats.literal_bytes += charged
+        stats.wire_bytes += charged + LITERAL_OP_WIRE
+
     pos = 0
-    lit_start = 0
     last_start = n - L
     if first_block and last_start >= 0:
         known = np.unique(weaks[:full_blocks])
@@ -591,8 +648,8 @@ def compute_delta(
                 j = first_block.get(strong_digest(
                     piece[pos - base:end] if end <= len(piece) else read(pos, pos + L)))
                 if j is not None:
-                    emit_copy(j)
-                    pos = lit_start = reader.keep = pos + L
+                    yield from copied(j)
+                    pos = lit_start = sent = reader.keep = pos + L
                     continue
             if pos >= window_end:
                 window_end = min(pos + span, last_start + 1)
@@ -607,50 +664,62 @@ def compute_delta(
             else:
                 pos = window_end
                 span = min(2 * span, SCAN_WINDOW)
+                yield from passed(pos)
                 continue
             if lit_start < c:
-                emit_literal(read(lit_start, c))
-            emit_copy(j)
-            pos = lit_start = reader.keep = c + L
+                yield from passed(c)
+                close_literal(c)
+            yield from copied(j)
+            pos = lit_start = sent = reader.keep = c + L
             span = first_span
 
     # Tail: the short final basis block can only match the very end of
     # the target, where the remaining bytes have exactly its length.
-    tail_done = False
     if short_len and n - lit_start >= short_len:
         tail = read(n - short_len, n)
         if (combine_weak(*weak_checksum(tail)) == weaks[-1]
                 and strong_digest(tail) == sig.strongs[-DIGEST_WIDTH:]):
             if lit_start < n - short_len:
-                emit_literal(read(lit_start, n - short_len))
-            emit_copy(full_blocks)
-            tail_done = True
-    if not tail_done and lit_start < n:
-        emit_literal(read(lit_start, n))
-    close_run()
-
-    delta = FileDelta(
-        block_size=L,
-        ops=tuple(ops),
-        target_length=n,
-        basis_digest=sig.content_digest,
-        target_digest=reader.digest(),
-    )
-    return delta, stats
+                yield from passed(n - short_len)
+                close_literal(n - short_len)
+            yield from copied(full_blocks)
+            lit_start = sent = n
+    yield from passed(n)
+    if lit_start < n:
+        close_literal(n)
 
 
-def _rebuilt(basis: Source, delta: FileDelta) -> Iterator[bytes | memoryview]:
-    """The target ``delta`` rebuilds from ``basis``, in pieces of at most
-    ``READ_CHUNK`` bytes copied from the basis, and whole literals.
+def _collected(tokens: Iterable[Token]) -> Iterator[CopyOp | LiteralOp]:
+    """A delta's ops from its stream: each literal run, joined, is one op."""
+    literal: list[bytes | memoryview] = []
+    for token in tokens:
+        if isinstance(token, CopyOp):
+            if literal:
+                yield LiteralOp(data=b"".join(literal))
+                literal = []
+            yield token
+        else:
+            literal.append(token)
+    if literal:
+        yield LiteralOp(data=b"".join(literal))
+
+
+def _rebuilt(
+    basis: Source, block_size: int, tokens: Iterable[Token], delta: Callable[[], FileDelta]
+) -> Iterator[bytes | memoryview]:
+    """The target a delta's stream rebuilds from ``basis``: pieces of at
+    most ``READ_CHUNK`` bytes copied from the basis, and the literal
+    pieces as they come.
 
     The basis is digested front to back as the copies read it, and the
     gaps between them are read for the digest alone, so a basis whose
     copies come in order is read once.  Each copy's block range is
     checked before its pieces; after the last piece come the checks of
-    the basis digest, the length and the target digest.
+    the basis digest, the length and the target digest against
+    ``delta()``, which is called only once the stream has ended.
     """
     length, read = basis
-    L = delta.block_size
+    L = block_size
     n_blocks = math.ceil(length / L)
     content = hashlib.sha256()
     digested = 0  # basis bytes [0, digested) are in ``content``
@@ -670,28 +739,30 @@ def _rebuilt(basis: Source, delta: FileDelta) -> Iterator[bytes | memoryview]:
 
     rebuilt = hashlib.sha256()
     size = 0
-    for op in delta.ops:
-        if isinstance(op, LiteralOp):
-            pieces = (op.data,)
-        else:
-            if op.first_block < 0 or op.block_count < 1 or op.first_block + op.block_count > n_blocks:
+    for token in tokens:
+        if isinstance(token, CopyOp):
+            if (token.first_block < 0 or token.block_count < 1
+                    or token.first_block + token.block_count > n_blocks):
                 raise CorruptDeltaError(
-                    f"copy of blocks [{op.first_block}, {op.first_block + op.block_count}) "
+                    f"copy of blocks [{token.first_block}, {token.first_block + token.block_count}) "
                     f"outside basis with {n_blocks} blocks"
                 )
-            start = op.first_block * L
-            pieces = basis_pieces(start, min(start + op.block_count * L, length))
+            start = token.first_block * L
+            pieces = basis_pieces(start, min(start + token.block_count * L, length))
+        else:
+            pieces = (token,)
         for piece in pieces:
             rebuilt.update(piece)
             size += len(piece)
             yield piece
     for _ in basis_pieces(length, length):
         pass
-    if content.digest()[:DIGEST_WIDTH] != delta.basis_digest:
+    expected = delta()
+    if content.digest()[:DIGEST_WIDTH] != expected.basis_digest:
         raise BasisMismatchError("basis digest does not match delta.basis_digest")
-    if size != delta.target_length:
-        raise CorruptDeltaError(f"reconstructed {size} bytes, delta declares {delta.target_length}")
-    if rebuilt.digest()[:DIGEST_WIDTH] != delta.target_digest:
+    if size != expected.target_length:
+        raise CorruptDeltaError(f"reconstructed {size} bytes, delta declares {expected.target_length}")
+    if rebuilt.digest()[:DIGEST_WIDTH] != expected.target_digest:
         raise CorruptDeltaError("rebuilt bytes do not match delta.target_digest")
 
 
@@ -703,8 +774,9 @@ def apply_delta(basis: bytes, delta: FileDelta) -> bytes:
     delta references blocks outside the basis, or the rebuilt bytes have
     the wrong length or do not match ``delta.target_digest``.
     """
+    tokens = (op if isinstance(op, CopyOp) else op.data for op in delta.ops)
     # Copies are views into the basis, so the target is built once, by the join.
-    return b"".join(_rebuilt(_bytes_source(basis), delta))
+    return b"".join(_rebuilt(_bytes_source(basis), delta.block_size, tokens, lambda: delta))
 
 
 # --- tree-level synchronization -------------------------------------------
@@ -712,7 +784,13 @@ def apply_delta(basis: bytes, delta: FileDelta) -> bytes:
 
 @dataclass(frozen=True)
 class Patched:
+    """A file the sender scanned and the receiver rebuilt from ``basis``,
+    its entry, and verified as it went: ``delta`` holds the checked
+    digests and length, and no ops, which were applied during the
+    scan.  Adopting ``target`` finishes the patch."""
+
     delta: FileDelta
+    basis: ContentDescriptor
     target: ContentDescriptor
 
 
@@ -726,7 +804,10 @@ class TreeDelta:
     """What a receiver must change to turn its basis into the target.
 
     ``entries`` holds one ``(path, op)`` pair per patched or deleted
-    file: a :class:`Patched` or a :class:`Deleted`.  ``created`` holds
+    file: a :class:`Patched` or a :class:`Deleted`.  A patched file was
+    rebuilt and verified during :func:`sync_tree`, so the delta carries
+    none of its bytes, only the basis entry it was verified against and
+    the target entry to adopt.  ``created`` holds
     the target's entry for every file the basis lacks, as a tree: a
     group the basis lacks whole is the target's group itself, shared by
     reference, and the files created in a group the basis partly holds
@@ -792,12 +873,15 @@ def sync_tree(
     fields) are skipped by the metadata quick check; with
     ``verify_unchanged`` they are additionally charged a full read plus
     a whole-file checksum on the wire, which models a sync engine that
-    cannot trust metadata (VM image trees).  Content that differs goes
-    through :func:`compute_delta` for real.  Entries whose descriptors
-    differ are rendered ``READ_CHUNK`` bytes at a time, so no file is
-    ever rendered whole: the basis once, for its signature, compared
-    chunk by chunk with the target on the way (see
-    :class:`_ComparedBasis`), and the target once more for the scan.
+    cannot trust metadata (VM image trees).  Every other file present
+    on both sides goes through :func:`compute_delta` for real, rendered
+    ``READ_CHUNK`` bytes at a time, so no file is ever rendered whole:
+    the basis for its signature, the target once, for the scan, and the
+    basis again as the receiver rebuilds the target from it while the
+    scan streams.  A file whose delta's target digest and length equal
+    its signature's content digest and total length has equal bytes: it
+    is charged as unchanged and verified, and gets no entry.  Any other
+    is patched, and its entry carries no literal bytes.
 
     As rsync's sender names only the files that need an update, the
     delta holds the created, patched and deleted paths (see
@@ -826,14 +910,14 @@ def sync_tree(
             if b is t or b == t:
                 _charge_unchanged(stats, 1, t.length, verify_unchanged)
                 continue
-            target_source = _entry_source(path, t)
-            compared = _ComparedBasis(_entry_source(path, b), target_source)
-            sig = compute_signature(compared, block_size)
-            if compared.equal:
+            basis_source = _entry_source(path, b)
+            sig = compute_signature(_pieces(basis_source), block_size)
+            delta, fstats = compute_delta(sig, _entry_source(path, t), wire_ratio=t.wire_ratio,
+                                          basis=basis_source)
+            if (delta.target_length, delta.target_digest) == (sig.total_length, sig.content_digest):
                 _charge_unchanged(stats, 1, t.length, verified=True)
                 continue
-            delta, fstats = compute_delta(sig, target_source, wire_ratio=t.wire_ratio)
-            entries.append((path, Patched(delta=delta, target=t)))
+            entries.append((path, Patched(delta=delta, basis=b, target=t)))
             stats.files_patched += 1
             stats.merge(fstats)
         if created:
@@ -850,38 +934,16 @@ def sync_tree(
     return delta, stats
 
 
-class _ComparedBasis:
-    """The basis's pieces, compared chunk by chunk with the target's
-    while they are equal.
-
-    Iterating it once renders the basis once, for its signature, and
-    the target only up to the first piece that differs; ``equal`` then
-    tells whether the contents are the same.
-    """
-
-    def __init__(self, basis: Source, target: Source):
-        self._basis, self._target = basis, target
-        self.equal = basis[0] == target[0]
-
-    def __iter__(self) -> Iterator[bytes]:
-        target_pieces = _pieces(self._target)
-        for piece in _pieces(self._basis):
-            self.equal = self.equal and piece == next(target_pieces)
-            yield piece
-
-
 def apply_tree_delta(basis: FileTree, delta: TreeDelta) -> FileTree:
-    """Apply a tree delta, verifying every patched file.
+    """Apply a tree delta to the basis it was made from.
 
-    Patched entries replay the delta against the basis entry, streamed
-    through the same checks as :func:`apply_delta`: the basis is read a
-    chunk at a time, copies read only their basis ranges, and the
-    rebuilt bytes are digested as they are produced, never held whole.
-    The target is adopted only once they match the delta's target
-    digest; a mismatch raises :class:`CorruptDeltaError`.  The created
-    files are added last, by :meth:`FileTree.with_entries` of the
-    ``created`` tree, so a group the basis lacked is adopted by
-    reference, not copied.
+    Every patched file was rebuilt from its basis entry and verified
+    during :func:`sync_tree` (see :class:`Patched`), so its target is
+    adopted without rendering a byte, once the basis holds, at its
+    path, the entry the patch was verified against; any other entry
+    raises :class:`BasisMismatchError`.  The created files are added
+    last, by :meth:`FileTree.with_entries` of the ``created`` tree, so a
+    group the basis lacked is adopted by reference, not copied.
     """
     deleted: list[str] = []
     patched: dict[str, ContentDescriptor] = {}
@@ -889,10 +951,8 @@ def apply_tree_delta(basis: FileTree, delta: TreeDelta) -> FileTree:
         if isinstance(op, Deleted):
             deleted.append(path)
             continue
-        basis_entry = basis.get(path)
-        if basis_entry is None:
-            raise CorruptDeltaError(f"patch for {path!r} but basis has no such file")
-        for _ in _rebuilt(_entry_source(path, basis_entry), op.delta):
-            pass
+        held = basis.get(path)
+        if held is not op.basis and held != op.basis:
+            raise BasisMismatchError(f"patch for {path!r} was verified against another basis")
         patched[path] = op.target
     return basis.without(deleted).with_entries(patched).with_entries(delta.created)

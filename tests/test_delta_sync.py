@@ -583,8 +583,8 @@ def test_tree_sync_streams_patched_files(kind, bound):
     # A 16 MiB patched file flows through sync and apply in bounded
     # chunks: neither side holds the basis, the target or the rebuilt
     # file whole.  A memory chunk with 5% of its pages rewritten needs
-    # its signature, its literals and a few read chunks; a disjoint file
-    # is one literal, held while its pending pieces are joined.
+    # its signature and a few read chunks; a disjoint file is one literal
+    # run, which streams too (see test_tree_sync_holds_no_literal_whole).
     n = 16 * 2**20
     if kind == "pages-5pct":
         image = new_memory_image(n, 52, churn_rate=0.05)
@@ -602,6 +602,35 @@ def test_tree_sync_streams_patched_files(kind, bound):
     assert stats.files_patched == 1
     assert rebuilt == target
     assert peak < bound * n
+
+
+@pytest.mark.parametrize("kind", ["pages-5pct", "disjoint"])
+def test_tree_sync_holds_no_literal_whole(kind):
+    # The scan streams literal pieces straight into the receiver's
+    # rebuild, and the tree delta carries none of them, so neither a
+    # 5% rewrite nor a wholly new 16 MiB file is ever held whole: both
+    # peak at well under half the file.
+    n = 16 * 2**20
+    basis, target = (FileTree({"f.bin": entry}) for entry in patched_pair(kind, n))
+
+    def sync_and_apply():
+        delta, stats = sync_tree(basis, target)
+        return apply_tree_delta(basis, delta), stats
+
+    (rebuilt, stats), peak = traced_peak(sync_and_apply)
+    assert stats.files_patched == 1
+    assert rebuilt == target
+    assert peak <= 0.5 * n
+
+
+def patched_pair(kind, n):
+    """Basis and target entries of one ``n``-byte file: a memory chunk
+    with 5% of its pages rewritten, or two disjoint synthetic files."""
+    if kind == "pages-5pct":
+        image = new_memory_image(n, 52, churn_rate=0.05)
+        return (serialize_memory(i, chunk_size=n)["checkpoint/mem-00000.img"]
+                for i in (image, advance_memory(image, 1)))
+    return SyntheticContent(seed=53, length=n), SyntheticContent(seed=53, length=n, epoch=1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -718,19 +747,50 @@ def test_apply_tree_delta_verifies_patches():
 
 
 def test_apply_tree_delta_renders_only_the_basis(monkeypatch):
-    # The receiver checks a patch against the delta's target digest; it
-    # has no way to render the sender's target.  It reads its basis in
-    # ranges, so every rendered range must belong to the basis entry.
-    basis = tree_of({"f.bin": SyntheticContent(seed=1, length=4096)})
-    target = tree_of({"f.bin": SyntheticContent(seed=1, length=4096, epoch=2)})
-    delta, stats = sync_tree(basis, target, 1024)
-    assert stats.files_patched == 1
+    # The receiver checks a patch against the sender's target digest; it
+    # has no way to render the sender's target.  Across sync and apply,
+    # the target is rendered only by the sender's one forward read, every
+    # other rendered range belongs to the basis entry, and
+    # apply_tree_delta, which adopts targets verified during the sync,
+    # renders nothing.  Three and a half read chunks give several reads.
+    n = 7 * delta_sync.READ_CHUNK // 2
+    old, new = SyntheticContent(seed=1, length=n), SyntheticContent(seed=1, length=n, epoch=2)
+    basis, target = tree_of({"f.bin": old}), tree_of({"f.bin": new})
     rendered = []
     real = delta_sync.materialize_entry
-    monkeypatch.setattr(delta_sync, "materialize_entry",
-                        lambda path, entry, *span: rendered.append(entry) or real(path, entry, *span))
+
+    def spy(path, entry, start=0, stop=None):
+        rendered.append((entry, start, stop))
+        return real(path, entry, start, stop)
+
+    monkeypatch.setattr(delta_sync, "materialize_entry", spy)
+    delta, stats = sync_tree(basis, target, 1024)
+    assert stats.files_patched == 1
+    target_reads = [(start, stop) for entry, start, stop in rendered if entry == new]
+    assert [start for start, _ in target_reads] == [0] + [stop for _, stop in target_reads[:-1]]
+    assert target_reads[-1][1] == n
+    assert sum(stop - start for start, stop in target_reads) == n
+    assert len(target_reads) < len(rendered)
+    assert all(entry == old for entry, _, _ in rendered if entry != new)
+    rendered.clear()
     assert apply_tree_delta(basis, delta) == target
-    assert rendered and all(entry == basis.get("f.bin") for entry in rendered)
+    assert rendered == []
+
+
+def test_compute_delta_checks_the_basis_it_rebuilds_from():
+    # Given the receiver's basis, compute_delta rebuilds the target from
+    # it as the scan streams, and a basis other than the signed one
+    # fails the basis digest check, even at the signed length.
+    g = rng(54)
+    basis = g.bytes(20_000)
+    target = basis[:8_000] + g.bytes(4_000) + basis[12_000:]
+    sig = compute_signature(basis, 1024)
+    plain, plain_stats = compute_delta(sig, target)
+    assert compute_delta(sig, target, basis=(len(basis), lambda a, b: basis[a:b])) == (
+        replace(plain, ops=()), plain_stats)
+    other = g.bytes(len(basis))
+    with pytest.raises(BasisMismatchError):
+        compute_delta(sig, target, basis=(len(other), lambda a, b: other[a:b]))
 
 
 def test_sync_tree_verify_unchanged_charges_scan():
