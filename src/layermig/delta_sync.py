@@ -55,9 +55,11 @@ first looked up by strong digest alone, so aligned matches skip the
 rolling scan.  Where that check fails, the scan opens a window of
 ``4 * block size`` starts, since the next match is usually near; each
 window that runs out without a match doubles the next one, up to
-``SCAN_WINDOW`` starts, and a match resets it.  Beyond the signature,
-working memory is O(``READ_CHUNK`` + ``SCAN_WINDOW`` + block size),
-whatever the file size.
+``SCAN_WINDOW`` starts, and a match resets it.  Every window of a scan
+computes in the same arrays, made once per scan (see
+:class:`_ScanWork`).  Beyond the signature, working memory is
+O(``READ_CHUNK`` + ``SCAN_WINDOW`` + block size), whatever the file
+size.
 Every delta carries the digest of its target, and the receiver checks
 the rebuilt bytes against it.  The bytes API (:func:`apply_delta`, and
 bytes passed to :func:`compute_signature` and :func:`compute_delta`)
@@ -166,13 +168,15 @@ def _weights(L: int) -> np.ndarray:
     return np.arange(L, 0, -1, dtype=np.uint32).astype(np.uint16)
 
 
-def _packed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _packed(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Weak checksums ``a + 2^16 * b`` from uint16 ``a`` and ``b``, as
-    little-endian uint32."""
-    weak = b.astype("<u4")
-    weak <<= 16
-    weak |= a
-    return weak
+    little-endian uint32, in ``out`` if given."""
+    if out is None:
+        out = np.empty(len(b), "<u4")
+    out[:] = b
+    out <<= 16
+    out |= a
+    return out
 
 
 def combine_weak(a: int, b: int) -> int:
@@ -355,7 +359,7 @@ def _charged_literal(length: int, wire_ratio: float) -> int:
     return math.ceil(length * wire_ratio)
 
 
-def _window_weaks(window: bytes, L: int) -> np.ndarray:
+def _window_weaks(window: bytes, L: int, work: _ScanWork) -> np.ndarray:
     """Weak checksum of every ``L``-byte window of ``window``, as uint32.
 
     Built by doubling, in uint16.  With ``a_m[i]`` and ``b_m[i]`` the
@@ -371,20 +375,71 @@ def _window_weaks(window: bytes, L: int) -> np.ndarray:
     of those bits that is set, reaches ``m = L`` in about 4 * log2(L)
     whole-array steps, with no sequential prefix sum.  uint16 wraps mod
     2^16, as the weak checksum is defined, so every step is exact.
+
+    Every step writes into the arrays of ``work`` (see
+    :class:`_ScanWork`), and so does the result, which holds until the
+    next window.
     """
-    x = np.frombuffer(window, dtype=np.uint8).astype(np.uint16)
+    n = len(window)
+    work.fit(n)
+    x = work.x[:n]
+    x[:] = np.frombuffer(window, dtype=np.uint8)
     a = b = x
     m = 1
+    k = n  # the sums cover the starts [0, k)
+    i = 0  # the pair the next step writes
+    add, sums_a, sums_b = np.add, work.a, work.b
     for bit in bin(L)[3:]:
-        b = b[:-m] + b[m:]
-        b += a[:-m] * np.uint16(m & 0xFFFF)
-        a = a[:-m] + a[m:]
+        k -= m
+        na, nb = sums_a[i][:k], sums_b[i][:k]
+        np.multiply(a[:k], np.uint16(m & 0xFFFF), na)
+        add(b[:k], b[m:], nb)
+        add(nb, na, nb)
+        add(a[:k], a[m:], na)
+        a, b, i = na, nb, i ^ 1
         m *= 2
         if bit == "1":
-            a = a[:-1] + x[m:]
-            b = b[:-1] + a
+            k -= 1
+            na, nb = sums_a[i][:k], sums_b[i][:k]
+            add(a[:k], x[m:], na)
+            add(b[:k], na, nb)
+            a, b, i = na, nb, i ^ 1
             m += 1
-    return _packed(a, b)
+    work.free = work.pairs[i ^ 1]
+    return _packed(a, b, out=work.pairs[i][:k])
+
+
+class _ScanWork:
+    """The arrays one scan's windows compute in, made once per scan and
+    grown to its longest window.
+
+    A window's weak checksums and filter probe pass through a dozen
+    arrays of its length.  Made afresh for each window, they are freed
+    as it ends, the allocator may hand that memory back to the kernel,
+    and the next window then faults it in again.  These arrays are
+    made once per scan instead: ``x``, the window as uint16, and two
+    pairs, each a uint32 array whose first half holds a uint16 ``a`` and
+    second half a ``b``, which is ``10 * n`` bytes for a window of ``n``
+    bytes, no more than the arrays a window made before.  The doubling
+    steps of :func:`_window_weaks` alternate between the pairs, the weak
+    checksums go into the pair not holding the last step, the filter
+    slots into the other one (``free``), and the probe mask into ``x``,
+    viewed as ``mask``.
+    """
+
+    def __init__(self) -> None:
+        self.size = 0
+
+    def fit(self, n: int) -> None:
+        """Room for a window of ``n`` bytes."""
+        if n > self.size:
+            self.size = n
+            self.x = np.empty(n, np.uint16)
+            self.pairs = (np.empty(n, "<u4"), np.empty(n, "<u4"))
+            halves = [pair.view(np.uint16) for pair in self.pairs]
+            self.a = [h[:n] for h in halves]
+            self.b = [h[n:] for h in halves]
+            self.mask = self.x.view(np.bool_)
 
 
 def _weak_filter(known: np.ndarray) -> np.ndarray:
@@ -399,20 +454,22 @@ def _weak_filter(known: np.ndarray) -> np.ndarray:
     return filt
 
 
-def _filter_slots(weaks: np.ndarray, filt: np.ndarray, mix: np.uint32) -> np.ndarray:
+def _filter_slots(
+    weaks: np.ndarray, filt: np.ndarray, mix: np.uint32, out: np.ndarray | None = None
+) -> np.ndarray:
     """The slots of the table ``filt`` that ``weaks`` key into under
-    the odd multiplier ``mix``, as uint32: the top bits of
-    ``weak * mix`` mod 2^32, which mixes all 32 weak bits.  The scan
+    the odd multiplier ``mix``, as uint32 in ``out`` if given: the top
+    bits of ``weak * mix`` mod 2^32, which mixes all 32 weak bits.  The scan
     gathers by them with ``take``, which converts them to ``intp``
     itself and reads a table larger than the cache somewhat faster
     than ``filt[slots]`` does."""
-    keys = weaks * mix
+    keys = np.multiply(weaks, mix, out=out)
     keys >>= 33 - len(filt).bit_length()
     return keys
 
 
 def _scan_window(
-    window: bytes, start: int, L: int, known: np.ndarray, filt: np.ndarray
+    window: bytes, start: int, L: int, known: np.ndarray, filt: np.ndarray, work: _ScanWork
 ) -> list[int]:
     """Window starts whose weak checksum is in ``known``.
 
@@ -420,11 +477,16 @@ def _scan_window(
     starts ``[start, stop)``, and offsets are local to it.  Candidates
     pass both probes of the membership table ``filt`` (see
     :func:`_weak_filter`), the second only for the first's survivors,
-    and then an exact lookup in the sorted array ``known``.
+    and then an exact lookup in the sorted array ``known``.  The
+    whole-window arrays are those of ``work`` (see :class:`_ScanWork`).
     """
     first, second = WEAK_MIXES
-    weaks = _window_weaks(window, L)
-    hits = np.flatnonzero(filt.take(_filter_slots(weaks, filt, first)))
+    weaks = _window_weaks(window, L, work)
+    n = len(weaks)
+    slots = _filter_slots(weaks, filt, first, out=work.free[:n])
+    # take buffers ``out`` in its default mode, to undo a failed range
+    # check; every slot is in range, so wrapping changes nothing.
+    hits = np.flatnonzero(filt.take(slots, out=work.mask[:n], mode="wrap"))
     hit_weaks = weaks[hits]
     passed = filt.take(_filter_slots(hit_weaks, filt, second))
     hits, hit_weaks = hits[passed], hit_weaks[passed]
@@ -635,6 +697,7 @@ def _scan(
     if first_block and last_start >= 0:
         known = np.unique(weaks[:full_blocks])
         filt = _weak_filter(known)
+        work = _ScanWork()
         candidates: list[int] = []  # weak matches among the window's starts
         window_end = 0
         first_span = min(_first_window(L), SCAN_WINDOW)
@@ -653,7 +716,8 @@ def _scan(
                     continue
             if pos >= window_end:
                 window_end = min(pos + span, last_start + 1)
-                candidates = _scan_window(read(pos, window_end + L - 1), pos, L, known, filt)
+                candidates = _scan_window(
+                    read(pos, window_end + L - 1), pos, L, known, filt, work)
             ci = bisect.bisect_left(candidates, pos)
             while ci < len(candidates):
                 c = candidates[ci]

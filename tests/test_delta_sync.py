@@ -137,7 +137,10 @@ def test_window_weaks_match_the_byte_loop_at_every_start(L, fill, starts, seed):
     starts = min(starts, max(1, 400_000 // L))
     n = starts + L - 1
     window = b"\xff" * n if fill == "ff" else rng(seed).bytes(n)
-    weaks = delta_sync._window_weaks(window, L)
+    # A scan's windows share their arrays: run a longer window in them first.
+    work = delta_sync._ScanWork()
+    delta_sync._window_weaks(rng(seed + 1).bytes(n + 9), L, work)
+    weaks = delta_sync._window_weaks(window, L, work)
     assert weaks.tolist() == [combine_weak(*ref_weak_checksum(window[i:i + L]))
                               for i in range(starts)]
 
@@ -476,9 +479,9 @@ def spied_windows(mp):
     windows = []
     real = delta_sync._scan_window
 
-    def spy(window, start, L, known, filt):
+    def spy(window, start, L, *rest):
         windows.append((start, len(window) - L + 1))
-        return real(window, start, L, known, filt)
+        return real(window, start, L, *rest)
 
     mp.setattr(delta_sync, "_scan_window", spy)
     return windows
@@ -520,12 +523,13 @@ def test_scan_filter_passes_few_starts_of_a_large_basis():
     # alone passes about 9%, and both about 0.8%.
     L = 2048
     g = rng(60)
-    known = np.unique(delta_sync._window_weaks(g.bytes(10**5 + L - 1), L))
+    work = delta_sync._ScanWork()
+    known = np.unique(delta_sync._window_weaks(g.bytes(10**5 + L - 1), L, work))
     filt = delta_sync._weak_filter(known)
     assert len(filt) >= max(2**18, 16 * len(known))
     for mix in delta_sync.WEAK_MIXES:
         assert filt[delta_sync._filter_slots(known, filt, mix)].all()
-    probe = delta_sync._window_weaks(g.bytes(delta_sync.SCAN_WINDOW + L - 1), L)
+    probe = delta_sync._window_weaks(g.bytes(delta_sync.SCAN_WINDOW + L - 1), L, work)
     first, second = (filt[delta_sync._filter_slots(probe, filt, mix)]
                      for mix in delta_sync.WEAK_MIXES)
     passed = first & second
