@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import (
     CONFIG_DESTS,
@@ -53,6 +52,9 @@ from .migrator import (
 )
 from .netsim import MB, LinkSpec
 from .workloads import AppProfile, builtin_profiles
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CONTAINER_PROCESSING_CAP = 50.0 * MB  # bits/s; saturation point of the sync engine
 INITIAL_VM_PROCESSING_CAP = 45.0 * MB  # bits/s; the VM cap of ``--calibration default``
@@ -116,6 +118,8 @@ def bvls(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nda
     no bound variable's gradient points inward; a variable on a bound is
     returned exactly equal to it.  Columns are scaled to unit norm first.
     """
+    import numpy as np
+
     norm = np.linalg.norm(A, axis=0)
     norm[norm == 0] = 1.0
     A, lo_s, hi_s = A / norm, lo * norm, hi * norm
@@ -171,6 +175,8 @@ def fit_cost_model(reference: dict, virtualization: Virtualization, *, profiles=
     as squared relative errors.  The container processing cap is pinned
     at its known 50 Mbps saturation point; the VM cap is fitted.
     """
+    import numpy as np
+
     by_name = {p.name: p for p in (builtin_profiles() if profiles is None else profiles)}
     records = [r for r in read_reference(reference)[0]
                if r.kind is virtualization and r.profile in by_name]

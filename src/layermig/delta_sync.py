@@ -60,6 +60,11 @@ computes in the same arrays, made once per scan (see
 :class:`_ScanWork`).  Beyond the signature, working memory is
 O(``READ_CHUNK`` + ``SCAN_WINDOW`` + block size), whatever the file
 size.
+
+The functions that compute with arrays import numpy themselves, so a
+process that imports this module, or syncs trees whose files are all
+unchanged, created or deleted, never loads it.
+
 Every delta carries the digest of its target, and the receiver checks
 the rebuilt bytes against it.  The bytes API (:func:`apply_delta`, and
 bytes passed to :func:`compute_signature` and :func:`compute_delta`)
@@ -87,11 +92,12 @@ import hashlib
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Collection, Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator
 
 from .layer_store import ContentDescriptor, FileTree, TreeGroup, materialize_entry
+
+if TYPE_CHECKING:
+    import numpy as np
 
 WEAK_MOD = 1 << 16
 DIGEST_WIDTH = 16  # SHA-256 truncated to 128 bits, fixed everywhere
@@ -120,7 +126,7 @@ SCAN_WINDOW = 1 << 16
 # WEAK_MIXES (2^32 over the golden ratio, and xxHash's second prime).
 FILTER_MIN_BITS = 18
 FILTER_SLOTS_PER_WEAK = 16
-WEAK_MIXES = (np.uint32(0x9E3779B1), np.uint32(0x85EBCA77))
+WEAK_MIXES = (0x9E3779B1, 0x85EBCA77)
 # Bytes per read when a file streams through the engine: signatures,
 # delta scans and rebuilds all read their file this many bytes at a
 # time.
@@ -159,18 +165,24 @@ def weak_checksum(block: bytes) -> tuple[int, int]:
     weights of :func:`_weights`, and wrap mod 2^16 as rsync defines
     them, so they are exact for any length.
     """
+    import numpy as np
+
     x = np.frombuffer(block, dtype=np.uint8)
     return int(x.sum(dtype=np.uint16)), int((x * _weights(len(x))).sum(dtype=np.uint16))
 
 
 def _weights(L: int) -> np.ndarray:
     """The weights (L, ..., 1) of ``b``, mod 2^16, as uint16."""
+    import numpy as np
+
     return np.arange(L, 0, -1, dtype=np.uint32).astype(np.uint16)
 
 
 def _packed(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Weak checksums ``a + 2^16 * b`` from uint16 ``a`` and ``b``, as
     little-endian uint32, in ``out`` if given."""
+    import numpy as np
+
     if out is None:
         out = np.empty(len(b), "<u4")
     out[:] = b
@@ -296,6 +308,8 @@ def _add_full_blocks(weaks: bytearray, strongs: bytearray, data: memoryview, L: 
     n_full = len(data) // L
     if not n_full:
         return
+    import numpy as np
+
     rows = np.frombuffer(data, dtype=np.uint8, count=n_full * L).reshape(n_full, L)
     weights = _weights(L)
     step = max(1, SCAN_WINDOW // L)
@@ -380,6 +394,8 @@ def _window_weaks(window: bytes, L: int, work: _ScanWork) -> np.ndarray:
     :class:`_ScanWork`), and so does the result, which holds until the
     next window.
     """
+    import numpy as np
+
     n = len(window)
     work.fit(n)
     x = work.x[:n]
@@ -433,6 +449,8 @@ class _ScanWork:
     def fit(self, n: int) -> None:
         """Room for a window of ``n`` bytes."""
         if n > self.size:
+            import numpy as np
+
             self.size = n
             self.x = np.empty(n, np.uint16)
             self.pairs = (np.empty(n, "<u4"), np.empty(n, "<u4"))
@@ -447,6 +465,8 @@ def _weak_filter(known: np.ndarray) -> np.ndarray:
     ``known``: ``2^bits`` flags, with at least ``FILTER_MIN_BITS`` bits
     and ``FILTER_SLOTS_PER_WEAK`` slots per known weak, with each known
     weak's slots under both ``WEAK_MIXES`` set."""
+    import numpy as np
+
     bits = max(FILTER_MIN_BITS, (FILTER_SLOTS_PER_WEAK * len(known) - 1).bit_length())
     filt = np.zeros(1 << bits, dtype=bool)
     for mix in WEAK_MIXES:
@@ -455,7 +475,7 @@ def _weak_filter(known: np.ndarray) -> np.ndarray:
 
 
 def _filter_slots(
-    weaks: np.ndarray, filt: np.ndarray, mix: np.uint32, out: np.ndarray | None = None
+    weaks: np.ndarray, filt: np.ndarray, mix: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """The slots of the table ``filt`` that ``weaks`` key into under
     the odd multiplier ``mix``, as uint32 in ``out`` if given: the top
@@ -463,7 +483,9 @@ def _filter_slots(
     gathers by them with ``take``, which converts them to ``intp``
     itself and reads a table larger than the cache somewhat faster
     than ``filt[slots]`` does."""
-    keys = np.multiply(weaks, mix, out=out)
+    import numpy as np
+
+    keys = np.multiply(weaks, np.uint32(mix), out=out)
     keys >>= 33 - len(filt).bit_length()
     return keys
 
@@ -480,6 +502,8 @@ def _scan_window(
     and then an exact lookup in the sorted array ``known``.  The
     whole-window arrays are those of ``work`` (see :class:`_ScanWork`).
     """
+    import numpy as np
+
     first, second = WEAK_MIXES
     weaks = _window_weaks(window, L, work)
     n = len(weaks)
@@ -645,6 +669,8 @@ def _scan(
     reader then drops.  Each copy run is charged to ``stats`` when it
     opens, and each literal run once, when it closes.
     """
+    import numpy as np
+
     L = sig.block_size
     n = reader.length
     read = reader.get

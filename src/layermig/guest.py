@@ -6,7 +6,7 @@ and restore it."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .layer_store import (
     DEFAULT_CHUNK_SIZE,
@@ -214,7 +214,8 @@ def checkpoint(g: GuestInstance, chunk_size: int = DEFAULT_CHUNK_SIZE) -> GuestI
             seed=g.seed ^ 0x54A7E, length=floor, epoch=g.memory.epoch,
             wire_ratio=g.spec.memory_floor_wire_ratio,
         )
-    return replace(g, checkpoint=FileTree.of_groups(files))
+    return GuestInstance(g.spec, g.base, g.app, g.instance, g.memory, g.seed, g.scale,
+                         g.memory_wire_ratio, FileTree.of_groups(files))
 
 
 def restore(g: GuestInstance) -> GuestInstance:
@@ -225,7 +226,7 @@ def restore(g: GuestInstance) -> GuestInstance:
     bytes the source had at suspend time) and the checkpoint is
     dropped; the instance tree is left as it is, the same object.
     Chunks that all arrived as the source wrote them give back the
-    source's epoch array itself, not a copy (see :func:`restore_memory`).
+    source's epoch bytes themselves, not a copy (see :func:`restore_memory`).
     """
     if g.checkpoint is None:
         raise InvalidStateError("guest is not suspended")
@@ -233,4 +234,5 @@ def restore(g: GuestInstance) -> GuestInstance:
         memory = restore_memory(g.checkpoint)
     except ValueError as exc:
         raise CorruptInstanceError(str(exc)) from exc
-    return replace(g, memory=memory, checkpoint=None)
+    return GuestInstance(g.spec, g.base, g.app, g.instance, memory, g.seed, g.scale,
+                         g.memory_wire_ratio)

@@ -26,12 +26,19 @@ A layer's files travel as one group from the moment they are made:
 builds a tree of such groups without looking at their paths, and a
 tree delta carries a group its basis lacks as the same object.
 
-A memory image's epoch array travels the same way, from suspend to
-restore: :func:`serialize_memory` cuts the checkpoint's chunks as
-read-only views of it, and :func:`restore_memory` adopts it again once
-its checks show that the chunks that arrived tile it.  The array is
-copied only when they were not all cut from it, as after a sync onto a
-stale instance, which keeps the stale image's unchanged chunks.
+A memory image's page epochs travel the same way, from suspend to
+restore.  They are one immutable ``bytes`` object, four little-endian
+bytes per page: :func:`serialize_memory` cuts the checkpoint's chunks
+as ``memoryview`` slices of it, and :func:`restore_memory` adopts it
+again once its checks show that the chunks that arrived tile it.  The
+epochs are joined into new bytes only when the chunks were not all cut
+from one object, as after a sync onto a stale instance, which keeps the
+stale image's unchanged chunks.
+
+Only the code that computes with arrays imports numpy, inside the
+function: content rendering and :func:`advance_memory`.  Building,
+checkpointing, comparing and restoring trees and images uses none of
+it, so a migration that renders no content never imports numpy.
 """
 
 from __future__ import annotations
@@ -42,12 +49,13 @@ import math
 import posixpath
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import attrgetter, is_, itemgetter, le, mod, mul
-from typing import ItemsView, Iterator, Mapping
+from typing import TYPE_CHECKING, ItemsView, Iterator, Mapping
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_PAGE_SIZE = 4096
 DEFAULT_CHUNK_SIZE = 4 * 1024 * 1024
@@ -60,6 +68,8 @@ _STREAM_BLOCK = 32  # bytes produced per Philox counter increment
 
 
 def _stream_key(*parts: object) -> np.ndarray:
+    import numpy as np
+
     material = "\x1f".join(str(p) for p in parts).encode()
     digest = hashlib.blake2b(material, digest_size=16).digest()
     return np.frombuffer(digest, dtype=np.uint64)
@@ -76,11 +86,13 @@ def _philox(key: np.ndarray, counter: int) -> np.random.Philox:
     The constructor also draws an OS-entropy seed sequence that the key
     then overrides; setting the state of one generator per thread costs
     a fifth of that.  The generator is made on the first render, so a
-    process that renders no content never imports ``numpy.random``.
+    process that renders no content never imports numpy.
     """
     try:
         bg = _THREAD.philox
     except AttributeError:
+        import numpy as np
+
         bg = _THREAD.philox = np.random.Philox(0)
     bg.state = {
         "bit_generator": "Philox",
@@ -104,6 +116,8 @@ def _stream_bytes(key: np.ndarray, length: int, offset: int = 0) -> bytes:
     """
     if length <= 0:
         return b""
+    import numpy as np
+
     skip = offset % _STREAM_BLOCK
     bg = _philox(key, offset // _STREAM_BLOCK)
     words = bg.random_raw(math.ceil((skip + length) / 8)).astype("<u8", copy=False)
@@ -146,14 +160,14 @@ class MemoryChunkContent:
 
     ``epochs`` holds one little-endian uint32 per page, from page
     ``start_page`` on, as any bytes-like object.  :func:`serialize_memory`
-    gives each chunk a read-only ``memoryview`` of the image's own epoch
-    array, no copy, and privately records that array on the chunk, so
-    that :func:`restore_memory` can adopt it; a chunk made any other way,
-    by this constructor or by ``dataclasses.replace``, carries no record.
-    Equality compares values, so a view chunk equals a ``bytes`` chunk
-    of the same fields.  Each page's bytes depend only on (seed, page
-    index, that page's epoch), so a chunk's content is stable wherever
-    its pages are unchanged.
+    gives each chunk a ``memoryview`` slice of the image's own epoch
+    bytes, no copy, and privately records those bytes on the chunk, so
+    that :func:`restore_memory` can adopt them; a chunk made any other
+    way, by this constructor or by ``dataclasses.replace``, carries no
+    record.  Equality compares values, so a view chunk equals a
+    ``bytes`` chunk of the same fields.  Each page's bytes depend only
+    on (seed, page index, that page's epoch), so a chunk's content is
+    stable wherever its pages are unchanged.
     """
 
     seed: int
@@ -163,7 +177,7 @@ class MemoryChunkContent:
     wire_ratio: float = 1.0
 
     length: int = field(init=False, repr=False, compare=False)  # whole pages, in bytes
-    _cut_from = None  # the epoch array serialize_memory cut the chunk from
+    _cut_from = None  # the epoch bytes serialize_memory cut the chunk from
 
     def __init__(self, seed: int, page_size: int, start_page: int, epochs: bytes | memoryview,
                  wire_ratio: float = 1.0):
@@ -176,7 +190,7 @@ class MemoryChunkContent:
                              length=len(epochs) // 4 * page_size)
 
     def __hash__(self) -> int:
-        # A view of a numpy array is unhashable; equal chunks have equal lengths.
+        # Hashing the epochs would read every page's; equal chunks have equal lengths.
         return hash((self.seed, self.page_size, self.start_page, self.length, self.wire_ratio))
 
 
@@ -184,16 +198,20 @@ ContentDescriptor = LiteralContent | SyntheticContent | MemoryChunkContent
 
 
 def _page_run_bytes(
-    seed: int, page_size: int, start_page: int, epochs: np.ndarray, start: int, stop: int
+    seed: int, page_size: int, start_page: int, epochs: bytes | memoryview, start: int, stop: int
 ) -> bytes:
     """Bytes ``[start, stop)`` of the pages whose epochs are ``epochs``,
-    the first of them being page ``start_page``.
+    one little-endian uint32 per page, the first of them being page
+    ``start_page``.
 
     Only the pages the range covers are rendered, one stream per run of
     equal epochs, and the runs are joined once.
     """
     if start >= stop:
         return b""
+    import numpy as np
+
+    epochs = np.frombuffer(epochs, dtype="<u4")
     first, last = start // page_size, -(-stop // page_size)
     covered = epochs[first:last]
     cuts = (np.flatnonzero(covered[1:] != covered[:-1]) + first + 1).tolist()
@@ -225,8 +243,8 @@ def materialize_entry(
     if isinstance(entry, SyntheticContent):
         key = _stream_key("layermig.file", entry.seed, path, entry.epoch)
         return _stream_bytes(key, stop - start, offset=start)
-    epochs = np.frombuffer(entry.epochs, dtype="<u4")
-    return _page_run_bytes(entry.seed, entry.page_size, entry.start_page, epochs, start, stop)
+    return _page_run_bytes(entry.seed, entry.page_size, entry.start_page, entry.epochs,
+                           start, stop)
 
 
 # --- file trees --------------------------------------------------------------
@@ -526,19 +544,21 @@ class MemoryImage:
     page was last modified in), so two images with equal fields
     materialize to identical bytes.
 
-    The image holds ``page_epochs`` read-only, so an image that guests
-    and migrations share cannot be changed through it: a read-only array
-    as it is given, a writable one as a read-only view, so the caller's
-    own array stays writable.  That is what lets a checkpoint hand the
-    array on by reference: the chunks of :func:`serialize_memory` are
-    views of it, and the image :func:`restore_memory` returns from them
-    may hold that same array.
+    ``page_epochs`` holds each page's epoch as four little-endian bytes,
+    in one ``bytes`` object, which no one can change: an image that
+    guests and migrations share cannot be changed through it.  That is
+    what lets a checkpoint hand the epochs on by reference: the chunks
+    of :func:`serialize_memory` are views of them, and the image
+    :func:`restore_memory` returns from those chunks may hold that same
+    object.  Any other type of ``page_epochs`` raises TypeError: the raw
+    bytes of an array follow its own dtype, which the chunks would
+    misread.
     """
 
     seed: int
     page_size: int
     epoch: int
-    page_epochs: np.ndarray  # uint32, one entry per page
+    page_epochs: bytes  # little-endian uint32, one entry per page
     churn_rate: float
 
     def __post_init__(self):
@@ -546,14 +566,14 @@ class MemoryImage:
             raise ValueError("page_size must be a positive multiple of 32")
         if not 0.0 <= self.churn_rate <= 1.0:
             raise ValueError("churn_rate must be within [0, 1]")
-        if self.page_epochs.flags.writeable:
-            view = self.page_epochs.view()
-            view.flags.writeable = False
-            object.__setattr__(self, "page_epochs", view)
+        if not isinstance(self.page_epochs, bytes):
+            raise TypeError(f"page_epochs must be bytes, got {type(self.page_epochs).__name__}")
+        if len(self.page_epochs) % 4:
+            raise ValueError("page_epochs must hold 4 bytes per page")
 
     @property
     def pages(self) -> int:
-        return len(self.page_epochs)
+        return len(self.page_epochs) // 4
 
     @property
     def total_bytes(self) -> int:
@@ -565,10 +585,9 @@ class MemoryImage:
             and self.seed == other.seed
             and self.page_size == other.page_size
             and self.epoch == other.epoch
-            # A restore that adopted the checkpointed array holds that
-            # very array, which is equal without a read.
-            and (self.page_epochs is other.page_epochs
-                 or np.array_equal(self.page_epochs, other.page_epochs))
+            # A restore that adopted the checkpointed epochs holds that
+            # very object, which bytes equality finds without a read.
+            and self.page_epochs == other.page_epochs
         )
 
 
@@ -584,28 +603,33 @@ def new_memory_image(
         seed=seed,
         page_size=page_size,
         epoch=0,
-        page_epochs=np.zeros(pages, dtype=np.uint32),
+        page_epochs=bytes(4 * pages),
         churn_rate=float(churn_rate),  # written to the checkpoint metadata as a float
     )
 
 
 def advance_memory(image: MemoryImage, steps: int) -> MemoryImage:
     """Advance the churn clock: each step rewrites round(churn_rate * pages)
-    pages, chosen by a seeded draw so the sequence is reproducible."""
+    pages, chosen by a seeded draw so the sequence is reproducible.  An
+    image whose steps touch no page keeps its epoch bytes."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if steps == 0:
         return image
-    epochs = image.page_epochs.copy()
     count = round(image.churn_rate * image.pages)
-    epoch = image.epoch
-    for _ in range(steps):
-        epoch += 1
-        if count:
-            rng = np.random.Generator(np.random.Philox(key=_stream_key("layermig.churn", image.seed, epoch)))
-            touched = rng.choice(image.pages, size=count, replace=False)
+    page_epochs = image.page_epochs
+    if count:
+        import numpy as np
+
+        epochs = np.frombuffer(page_epochs, dtype="<u4").copy()
+        for epoch in range(image.epoch + 1, image.epoch + steps + 1):
+            key = _stream_key("layermig.churn", image.seed, epoch)
+            touched = np.random.Generator(np.random.Philox(key=key)).choice(
+                image.pages, size=count, replace=False)
             epochs[touched] = epoch
-    return replace(image, epoch=epoch, page_epochs=epochs)
+        page_epochs = epochs.tobytes()
+    return MemoryImage(image.seed, image.page_size, image.epoch + steps, page_epochs,
+                       image.churn_rate)
 
 
 def serialize_memory(
@@ -621,16 +645,14 @@ def serialize_memory(
 
     A chunk holds ``chunk_size // page_size`` pages, at least one; the
     last holds what is left.  Nothing is copied: each chunk's ``epochs``
-    is a read-only view of its pages in the image's epoch array, and the
-    chunk records that array for :func:`restore_memory`.
+    is a ``memoryview`` slice of its pages in the image's epoch bytes,
+    and the chunk records those bytes for :func:`restore_memory`.
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
     pages_per_chunk = max(1, chunk_size // image.page_size)
-    epochs = np.ascontiguousarray(image.page_epochs, dtype="<u4")
-    if epochs.flags.writeable:  # a copy, which is ours: the image's array is read-only
-        epochs.flags.writeable = False
-    view = memoryview(epochs.view(np.uint8))
+    epochs = image.page_epochs
+    view = memoryview(epochs)
     step = 4 * pages_per_chunk
     views = [view[i:i + step] for i in range(0, len(view), step)]
     chunks = list(map(MemoryChunkContent, repeat(image.seed), repeat(image.page_size),
@@ -696,12 +718,12 @@ def restore_memory(tree: FileTree) -> MemoryImage:
     size of the metadata and whole uint32 pages, and the chunks, in
     ``start_page`` order, must cover pages 0 to ``pages - 1`` with no
     gap or overlap.  Those checks read only the chunks' fields and
-    lengths.  When every chunk was cut from one epoch array of ``pages``
-    entries, they have just shown that the chunks tile it, and the image
-    adopts that array; otherwise, as after a sync that patched some
-    chunks of a stale checkpoint, the epochs are joined.  Either way the
-    image's array is read-only.  Raises ValueError when a file is
-    missing or a check fails.
+    lengths.  When every chunk was cut from one epoch ``bytes`` of
+    ``pages`` entries, they have just shown that the chunks tile it, and
+    the image adopts that object; otherwise, as after a sync that
+    patched some chunks of a stale checkpoint, the epochs are joined
+    into new bytes.  Raises ValueError when a file is missing or a check
+    fails.
     """
     meta = _checkpoint_meta(tree)
     entries = list(map(_VALUE, tree.items()))
@@ -723,11 +745,11 @@ def restore_memory(tree: FileTree) -> MemoryImage:
     if offsets[-1] != 4 * meta["pages"]:
         raise ValueError(f"checkpoint covers {offsets[-1] // 4} pages, expected {meta['pages']}")
     cut_from = chunks[0]._cut_from if chunks else None
-    if (cut_from is not None and len(cut_from) == meta["pages"]
+    if (cut_from is not None and len(cut_from) == offsets[-1]
             and all(map(is_, map(_CUT_FROM, chunks), repeat(cut_from)))):
         page_epochs = cut_from
     else:
-        page_epochs = np.frombuffer(b"".join(map(_EPOCHS, chunks)), dtype="<u4")
+        page_epochs = b"".join(map(_EPOCHS, chunks))
     return MemoryImage(
         seed=meta["seed"],
         page_size=meta["page_size"],

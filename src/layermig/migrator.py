@@ -23,7 +23,7 @@ wrote.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .delta_sync import (
     DEFAULT_BLOCK_SIZE,
@@ -382,8 +382,10 @@ def simulate(
         dest_instance_tree = stale.instance
         dest_checkpoint = stale.checkpoint
         if scenario.staleness_epochs:
-            source = replace(
-                source, memory=advance_memory(source.memory, scenario.staleness_epochs)
+            source = GuestInstance(
+                source.spec, source.base, source.app, source.instance,
+                advance_memory(source.memory, scenario.staleness_epochs),
+                source.seed, source.scale, source.memory_wire_ratio,
             )
 
     suspended: GuestInstance | None = None
@@ -439,9 +441,9 @@ def simulate(
 
     # The destination's trees in the suspended guest; restore rebuilds
     # its memory from the checkpoint that arrived.
-    dest_guest = restore(replace(
-        suspended, base=dest_base_tree, app=dest_app_tree, instance=dest_instance_tree,
-        checkpoint=dest_checkpoint,
+    dest_guest = restore(GuestInstance(
+        suspended.spec, dest_base_tree, dest_app_tree, dest_instance_tree, suspended.memory,
+        suspended.seed, suspended.scale, suspended.memory_wire_ratio, dest_checkpoint,
     ))
 
     # Internal consistency: the migrated guest must hold exactly the

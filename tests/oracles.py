@@ -58,12 +58,12 @@ def traced_peak(fn, *args):
 
 def serialize_memory_by_chunk(image: MemoryImage, chunk_size: int, *, wire_ratio: float = 1.0):
     """:func:`layer_store.serialize_memory`'s checkpoint files, each
-    chunk's epochs taken from its own slice of the epoch array."""
+    chunk's epochs taken from its own byte slice of the epoch bytes."""
     pages_per_chunk = max(1, chunk_size // image.page_size)
     entries = {}
     for index, start in enumerate(range(0, image.pages, pages_per_chunk)):
         stop = min(start + pages_per_chunk, image.pages)
-        blob = np.ascontiguousarray(image.page_epochs[start:stop], dtype="<u4").tobytes()
+        blob = image.page_epochs[4 * start:4 * stop]
         entries[f"checkpoint/mem-{index:05d}.img"] = MemoryChunkContent(
             seed=image.seed,
             page_size=image.page_size,
@@ -104,7 +104,7 @@ def restore_memory_by_join(tree: FileTree) -> MemoryImage:
     if offsets[-1] != 4 * meta["pages"]:
         raise ValueError(f"checkpoint covers {offsets[-1] // 4} pages, expected {meta['pages']}")
     return MemoryImage(seed=meta["seed"], page_size=meta["page_size"], epoch=meta["epoch"],
-                       page_epochs=np.frombuffer(b"".join(blobs), dtype="<u4"),
+                       page_epochs=b"".join(blobs),
                        churn_rate=meta["churn_rate"])
 
 

@@ -1,6 +1,9 @@
 """No module of the package imports a name it never uses, and only
 ``config`` indexes the reference file, checked on each module's syntax
-tree; and a reference migration imports no module it does not need."""
+tree; and numpy, which only the code that computes with arrays imports,
+stays unloaded, each in a fresh process, after importing the package,
+after a reference migration and after ``layermig reproduce``, while a
+stale-instance migration, which runs the delta engine, loads it."""
 
 import ast
 import os
@@ -139,10 +142,24 @@ def test_only_config_reads_the_reference_file(path):
     assert reference_block_reads(path.read_text(encoding="utf-8")) == []
 
 
+def numpy_loaded_after(script: str) -> bool:
+    """Whether ``script``, run in a fresh process, leaves numpy loaded."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = script + "\nimport sys\nprint('numpy' in sys.modules)\n"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    return {"True": True, "False": False}[done.stdout.split()[-1]]
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    # Importing numpy costs a fresh process about 0.13 CPU s and 13 MiB.
+    assert not numpy_loaded_after("import layermig\nimport layermig.cli")
+
+
 # One Table 1 migration as ``layermig reproduce`` runs it, with the
 # packaged calibration; it renders no content byte.
 REFERENCE_MIGRATION = """
-import json, sys
+import json
 from importlib import resources
 import layermig
 from layermig.calibrate import load_calibration, reference_scenario
@@ -160,14 +177,34 @@ for record in records:
         scenario = reference_scenario(record, layermig.profile_by_name("RAM Simulation"),
                                       calibration, seed, 1.0)
         layermig.run_migration(scenario)
-print("numpy.random" in sys.modules)
 """
 
 
-def test_a_reference_migration_leaves_numpy_random_unloaded():
-    # Importing numpy.random costs a fresh process about 14 ms and 6 MB;
-    # only rendering content, or churning memory, needs it.
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    done = subprocess.run([sys.executable, "-c", REFERENCE_MIGRATION], env=env, check=True,
-                          capture_output=True, text=True, timeout=120)
-    assert done.stdout.split() == ["False"]
+def test_a_reference_migration_leaves_numpy_unloaded():
+    # Only rendering content, churning memory and fitting need numpy.
+    assert not numpy_loaded_after(REFERENCE_MIGRATION)
+
+
+def test_reproduce_leaves_numpy_unloaded(tmp_path):
+    assert not numpy_loaded_after(
+        "import layermig.cli\n"
+        f"layermig.cli.main(['reproduce', '--target', 'table1', '--out-dir', {str(tmp_path)!r}])")
+
+
+# A small migration onto a stale instance: it churns memory and runs the
+# delta engine, which compute with arrays.
+STALE_MIGRATION = """
+import layermig
+spec = layermig.container_spec()
+layermig.run_migration(layermig.MigrationScenario(
+    guest_spec=spec, profile=layermig.profile_by_name("RAM Simulation"),
+    mode=layermig.MigrationMode.THREE_LAYER,
+    destination=layermig.DestinationState(has_base=True, has_app=True, has_stale_instance=True),
+    link=layermig.LinkSpec(bandwidth_bps=1e8),
+    cost_model=layermig.default_cost_model(spec.virtualization), scale=0.005))
+"""
+
+
+def test_a_stale_instance_migration_loads_numpy():
+    # The control: the probe does see numpy where the program needs it.
+    assert numpy_loaded_after(STALE_MIGRATION)

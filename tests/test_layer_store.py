@@ -505,7 +505,7 @@ def test_churn_touches_exact_page_count():
         if before[p * 4096:(p + 1) * 4096] != after[p * 4096:(p + 1) * 4096]
     )
     assert changed == 250
-    assert int((stepped.page_epochs == 1).sum()) == 250
+    assert int((np.frombuffer(stepped.page_epochs, dtype="<u4") == 1).sum()) == 250
 
 
 def test_churn_is_deterministic():
@@ -552,36 +552,47 @@ def test_checkpoint_files_match_the_chunk_by_chunk_reference(pages, page_size, c
     entries = serialize_memory(image, chunk_size, wire_ratio=0.5)
     reference = serialize_memory_by_chunk(image, chunk_size, wire_ratio=0.5)
     assert list(entries.items()) == list(reference.items())
-    # Each chunk's epochs are a read-only view, and restore adopts the array they view.
+    # Each chunk's epochs are a read-only view, and restore adopts the bytes they view.
     assert all(memoryview(e.epochs).readonly
                for e in entries.values() if isinstance(e, MemoryChunkContent))
     restored = restore_memory(FileTree(entries))
     assert restored == image
-    assert np.shares_memory(restored.page_epochs, image.page_epochs) or image.pages == 0
+    assert restored.page_epochs is image.page_epochs
     assert serialize_memory(restored, chunk_size, wire_ratio=0.5) == entries
 
 
-def test_memory_image_holds_a_read_only_view():
-    epochs = np.zeros(8, dtype=np.uint32)
-    image = MemoryImage(seed=1, page_size=4096, epoch=0, page_epochs=epochs, churn_rate=0.5)
-    with pytest.raises(ValueError):
-        image.page_epochs[0] = 5
-    epochs[0] = 5  # the caller's own array stays writable
-    stepped = advance_memory(image, 1)  # a copy, held read-only too
-    with pytest.raises(ValueError):
-        stepped.page_epochs[0] = 5
+def test_memory_image_epochs_are_immutable():
+    image = MemoryImage(seed=1, page_size=4096, epoch=0, page_epochs=bytes(32), churn_rate=0.5)
+    stepped = advance_memory(image, 1)  # new epochs
     restored = restore_memory(FileTree(serialize_memory(stepped)))
-    with pytest.raises(ValueError):
-        restored.page_epochs[0] = 5
+    for held in (image, stepped, restored):
+        assert type(held.page_epochs) is bytes
+        with pytest.raises(TypeError):
+            held.page_epochs[0] = 5
+
+
+@pytest.mark.parametrize("epochs", [np.zeros(8, dtype="<u4"), np.zeros(8, dtype=">u4"),
+                                    bytearray(32), memoryview(bytes(32)), [0] * 8],
+                         ids=["little-endian array", "big-endian array", "bytearray",
+                              "memoryview", "list"])
+def test_memory_image_refuses_epochs_that_are_not_bytes(epochs):
+    # An array would be read in the order of its own bytes, whatever its dtype says.
+    with pytest.raises(TypeError, match="page_epochs must be bytes"):
+        MemoryImage(seed=1, page_size=4096, epoch=0, page_epochs=epochs, churn_rate=0.5)
+
+
+def test_memory_image_refuses_a_partial_page_epoch():
+    with pytest.raises(ValueError, match="4 bytes per page"):
+        MemoryImage(seed=1, page_size=4096, epoch=0, page_epochs=bytes(6), churn_rate=0.5)
 
 
 def test_restore_adopts_the_checkpointed_array():
     image = advance_memory(new_memory_image(3 * MB, seed=9, churn_rate=0.2), 2)
     restored = restore_memory(FileTree(serialize_memory(image, 1 * MB)))
     assert restored == image
-    # The very array, read-only, so comparing the two images reads no page.
+    # The very bytes, immutable, so comparing the two images reads no page.
     assert restored.page_epochs is image.page_epochs
-    assert not restored.page_epochs.flags.writeable
+    assert type(restored.page_epochs) is bytes
 
 
 def test_view_chunks_equal_bytes_chunks():
@@ -593,7 +604,7 @@ def test_view_chunks_equal_bytes_chunks():
         if isinstance(chunk, MemoryChunkContent):
             assert type(written.epochs) is bytes and type(chunk.epochs) is memoryview
             assert chunk._cut_from is not None and written._cut_from is None
-            assert replace(chunk)._cut_from is None  # a replaced chunk claims no array
+            assert replace(chunk)._cut_from is None  # a replaced chunk claims no epochs
 
 
 def checkpoint_tree(chunks: list, meta: LiteralContent) -> FileTree:
@@ -621,8 +632,8 @@ CHUNK_EDITS = {
 def test_restore_matches_the_join_oracle(pages, page_size, chunk_pages, other_seed, data):
     # Chunks of two images of one size, mixed, dropped, duplicated,
     # permuted and edited: restore returns what the join returns, or
-    # raises the same error, and shares an image's array exactly when
-    # every chunk is one that image's checkpoint wrote.
+    # raises the same error, and holds an image's epoch bytes exactly
+    # when every chunk is one that a checkpoint of those bytes wrote.
     a = advance_memory(new_memory_image(pages * page_size, 1, page_size=page_size,
                                         churn_rate=0.3), 1)
     b = (new_memory_image(pages * page_size, 2, page_size=page_size) if other_seed
@@ -660,18 +671,22 @@ def test_restore_matches_the_join_oracle(pages, page_size, chunk_pages, other_se
         return
     restored = restore_memory(tree)
     assert restored == expected
-    assert not restored.page_epochs.flags.writeable
+    assert type(restored.page_epochs) is bytes
     adopted = []
-    for image, written in ((a, a_chunks), (b, b_chunks)):
+    for image in (a, b):
+        # b shares a's bytes when its churn step touches no page.
+        written = [w for other, ws in ((a, a_chunks), (b, b_chunks))
+                   if other.page_epochs is image.page_epochs for w in ws]
         adopts = bool(chunks) and all(any(c is w for w in written) for c in chunks)
-        assert np.shares_memory(restored.page_epochs, image.page_epochs) == adopts
+        # Every empty bytes object is the same one.
+        assert (restored.page_epochs is image.page_epochs) == adopts or image.pages == 0
         adopted.append(adopts)
     event("restored by adoption" if any(adopted) else "restored by a join")
 
 
 def test_restore_of_a_checkpoint_prefix_is_a_copy():
-    # Chunks cut from one array that tile only its first pages, under a
-    # meta.json that counts just those pages: the array is too long to adopt.
+    # Chunks cut from one epoch bytes that tile only its first pages, under
+    # a meta.json that counts just those pages: the bytes are too long to adopt.
     image = advance_memory(new_memory_image(10 * 4096, seed=5, churn_rate=0.5), 1)
     group = serialize_memory(image, 4 * 4096)
     meta = json.loads(group["checkpoint/meta.json"].data)
@@ -679,7 +694,7 @@ def test_restore_of_a_checkpoint_prefix_is_a_copy():
     tree = checkpoint_tree(chunks, LiteralContent(json.dumps({**meta, "pages": 8}).encode()))
     restored = restore_memory(tree)
     assert restored == restore_memory_by_join(tree)
-    assert list(restored.page_epochs) == list(image.page_epochs[:8])
+    assert restored.page_epochs == image.page_epochs[:4 * 8]
 
 
 def test_checkpoint_by_reference_allocates_a_fraction_of_the_epochs():
@@ -687,9 +702,9 @@ def test_checkpoint_by_reference_allocates_a_fraction_of_the_epochs():
     serialize_memory(image)  # names the chunk paths, once per process
     group, serialize_peak = traced_peak(serialize_memory, image)
     restored, restore_peak = traced_peak(restore_memory, FileTree.of_groups(group))
-    assert np.shares_memory(restored.page_epochs, image.page_epochs)
-    assert serialize_peak < 0.25 * image.page_epochs.nbytes
-    assert restore_peak < 0.1 * image.page_epochs.nbytes
+    assert restored.page_epochs is image.page_epochs
+    assert serialize_peak < 0.25 * len(image.page_epochs)
+    assert restore_peak < 0.1 * len(image.page_epochs)
 
 
 def test_restore_rejects_missing_chunks():
