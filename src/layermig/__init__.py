@@ -18,7 +18,6 @@ from .delta_sync import (
 from .guest import (
     GuestInstance,
     GuestSpec,
-    InvalidStateError,
     CorruptInstanceError,
     Virtualization,
     build_guest,

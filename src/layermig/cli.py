@@ -9,6 +9,7 @@ underdetermined calibration fit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -88,13 +89,13 @@ def _cell(value: float, spec: str) -> str:
 
 
 def _write_csv(path: Path | None, header: list[str], rows: list[list]) -> None:
+    """Write the CSV to ``path``, or to stdout if it is None."""
     if path is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+        out = contextlib.nullcontext(sys.stdout)
+    else:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        out = open(path, "w", newline="", encoding="utf-8")
+    with out as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -320,8 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out-dir", required=True)
     p_rep.set_defaults(func=cmd_reproduce)
 
-    p_cal = sub.add_parser("calibrate", parents=[shared],
-                           help="fit the cost model to reference measurements")
+    p_cal = sub.add_parser("calibrate", help="fit the cost model to reference measurements")
     p_cal.add_argument("--reference", default=None,
                        help="reference measurements JSON (default: packaged)")
     p_cal.add_argument("--out", required=True, help="calibration JSON output path")
@@ -333,8 +333,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # Overrides are checked before any calibration is read.
-        build_scenario({}, None, seed=args.seed, scale=args.scale)
+        # Overrides are checked before any calibration is read; calibrate
+        # takes none.
+        if "seed" in args:
+            build_scenario({}, None, seed=args.seed, scale=args.scale)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,20 +14,22 @@ pipeline, as rsync's sender streams literal data between block tokens
 and its receiver writes as it reads: the scan yields copy runs and
 literal bytes as soon as it has passed them, and the rebuild reads only
 the basis ranges each copy needs and digests the rebuilt bytes as they
-come.  :func:`sync_tree` signs and scans tree entries by rendering one
-byte range at a time and feeds each patched file's scan straight into
-the rebuild of its basis, so no basis, target, literal or rebuilt file
-is held whole.
+come.  :func:`sync_tree` passes tree entries to the engine as sources
+that render one byte range at a time: it signs the basis entry from
+its own source, scans the target's, and feeds each patched file's scan
+straight into the rebuild of its basis, so no basis, target, literal
+or rebuilt file is held whole.
 
 A signature is two columns, as rsync keeps a basis's sums in one flat
 array: the blocks' weak checksums as uint32 and their strong digests
 back to back, each column one ``bytes`` object, about 20 bytes per
-block in all.  Signatures take the weak checksums of full blocks a
-slice of rows at a time, carrying blocks across chunk seams: a row's
-``a`` is its sum and its ``b`` the sum of its products with the weights
-(L, ..., 1), both taken in uint16.  rsync defines both sums mod 2^16,
-and uint16 arithmetic wraps mod 2^16, so the sums are exact for any
-block size and in any order.
+block in all.  A signature reads its basis in spans of whole blocks, as
+rsync's receiver reads its basis one block after another, and takes
+the weak checksums of a span's blocks a slice of rows at a time: a
+row's ``a`` is its sum and its ``b`` the sum of its products with the
+weights (L, ..., 1), both taken in uint16.  rsync defines both sums
+mod 2^16, and uint16 arithmetic wraps mod 2^16, so the sums are exact
+for any block size and in any order.
 
 The delta scan computes the weak checksum of every window start one
 scan window at a time, also in uint16: the sums of every run of ``m``
@@ -127,9 +129,10 @@ SCAN_WINDOW = 1 << 16
 FILTER_MIN_BITS = 18
 FILTER_SLOTS_PER_WEAK = 16
 WEAK_MIXES = (0x9E3779B1, 0x85EBCA77)
-# Bytes per read when a file streams through the engine: signatures,
-# delta scans and rebuilds all read their file this many bytes at a
-# time.
+# Bytes per read when a file streams through the engine: delta scans
+# and rebuilds read their file this many bytes at a time, and
+# signatures as many whole blocks as fit in it (one, if a block is
+# longer).
 READ_CHUNK = 1 << 18
 
 # A file to read: its length, and a function returning bytes [start, stop).
@@ -289,13 +292,6 @@ def _entry_source(path: str, entry: ContentDescriptor) -> Source:
     return entry.length, lambda start, stop: materialize_entry(path, entry, start, stop)
 
 
-def _pieces(source: Source) -> Iterator[bytes]:
-    """The source's bytes, front to back, ``READ_CHUNK`` at a time."""
-    length, read = source
-    for start in range(0, length, READ_CHUNK):
-        yield read(start, min(start + READ_CHUNK, length))
-
-
 def _add_full_blocks(weaks: bytearray, strongs: bytearray, data: memoryview, L: int) -> None:
     """Append the weak checksums and strong digests of ``data``'s whole
     blocks to the signature columns.
@@ -323,48 +319,38 @@ def _add_full_blocks(weaks: bytearray, strongs: bytearray, data: memoryview, L: 
         strongs += digest(data[i:i + L]).digest()[:DIGEST_WIDTH]
 
 
-def compute_signature(
-    data: bytes | Iterable[bytes], block_size: int = DEFAULT_BLOCK_SIZE
-) -> FileSignature:
+def compute_signature(data: bytes | Source, block_size: int = DEFAULT_BLOCK_SIZE) -> FileSignature:
     """Signature of ``data``: one (weak, strong) pair per block.
 
-    ``data`` is the basis as bytes, or as an iterable of its consecutive
-    chunks, of any sizes; a block cut by a chunk seam is carried over to
-    the next chunk, so the signature is the same either way.  The last
-    block may be short.  Deterministic: same bytes and block size always
-    give a bit-identical signature.
+    ``data`` is the basis as bytes, or as a ``(length, read)`` source, as
+    :func:`compute_delta` takes its target.  It is read front to back in
+    spans of as many whole blocks as fit in ``READ_CHUNK`` bytes (one
+    block, if a block is longer), so only the last span can end in a
+    short block, the signature's last.  One digest of the spans as they
+    are read is the content digest.  Deterministic: same bytes and block
+    size always give a bit-identical signature.
     """
     if not MIN_BLOCK_SIZE <= block_size <= MAX_BLOCK_SIZE:
         raise ValueError(
             f"block_size must be in [{MIN_BLOCK_SIZE}, {MAX_BLOCK_SIZE}], got {block_size}")
     L = block_size
-    chunks = (data,) if isinstance(data, (bytes, bytearray, memoryview)) else data
+    length, read = data if isinstance(data, tuple) else _bytes_source(data)
+    span = max(1, READ_CHUNK // L) * L
     weaks, strongs = bytearray(), bytearray()
     content = hashlib.sha256()
-    total = 0
-    carry = b""  # the start of a block cut by the last seam
-    for chunk in chunks:
-        content.update(chunk)
-        total += len(chunk)
-        view = memoryview(chunk)
-        if carry:
-            need = L - len(carry)
-            carry += view[:need]
-            view = view[need:]
-            if len(carry) < L:
-                continue
-            _add_full_blocks(weaks, strongs, memoryview(carry), L)
-        whole = len(view) - len(view) % L
-        _add_full_blocks(weaks, strongs, view[:whole], L)
-        carry = bytes(view[whole:])
-    if carry:
-        weaks += combine_weak(*weak_checksum(carry)).to_bytes(4, "little")
-        strongs += strong_digest(carry)
+    for start in range(0, length, span):
+        view = memoryview(read(start, min(start + span, length)))
+        content.update(view)
+        _add_full_blocks(weaks, strongs, view, L)
+        short = len(view) % L
+        if short:
+            weaks += combine_weak(*weak_checksum(view[-short:])).to_bytes(4, "little")
+            strongs += strong_digest(view[-short:])
     return FileSignature(
         block_size=block_size,
         weaks=bytes(weaks),
         strongs=bytes(strongs),
-        total_length=total,
+        total_length=length,
         content_digest=content.digest()[:DIGEST_WIDTH],
     )
 
@@ -536,7 +522,7 @@ class _ForwardReader:
         self.length, self._read = source
         self.keep = 0
         self._chunk = READ_CHUNK
-        self._pieces: list[memoryview] = []
+        self._held: list[memoryview] = []
         self._first = 0  # index of the first held piece
         self._end = 0  # bytes read so far
         self._digest = hashlib.sha256()
@@ -544,13 +530,13 @@ class _ForwardReader:
     def _fill(self, stop: int) -> None:
         drop = self.keep // self._chunk - self._first
         if drop > 0:
-            del self._pieces[:drop]
+            del self._held[:drop]
             self._first += drop
         while self._end < stop:
             end = min(self._end + self._chunk, self.length)
             piece = self._read(self._end, end)
             self._digest.update(piece)
-            self._pieces.append(memoryview(piece))
+            self._held.append(memoryview(piece))
             self._end = end
 
     def get(self, start: int, stop: int) -> bytes | memoryview:
@@ -562,9 +548,9 @@ class _ForwardReader:
         first = start // c
         base = first * c
         if stop <= base + c:
-            return self._pieces[first - self._first][start - base:stop - base]
+            return self._held[first - self._first][start - base:stop - base]
         last = (stop - 1) // c
-        parts = self._pieces[first - self._first:last - self._first + 1]
+        parts = self._held[first - self._first:last - self._first + 1]
         parts[0] = parts[0][start - base:]
         parts[-1] = parts[-1][:stop - last * c]
         return b"".join(parts)
@@ -575,7 +561,7 @@ class _ForwardReader:
         if start >= self._end:
             self._fill(start + 1)
         first = start // self._chunk
-        return self._pieces[first - self._first], first * self._chunk
+        return self._held[first - self._first], first * self._chunk
 
     def views(self, start: int, stop: int) -> Iterator[memoryview]:
         """Bytes ``[start, stop)``, with ``keep <= start``, as views of
@@ -814,7 +800,7 @@ def _rebuilt(
     content = hashlib.sha256()
     digested = 0  # basis bytes [0, digested) are in ``content``
 
-    def basis_pieces(start: int, stop: int) -> Iterator[bytes]:
+    def basis_reads(start: int, stop: int) -> Iterator[bytes]:
         nonlocal digested
         for s in range(digested, start, READ_CHUNK):
             content.update(read(s, min(s + READ_CHUNK, start)))
@@ -838,14 +824,14 @@ def _rebuilt(
                     f"outside basis with {n_blocks} blocks"
                 )
             start = token.first_block * L
-            pieces = basis_pieces(start, min(start + token.block_count * L, length))
+            pieces = basis_reads(start, min(start + token.block_count * L, length))
         else:
             pieces = (token,)
         for piece in pieces:
             rebuilt.update(piece)
             size += len(piece)
             yield piece
-    for _ in basis_pieces(length, length):
+    for _ in basis_reads(length, length):
         pass
     expected = delta()
     if content.digest()[:DIGEST_WIDTH] != expected.basis_digest:
@@ -964,11 +950,11 @@ def sync_tree(
     ``verify_unchanged`` they are additionally charged a full read plus
     a whole-file checksum on the wire, which models a sync engine that
     cannot trust metadata (VM image trees).  Every other file present
-    on both sides goes through :func:`compute_delta` for real, rendered
-    ``READ_CHUNK`` bytes at a time, so no file is ever rendered whole:
-    the basis for its signature, the target once, for the scan, and the
-    basis again as the receiver rebuilds the target from it while the
-    scan streams.  A file whose delta's target digest and length equal
+    on both sides goes through :func:`compute_signature` and
+    :func:`compute_delta` for real, rendered about ``READ_CHUNK`` bytes
+    at a time, so no file is ever rendered whole: the basis for its
+    signature, the target once, for the scan, and the basis again as
+    the receiver rebuilds the target from it while the scan streams.  A file whose delta's target digest and length equal
     its signature's content digest and total length has equal bytes: it
     is charged as unchanged and verified, and gets no entry.  Any other
     is patched, and its entry carries no literal bytes.
@@ -1001,7 +987,7 @@ def sync_tree(
                 _charge_unchanged(stats, 1, t.length, verify_unchanged)
                 continue
             basis_source = _entry_source(path, b)
-            sig = compute_signature(_pieces(basis_source), block_size)
+            sig = compute_signature(basis_source, block_size)
             delta, fstats = compute_delta(sig, _entry_source(path, t), wire_ratio=t.wire_ratio,
                                           basis=basis_source)
             if (delta.target_length, delta.target_digest) == (sig.total_length, sig.content_digest):

@@ -1,7 +1,11 @@
 """Guest lifecycle: build a layered guest from a base image and an
-application profile, checkpoint it (suspend and serialize its memory
+application profile, checkpoint it (suspend it and serialize its memory
 into a checkpoint tree of its own, as CRIU dumps to an image directory),
-and restore it."""
+and restore its memory from a checkpoint tree.
+
+A checkpoint is only that tree: the guest itself holds no suspended
+state, and whoever holds a checkpoint tree, the source or the
+destination it was synced to, can restore the memory it holds."""
 
 from __future__ import annotations
 
@@ -29,13 +33,8 @@ class Virtualization(enum.Enum):
     VM = "vm"
 
 
-class InvalidStateError(Exception):
-    """Operation not legal while the guest is running, or while it is
-    suspended."""
-
-
 class CorruptInstanceError(Exception):
-    """Suspended guest whose checkpoint files are missing or inconsistent."""
+    """A checkpoint tree whose files are missing or inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -99,13 +98,11 @@ def vm_spec() -> GuestSpec:
 @dataclass(frozen=True)
 class GuestInstance:
     """A built guest: the trees of its base, application and instance
-    layers, its memory image, and its checkpoint.
+    layers, and its memory image.
 
     Each layer tree holds its layer's own files and every file of the
     layers below it.  In two-layer packaging ``app`` is None and
-    ``instance`` holds the application files.  ``checkpoint`` is the
-    tree of checkpoint files while the guest is suspended, and None
-    while it runs.
+    ``instance`` holds the application files.
     """
 
     spec: GuestSpec
@@ -116,7 +113,6 @@ class GuestInstance:
     seed: int
     scale: float
     memory_wire_ratio: float = 1.0
-    checkpoint: FileTree | None = None
 
 
 def _scaled(size: int, scale: float) -> int:
@@ -197,16 +193,15 @@ def build_guest(
     )
 
 
-def checkpoint(g: GuestInstance, chunk_size: int = DEFAULT_CHUNK_SIZE) -> GuestInstance:
-    """Suspend the guest and serialize its memory into its checkpoint
-    tree; the instance tree is left as it is, the same object.
+def checkpoint(g: GuestInstance, chunk_size: int = DEFAULT_CHUNK_SIZE) -> FileTree:
+    """The checkpoint tree of the guest suspended now: its memory
+    serialized in chunks of ``chunk_size`` bytes.  The guest itself is
+    left as it is.
 
     VM guests additionally write a save-state file (device and mapping
     state plus untouched RAM) whose size does not depend on the
     application.
     """
-    if g.checkpoint is not None:
-        raise InvalidStateError("guest is already suspended")
     files = serialize_memory(g.memory, chunk_size, wire_ratio=g.memory_wire_ratio)
     floor = _scaled(g.spec.memory_floor_bytes, g.scale)
     if floor:  # "vmstate.img" sorts after the chunks and "meta.json"
@@ -214,25 +209,19 @@ def checkpoint(g: GuestInstance, chunk_size: int = DEFAULT_CHUNK_SIZE) -> GuestI
             seed=g.seed ^ 0x54A7E, length=floor, epoch=g.memory.epoch,
             wire_ratio=g.spec.memory_floor_wire_ratio,
         )
-    return GuestInstance(g.spec, g.base, g.app, g.instance, g.memory, g.seed, g.scale,
-                         g.memory_wire_ratio, FileTree.of_groups(files))
+    return FileTree.of_groups(files)
 
 
-def restore(g: GuestInstance) -> GuestInstance:
-    """Resume a suspended guest from its checkpoint tree.
-
-    The memory image is rebuilt from the serialized chunks (so a guest
-    whose checkpoint arrived over the wire resumes with exactly the
-    bytes the source had at suspend time) and the checkpoint is
-    dropped; the instance tree is left as it is, the same object.
-    Chunks that all arrived as the source wrote them give back the
-    source's epoch bytes themselves, not a copy (see :func:`restore_memory`).
+def restore(tree: FileTree) -> MemoryImage:
+    """The memory image a checkpoint tree holds, rebuilt from its
+    serialized chunks, so a destination whose checkpoint arrived over
+    the wire resumes with exactly the bytes the source had at suspend
+    time.  Chunks that all arrived as the source wrote them give back
+    the source's epoch bytes themselves, not a copy (see
+    :func:`restore_memory`).  Raises :class:`CorruptInstanceError` for a
+    tree whose chunks or metadata are missing or inconsistent.
     """
-    if g.checkpoint is None:
-        raise InvalidStateError("guest is not suspended")
     try:
-        memory = restore_memory(g.checkpoint)
+        return restore_memory(tree)
     except ValueError as exc:
         raise CorruptInstanceError(str(exc)) from exc
-    return GuestInstance(g.spec, g.base, g.app, g.instance, memory, g.seed, g.scale,
-                         g.memory_wire_ratio)

@@ -326,19 +326,8 @@ def _grouped(entries: Mapping[str, ContentDescriptor]) -> dict[str, TreeGroup]:
     return groups
 
 
-def _normalized(entries: Mapping[str, ContentDescriptor]) -> Mapping[str, ContentDescriptor]:
-    """``entries`` keyed by normalized paths.
-
-    All the paths are checked at once, joined by "/" and framed by it:
-    the join holds no "//", "/." or "\\" exactly when every path passes
-    :func:`normalize_path`'s normal-form check (an empty path, or one
-    with a leading or trailing "/", makes a "//"; a leading "." makes a
-    "/.").  ``entries`` is then returned as it is; only otherwise does
-    each path go through :func:`normalize_path`.
-    """
-    joined = "/" + "/".join(entries) + "/"
-    if "//" not in joined and "/." not in joined and "\\" not in joined:
-        return entries
+def _normalized(entries: Mapping[str, ContentDescriptor]) -> dict[str, ContentDescriptor]:
+    """``entries`` keyed by their paths as :func:`normalize_path` gives them."""
     return {normalize_path(path): entry for path, entry in entries.items()}
 
 

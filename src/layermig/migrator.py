@@ -351,10 +351,14 @@ def simulate(
     unpriced record, the source at suspend time and the migrated guest.
 
     Sync stages call the delta engine with the destination's actual
-    basis.  The destination finishes with a running guest whose trees
-    and memory equal the source's at suspend time, which is asserted
-    before returning.  The scenario's link, cost model and round trips
-    are never read: only ``price`` depends on them.
+    basis.  Suspending the source makes its checkpoint tree, which the
+    memory sync sends on its own; a stale instance at the destination
+    holds the checkpoint tree it was suspended with, the basis of that
+    sync.  The destination guest is built once, from the trees the syncs
+    left there, with its memory restored from the checkpoint that
+    arrived: it must equal the source's at suspend time, which is
+    asserted before returning.  The scenario's link, cost model and
+    round trips are never read: only ``price`` depends on them.
     """
     spec = scenario.guest_spec
     mode = scenario.mode
@@ -374,13 +378,10 @@ def simulate(
     dest_instance_tree: FileTree | None = None
     dest_checkpoint = FileTree()
     if dest_state.has_stale_instance:
-        stale = checkpoint(
-            build_guest(spec, scenario.profile, scenario.seed, scenario.scale,
-                        app_layer=app_layer, virt_nonce=0),
-            scenario.chunk_size,
-        )
+        stale = build_guest(spec, scenario.profile, scenario.seed, scenario.scale,
+                            app_layer=app_layer, virt_nonce=0)
         dest_instance_tree = stale.instance
-        dest_checkpoint = stale.checkpoint
+        dest_checkpoint = checkpoint(stale, scenario.chunk_size)
         if scenario.staleness_epochs:
             source = GuestInstance(
                 source.spec, source.base, source.app, source.instance,
@@ -388,7 +389,7 @@ def simulate(
                 source.seed, source.scale, source.memory_wire_ratio,
             )
 
-    suspended: GuestInstance | None = None
+    source_checkpoint: FileTree | None = None
     work: list[StageRecord] = []
 
     def run_sync(stage: Stage, basis: FileTree, target: FileTree) -> FileTree:
@@ -419,41 +420,38 @@ def simulate(
             work.append(StageRecord(stage, local_bytes=lower.total_length))
 
         elif stage is Stage.SUSPEND_INSTANCE:
-            suspended = checkpoint(source, scenario.chunk_size)
+            source_checkpoint = checkpoint(source, scenario.chunk_size)
             work.append(StageRecord(stage, local_bytes=source.memory.total_bytes))
 
         elif stage is Stage.SYNC_INSTANCE_FILESYSTEM:
-            assert suspended is not None and dest_instance_tree is not None
-            dest_instance_tree = run_sync(stage, dest_instance_tree, suspended.instance)
+            assert source_checkpoint is not None and dest_instance_tree is not None
+            dest_instance_tree = run_sync(stage, dest_instance_tree, source.instance)
 
         elif stage is Stage.SYNC_INSTANCE_MEMORY:
-            assert suspended is not None
-            dest_checkpoint = run_sync(stage, dest_checkpoint, suspended.checkpoint)
+            assert source_checkpoint is not None
+            dest_checkpoint = run_sync(stage, dest_checkpoint, source_checkpoint)
 
         elif stage is Stage.RESTORE_INSTANCE:
-            assert suspended is not None and dest_instance_tree is not None
-            work.append(StageRecord(stage, local_bytes=suspended.memory.total_bytes))
+            assert source_checkpoint is not None and dest_instance_tree is not None
+            work.append(StageRecord(stage, local_bytes=source.memory.total_bytes))
 
         else:  # OTHER_TASKS
             work.append(StageRecord(stage))
 
-    assert suspended is not None and dest_base_tree is not None and dest_instance_tree is not None
-
-    # The destination's trees in the suspended guest; restore rebuilds
-    # its memory from the checkpoint that arrived.
-    dest_guest = restore(GuestInstance(
-        suspended.spec, dest_base_tree, dest_app_tree, dest_instance_tree, suspended.memory,
-        suspended.seed, suspended.scale, suspended.memory_wire_ratio, dest_checkpoint,
-    ))
+    assert dest_base_tree is not None and dest_instance_tree is not None
+    dest_guest = GuestInstance(
+        source.spec, dest_base_tree, dest_app_tree, dest_instance_tree,
+        restore(dest_checkpoint), source.seed, source.scale, source.memory_wire_ratio,
+    )
 
     # Internal consistency: the migrated guest must hold exactly the
     # source's state at suspend time.  A mismatch means a sync stage
     # went wrong and the report would be meaningless.
-    if dest_guest.instance != suspended.instance:
+    if dest_guest.instance != source.instance:
         raise RuntimeError("destination instance tree diverged from source at suspend")
-    if dest_guest.memory != suspended.memory:
+    if dest_guest.memory != source.memory:
         raise RuntimeError("destination memory diverged from source at suspend")
-    return tuple(work), suspended, dest_guest
+    return tuple(work), source, dest_guest
 
 
 def price(work: tuple[StageRecord, ...], scenario: MigrationScenario) -> MigrationReport:

@@ -605,6 +605,20 @@ def test_calibrate_missing_reference_exits_4(tmp_path):
                  "--out", str(tmp_path / "cal.json")]) == 4
 
 
+@pytest.mark.parametrize("flags", [
+    ["--seed", "7", "--scale", "0.5", "--calibration", "nonexistent.json"],
+    ["--seed", "7"], ["--scale", "0.5"], ["--calibration", "default"],
+], ids=["all", "seed", "scale", "calibration"])
+def test_calibrate_refuses_the_scenario_overrides(flags, tmp_path, capsys):
+    # The fit takes no scenario, so an override it would ignore is an error.
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibrate_is_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

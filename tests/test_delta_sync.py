@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from layermig import delta_sync
@@ -21,6 +21,7 @@ from layermig.delta_sync import (
     CorruptDeltaError,
     Deleted,
     FileDelta,
+    FileSignature,
     LiteralOp,
     Patched,
     SyncStats,
@@ -177,22 +178,36 @@ def test_strong_digest_is_truncated_sha256():
     assert strong_digest(b"abc") == hashlib.sha256(b"abc").digest()[:16]
 
 
+def ranged(data: bytes):
+    """``data`` as a ``(length, read)`` source."""
+    return len(data), lambda start, stop: data[start:stop]
+
+
+def signature_by_block(basis: bytes, L: int) -> FileSignature:
+    """The signature of ``basis`` made one block at a time."""
+    blocks = [basis[i:i + L] for i in range(0, len(basis), L)]
+    weaks = b"".join(combine_weak(*weak_checksum(block)).to_bytes(4, "little") for block in blocks)
+    return FileSignature(L, weaks, b"".join(map(strong_digest, blocks)), len(basis),
+                         strong_digest(basis))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     basis=st.binary(max_size=5000),
     target=st.binary(max_size=5000),
-    cuts=st.lists(st.integers(0, 5000), max_size=6),
     read_chunk=st.integers(1, 3000),
 )
-def test_whole_file_digests_are_strong_digests_for_any_chunking(basis, target, cuts, read_chunk):
+# Reads shorter than a block, and not a multiple of one: each span is one block.
+@example(basis=bytes(range(256)) * 3 + b"tail", target=b"", read_chunk=37)
+def test_whole_file_digests_are_strong_digests_for_any_chunking(basis, target, read_chunk):
     # The incremental digests of the signature and the delta equal the
-    # one-shot digest, wherever the chunk and read seams fall.
-    bounds = [0, *sorted(min(c, len(basis)) for c in cuts), len(basis)]
-    sig = compute_signature((basis[a:b] for a, b in zip(bounds, bounds[1:])), 64)
-    assert sig.content_digest == strong_digest(basis)
+    # one-shot digest, wherever the read seams fall.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(delta_sync, "READ_CHUNK", read_chunk)
-        delta, _ = compute_delta(sig, (len(target), lambda start, stop: target[start:stop]))
+        sig = compute_signature(ranged(basis), 64)
+        delta, _ = compute_delta(sig, ranged(target))
+    assert sig == signature_by_block(basis, 64)
+    assert sig.content_digest == strong_digest(basis)
     assert (delta.basis_digest, delta.target_digest) == (strong_digest(basis), strong_digest(target))
     assert apply_delta(basis, delta) == target
 
@@ -421,17 +436,17 @@ def edited(g, data, edits, alphabet):
     return bytes(out)
 
 
-def assert_matches_reference(basis, target, L, cuts=()):
+def assert_matches_reference(basis, target, L):
     """Ops and stats equal the plain greedy scan's, and the target
-    rebuilds.  The basis cut at ``cuts`` gives the same signature as the
-    basis whole, and a ranged read source the same delta as the bytes."""
+    rebuilds.  The signature is the one made block by block, and a
+    ranged read source gives the same signature and delta as the bytes."""
     sig = compute_signature(basis, L)
+    assert sig == signature_by_block(basis, L)
     delta, stats = compute_delta(sig, target)
     assert (delta.ops, stats) == reference_delta(basis, target, L)
     assert apply_delta(basis, delta) == target
-    bounds = [0, *sorted(cuts), len(basis)]
-    assert compute_signature((basis[a:b] for a, b in zip(bounds, bounds[1:])), L) == sig
-    assert compute_delta(sig, (len(target), lambda start, stop: target[start:stop])) == (delta, stats)
+    assert compute_signature(ranged(basis), L) == sig
+    assert compute_delta(sig, ranged(target)) == (delta, stats)
 
 
 @settings(max_examples=150, deadline=None)
@@ -445,18 +460,19 @@ def assert_matches_reference(basis, target, L, cuts=()):
     edits=st.lists(st.tuples(st.floats(0, 1), st.integers(1, 2048), st.booleans()), max_size=5),
     first_window=st.floats(0, 1),
     read_chunk=st.integers(1, 5000),
-    cuts=st.lists(st.floats(0, 1), max_size=6),
     seed=st.integers(0, 2**32 - 1),
 )
+# Reads shorter than a block, and not a multiple of one.
+@example(block_size=100, window_blocks=2, n_blocks=9, extra=0.5, alphabet=2, random_target=False,
+         edits=[(0.3, 150, True), (0.7, 40, False)], first_window=0.5, read_chunk=37, seed=1)
 def test_scan_matches_greedy_reference(block_size, window_blocks, n_blocks, extra, alphabet,
-                                       random_target, edits, first_window, read_chunk, cuts,
-                                       seed):
+                                       random_target, edits, first_window, read_chunk, seed):
     # Windows of at most two or three blocks put many seams, and many
     # handovers from the aligned check to the rolling scan, in a short
     # target.  A first window of any size from one start up puts the
     # seams where windows grow, and where a match resets them, inside
-    # blocks.  Reads of up to 5000 bytes and cuts anywhere put read and
-    # chunk seams inside blocks, scan windows and literals.
+    # blocks.  Reads of up to 5000 bytes put read seams inside blocks,
+    # scan windows and literals, and sign one block or several per read.
     g = rng(seed)
     length = n_blocks * block_size + int(extra * block_size)
     basis = g.integers(0, alphabet, length, dtype=np.uint8).tobytes()
@@ -470,7 +486,7 @@ def test_scan_matches_greedy_reference(block_size, window_blocks, n_blocks, extr
         first = 1 + int(first_window * (window_blocks * block_size - 1))
         mp.setattr(delta_sync, "_first_window", lambda L: first)
         mp.setattr(delta_sync, "READ_CHUNK", read_chunk)
-        assert_matches_reference(basis, target, block_size, [int(c * length) for c in cuts])
+        assert_matches_reference(basis, target, block_size)
 
 
 def spied_windows(mp):

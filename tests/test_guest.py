@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from layermig.guest import (
     CorruptInstanceError,
-    InvalidStateError,
     Virtualization,
     build_guest,
     checkpoint,
@@ -72,35 +71,28 @@ def test_layer_parentage_and_superset():
 @pytest.mark.parametrize("app_layer", [True, False])
 def test_layers_share_the_base_group(app_layer):
     # Every tree derived from the base holds its base/ group as the same
-    # object, through checkpoint and restore too.
+    # object.
     g = build_guest(vm_spec(), profile_by_name("Video Streaming"), seed=3, scale=0.01,
                     app_layer=app_layer)
     base = g.base.group("base/")
     assert base is not None and len(base) == len(g.base)
     trees = [g.app, g.instance] if app_layer else [g.instance]
     assert all(tree.group("base/") is base for tree in trees)
-    suspended = checkpoint(g)
-    assert suspended.instance.group("base/") is base
-    assert restore(suspended).instance.group("base/") is base
     if app_layer:
-        assert suspended.instance.group("app/") is g.app.group("app/")
+        assert g.instance.group("app/") is g.app.group("app/")
 
 
 @pytest.mark.parametrize("spec", [container_spec, vm_spec])
 def test_checkpoint_and_restore_keep_the_instance_tree(spec):
-    # The checkpoint is a tree of its own: suspending and resuming hand
-    # the instance tree on as the same object, and no layer tree ever
-    # holds a checkpoint path.
+    # The checkpoint is a tree of its own, which restore reads alone: no
+    # layer tree ever holds a checkpoint path.
     g = build_guest(spec(), profile_by_name("RAM Simulation"), seed=3, scale=0.01)
-    suspended = checkpoint(g)
-    assert suspended.instance is g.instance
-    assert suspended.checkpoint.paths()
-    assert all(p.startswith(CHECKPOINT_PREFIX + "/") for p in suspended.checkpoint.paths())
-    resumed = restore(suspended)
-    assert resumed.instance is suspended.instance
-    assert resumed.checkpoint is None
-    for tree in (g.base, g.app, g.instance):
-        assert not any(p.startswith(CHECKPOINT_PREFIX + "/") for p in tree.paths())
+    tree = checkpoint(g)
+    assert tree.paths()
+    assert all(p.startswith(CHECKPOINT_PREFIX + "/") for p in tree.paths())
+    assert restore(tree) == g.memory
+    for layer in (g.base, g.app, g.instance):
+        assert not any(p.startswith(CHECKPOINT_PREFIX + "/") for p in layer.paths())
 
 
 def test_two_layer_guest_has_no_app_layer():
@@ -113,63 +105,38 @@ def test_two_layer_guest_has_no_app_layer():
 def test_checkpoint_holds_the_memory_size():
     profile = profile_by_name("RAM Simulation")  # 330 MB RAM by default
     g = build_guest(container_spec(), profile, seed=4, scale=1.0)
-    suspended = checkpoint(g)
-    assert suspended.checkpoint is not None
-    chunks = [
-        e for _, e in suspended.checkpoint.items()
-        if isinstance(e, MemoryChunkContent)
-    ]
+    chunks = [e for _, e in checkpoint(g).items() if isinstance(e, MemoryChunkContent)]
     total = sum(c.length for c in chunks)
     assert 0 <= total - 330 * MB < g.memory.page_size
-    assert g.checkpoint is None  # original untouched
 
 
 def test_vm_checkpoint_adds_state_floor_file():
     g = build_guest(vm_spec(), profile_by_name("No Application"), seed=4, scale=0.01)
-    suspended = checkpoint(g)
-    state = suspended.checkpoint.get(VM_STATE_FILE)
+    state = checkpoint(g).get(VM_STATE_FILE)
     assert state is not None
     assert state.length == round(600 * MB * 0.01)
 
 
-def test_checkpoint_twice_is_invalid():
-    g = build_guest(container_spec(), profile_by_name("Game Server"), seed=5, scale=0.01)
-    with pytest.raises(InvalidStateError):
-        checkpoint(checkpoint(g))
-
-
-def test_restore_running_guest_is_invalid():
-    g = build_guest(container_spec(), profile_by_name("Game Server"), seed=5, scale=0.01)
-    with pytest.raises(InvalidStateError):
-        restore(g)
-
-
 def test_checkpoint_restore_round_trip_preserves_memory():
     g = build_guest(container_spec(), profile_by_name("Video Streaming"), seed=6, scale=0.01)
-    resumed = restore(checkpoint(g))
-    assert resumed.checkpoint is None
-    assert resumed.memory == g.memory
-    assert materialize_memory(resumed.memory) == materialize_memory(g.memory)
-    assert resumed.instance == g.instance
+    memory = restore(checkpoint(g))
+    assert memory == g.memory
+    assert materialize_memory(memory) == materialize_memory(g.memory)
 
 
 def test_recheckpoint_without_churn_is_bit_identical():
     g = build_guest(container_spec(), profile_by_name("Video Streaming"), seed=7, scale=0.01)
     first = checkpoint(g)
-    second = checkpoint(restore(first))
-    assert materialize(first.checkpoint) == materialize(second.checkpoint)
+    second = checkpoint(replace(g, memory=restore(first)))
+    assert materialize(first) == materialize(second)
 
 
 def test_restore_with_missing_checkpoint_is_corrupt():
-    g = checkpoint(build_guest(container_spec(), profile_by_name("Game Server"),
-                               seed=8, scale=0.01))
-    chunk_paths = [
-        p for p, e in g.checkpoint.items()
-        if isinstance(e, MemoryChunkContent)
-    ]
-    broken = replace(g, checkpoint=g.checkpoint.without(chunk_paths))
+    tree = checkpoint(build_guest(container_spec(), profile_by_name("Game Server"),
+                                  seed=8, scale=0.01))
+    chunk_paths = [p for p, e in tree.items() if isinstance(e, MemoryChunkContent)]
     with pytest.raises(CorruptInstanceError):
-        restore(broken)
+        restore(tree.without(chunk_paths))
 
 
 # One chunk of a several-chunk checkpoint altered, the others intact.
@@ -184,15 +151,14 @@ FOREIGN_CHUNKS = {
 @pytest.mark.parametrize("alter", FOREIGN_CHUNKS.values(), ids=FOREIGN_CHUNKS.keys())
 @pytest.mark.parametrize("index", [0, 2])
 def test_restore_rejects_a_chunk_the_checkpoint_did_not_write(alter, index):
-    g = checkpoint(build_guest(container_spec(), profile_by_name("RAM Simulation"),
-                               seed=8, scale=0.01), chunk_size=64 * 1024)
+    g = build_guest(container_spec(), profile_by_name("RAM Simulation"), seed=8, scale=0.01)
+    tree = checkpoint(g, chunk_size=64 * 1024)
     path = f"{CHECKPOINT_PREFIX}/mem-{index:05d}.img"
-    chunk = g.checkpoint.get(path)
-    assert chunk is not None and g.checkpoint.get(f"{CHECKPOINT_PREFIX}/mem-00003.img") is not None
-    broken = replace(g, checkpoint=g.checkpoint.with_entries({path: alter(chunk)}))
+    chunk = tree.get(path)
+    assert chunk is not None and tree.get(f"{CHECKPOINT_PREFIX}/mem-00003.img") is not None
     with pytest.raises(CorruptInstanceError):
-        restore(broken)
-    assert restore(g).memory == g.memory
+        restore(tree.with_entries({path: alter(chunk)}))
+    assert restore(tree) == g.memory
 
 
 # A meta.json that serialize_memory never writes, each refused as corrupt.
@@ -213,15 +179,14 @@ MALFORMED_META = {
 
 @pytest.mark.parametrize("malform", MALFORMED_META.values(), ids=MALFORMED_META.keys())
 def test_restore_rejects_malformed_metadata(malform):
-    g = checkpoint(build_guest(container_spec(), profile_by_name("Game Server"),
-                               seed=8, scale=0.01))
+    tree = checkpoint(build_guest(container_spec(), profile_by_name("Game Server"),
+                                  seed=8, scale=0.01))
     path = f"{CHECKPOINT_PREFIX}/meta.json"
-    meta = malform(json.loads(g.checkpoint.get(path).data))
+    meta = malform(json.loads(tree.get(path).data))
     data = meta if isinstance(meta, bytes) else meta.encode() if isinstance(meta, str) \
         else json.dumps(meta).encode()
-    broken = replace(g, checkpoint=g.checkpoint.with_entries({path: LiteralContent(data)}))
     with pytest.raises(CorruptInstanceError):
-        restore(broken)
+        restore(tree.with_entries({path: LiteralContent(data)}))
 
 
 def test_build_guest_rejects_bad_scale():
@@ -286,11 +251,10 @@ def test_group_built_guests_match_the_constructor(kind, base_bytes, name, instal
     else:
         assert g.app is None
     # The checkpoint group, against the files written chunk by chunk.
-    suspended = checkpoint(g, chunk_size)
+    tree = checkpoint(g, chunk_size)
     written = serialize_memory_by_chunk(g.memory, chunk_size, wire_ratio=g.memory_wire_ratio)
-    state = suspended.checkpoint.get(VM_STATE_FILE)
+    state = tree.get(VM_STATE_FILE)
     assert (state is not None) == bool(round(spec.memory_floor_bytes * scale))
     if state is not None:
         written[VM_STATE_FILE] = state
-    assert suspended.instance is g.instance
-    assert_same_tree(suspended.checkpoint, FileTree(written))
+    assert_same_tree(tree, FileTree(written))
