@@ -87,13 +87,19 @@ from dataclasses import MISSING, fields, replace
 from typing import NamedTuple
 
 from .guest import GuestSpec, Virtualization, container_spec, vm_spec
-from .migrator import CostModel, DestinationState, MigrationMode, MigrationScenario, plan
+from .migrator import (
+    SCENARIO_SCALARS,
+    CostModel,
+    DestinationState,
+    MigrationMode,
+    MigrationScenario,
+    plan,
+)
 from .netsim import MB, LinkSpec, require_rate
 from .workloads import AppProfile, builtin_profiles, profile_by_name
 
-_SCALARS = {f.name: f.type for f in fields(MigrationScenario) if f.default is not MISSING}
 _TOP_FIELDS = {"profile", "virtualization", "mode", "destination", "link", "guest", "cost_model",
-               *_SCALARS}
+               *SCENARIO_SCALARS}
 _LINK_FIELDS = {"bandwidth_mbps", "latency_ms", "jitter_ms", "processing_cap_mbps", "seed"}
 _PER_KIND = "Mapping[Virtualization, "
 _KINDS = [kind.value for kind in Virtualization]
@@ -277,8 +283,8 @@ def build_scenario(
         seed=link.get("seed", 0),
     )
 
-    scalars = {key: _value(data[key], _SCALARS[key], f"scenario.{key}")
-               for key in _SCALARS if key in data}
+    scalars = {key: _value(data[key], kind, f"scenario.{key}")
+               for key, kind in SCENARIO_SCALARS.items() if key in data}
     if seed is not None:
         scalars["seed"] = seed
     if scale is not None:

@@ -92,7 +92,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator
 
@@ -274,13 +274,9 @@ class SyncStats:
     files_deleted: int = 0
 
     def merge(self, other: "SyncStats") -> None:
-        self.wire_bytes += other.wire_bytes
-        self.literal_bytes += other.literal_bytes
-        self.scanned_bytes += other.scanned_bytes
-        self.files_unchanged += other.files_unchanged
-        self.files_patched += other.files_patched
-        self.files_created += other.files_created
-        self.files_deleted += other.files_deleted
+        """Add ``other``'s counts to these, field by field."""
+        for f in fields(SyncStats):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 def _bytes_source(data: bytes) -> Source:
@@ -954,10 +950,11 @@ def sync_tree(
     :func:`compute_delta` for real, rendered about ``READ_CHUNK`` bytes
     at a time, so no file is ever rendered whole: the basis for its
     signature, the target once, for the scan, and the basis again as
-    the receiver rebuilds the target from it while the scan streams.  A file whose delta's target digest and length equal
-    its signature's content digest and total length has equal bytes: it
-    is charged as unchanged and verified, and gets no entry.  Any other
-    is patched, and its entry carries no literal bytes.
+    the receiver rebuilds the target from it while the scan streams.  A
+    file whose delta's target digest and length equal its signature's
+    content digest and total length has equal bytes: it is charged as
+    unchanged and verified, and gets no entry.  Any other is patched,
+    and its entry carries no literal bytes.
 
     As rsync's sender names only the files that need an update, the
     delta holds the created, patched and deleted paths (see

@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields
 
 from .layer_store import (
     DEFAULT_CHUNK_SIZE,
-    DEFAULT_PAGE_SIZE,
     VM_STATE_FILE,
     FileTree,
     MemoryImage,
@@ -142,7 +141,6 @@ def build_guest(
     scale: float = 1.0,
     *,
     app_layer: bool = True,
-    page_size: int = DEFAULT_PAGE_SIZE,
     virt_nonce: int = 0,
 ) -> GuestInstance:
     """Construct a running guest for an application profile.
@@ -178,8 +176,7 @@ def build_guest(
     instance = FileTree.of_groups(base, *app_groups, *instance_groups)
 
     memory = new_memory_image(
-        _scaled(app.memory_bytes, scale), seed=seed ^ 0x3E3,
-        page_size=page_size, churn_rate=app.memory_churn_rate,
+        _scaled(app.memory_bytes, scale), seed=seed ^ 0x3E3, churn_rate=app.memory_churn_rate,
     )
     return GuestInstance(
         spec=spec,

@@ -48,10 +48,9 @@ import json
 import math
 import posixpath
 import threading
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import attrgetter, is_, itemgetter, le, mod, mul
+from itertools import accumulate, chain, islice, repeat
+from operator import attrgetter
 from typing import TYPE_CHECKING, ItemsView, Iterator, Mapping
 
 if TYPE_CHECKING:
@@ -304,25 +303,17 @@ def _group_key(path: str) -> str:
 
 
 def _grouped(entries: Mapping[str, ContentDescriptor]) -> dict[str, TreeGroup]:
-    """Groups of ``entries``, whose paths are normalized.
-
-    The paths of a top-level directory ``d`` are the sorted run from
-    ``d/`` up to ``d0`` ("0" follows "/"), found by bisection, so each
-    group is one slice of the sorted paths.  Sorted groups keep the
-    global path order: "/" sorts the same in a key as in the paths
-    under it.
+    """Groups of ``entries``, whose paths are normalized, filled in path
+    order.  The paths of one group are one run of the sorted paths, and
+    the groups come in key order: "/" sorts the same in a key as in the
+    paths under it.
     """
-    paths = sorted(entries)
-    find = entries.__getitem__
     groups: dict[str, TreeGroup] = {}
-    lo = 0
-    while lo < len(paths):
-        path = paths[lo]
-        slash = path.find("/")
-        hi = lo + 1 if slash < 0 else bisect_left(paths, path[:slash] + "0", lo)
-        run = paths[lo:hi]
-        groups[_group_key(path)] = TreeGroup(zip(run, map(find, run)))
-        lo = hi
+    for path in sorted(entries):
+        key = _group_key(path)
+        if key not in groups:
+            groups[key] = TreeGroup()
+        groups[key][path] = entries[path]
     return groups
 
 
@@ -525,13 +516,16 @@ def _in_path_order(group: TreeGroup) -> TreeGroup:
 # --- memory images ------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MemoryImage:
     """Guest RAM as pages whose content churns over discrete epochs.
 
     Page content is a pure function of (seed, page index, the epoch the
     page was last modified in), so two images with equal fields
-    materialize to identical bytes.
+    materialize to identical bytes.  Equality compares every field, the
+    churn rate included, and a field that both images hold as one
+    object compares without a read: an image restored from chunks that
+    arrived as they were cut holds its source's very epoch bytes.
 
     ``page_epochs`` holds each page's epoch as four little-endian bytes,
     in one ``bytes`` object, which no one can change: an image that
@@ -567,17 +561,6 @@ class MemoryImage:
     @property
     def total_bytes(self) -> int:
         return self.page_size * self.pages
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MemoryImage)
-            and self.seed == other.seed
-            and self.page_size == other.page_size
-            and self.epoch == other.epoch
-            # A restore that adopted the checkpointed epochs holds that
-            # very object, which bytes equality finds without a read.
-            and self.page_epochs == other.page_epochs
-        )
 
 
 def new_memory_image(
@@ -688,12 +671,7 @@ def _checkpoint_meta(tree: FileTree) -> dict:
     return meta
 
 
-_VALUE = itemgetter(1)
-_SEED = attrgetter("seed")
-_PAGE_SIZE = attrgetter("page_size")
 _START_PAGE = attrgetter("start_page")
-_EPOCHS = attrgetter("epochs")
-_CUT_FROM = attrgetter("_cut_from")
 
 
 def restore_memory(tree: FileTree) -> MemoryImage:
@@ -703,46 +681,38 @@ def restore_memory(tree: FileTree) -> MemoryImage:
 
     ``meta.json`` must be a JSON object whose seed, page size, page
     count and epoch are integers (the last three not negative) and whose
-    churn rate is a number.  Every chunk must carry the seed and page
-    size of the metadata and whole uint32 pages, and the chunks, in
-    ``start_page`` order, must cover pages 0 to ``pages - 1`` with no
-    gap or overlap.  Those checks read only the chunks' fields and
-    lengths.  When every chunk was cut from one epoch ``bytes`` of
-    ``pages`` entries, they have just shown that the chunks tile it, and
-    the image adopts that object; otherwise, as after a sync that
-    patched some chunks of a stale checkpoint, the epochs are joined
-    into new bytes.  Raises ValueError when a file is missing or a check
-    fails.
+    churn rate is a number.  The chunks are sorted by ``start_page``;
+    every chunk must carry the seed and page size of the metadata and
+    whole uint32 pages, and together they must cover pages 0 to
+    ``pages - 1`` with no gap or overlap.  The checks run in that order,
+    a partial page reported before a gap, and read only the chunks'
+    fields and lengths.  When every chunk was cut from one epoch
+    ``bytes`` of ``pages`` entries, they have just shown that the chunks
+    tile it, and the image adopts that object; otherwise, as after a
+    sync that patched some chunks of a stale checkpoint, the epochs are
+    joined into new bytes.  Raises ValueError when a file is missing or
+    a check fails.
     """
     meta = _checkpoint_meta(tree)
-    entries = list(map(_VALUE, tree.items()))
-    chunks = list(compress(entries, map(isinstance, entries, repeat(MemoryChunkContent))))
-    if set(map(_SEED, chunks)) - {meta["seed"]} or set(map(_PAGE_SIZE, chunks)) - {meta["page_size"]}:
+    chunks = sorted((entry for _, entry in tree.items() if isinstance(entry, MemoryChunkContent)),
+                    key=_START_PAGE)
+    if any(chunk.seed != meta["seed"] or chunk.page_size != meta["page_size"] for chunk in chunks):
         raise ValueError("checkpoint chunk seed or page size differs from its metadata")
-    starts = list(map(_START_PAGE, chunks))
-    if not all(map(le, starts, islice(starts, 1, None))):
-        chunks.sort(key=_START_PAGE)
-        starts.sort()
-    lengths = list(map(len, map(_EPOCHS, chunks)))
-    offsets = [0, *accumulate(lengths)]
+    blobs = [chunk.epochs for chunk in chunks]
+    offsets = [0, *accumulate(map(len, blobs))]
     # Compared in bytes, the offsets also catch a chunk that holds a
     # partial page: every offset after it is off a page boundary.
-    if list(map(mul, starts, repeat(4))) != offsets[:-1] or offsets[-1] % 4:
-        if any(map(mod, lengths, repeat(4))):
+    if [4 * chunk.start_page for chunk in chunks] != offsets[:-1] or offsets[-1] % 4:
+        if any(len(blob) % 4 for blob in blobs):
             raise ValueError("checkpoint chunk holds a partial page")
         raise ValueError("checkpoint chunks are not contiguous")
     if offsets[-1] != 4 * meta["pages"]:
         raise ValueError(f"checkpoint covers {offsets[-1] // 4} pages, expected {meta['pages']}")
     cut_from = chunks[0]._cut_from if chunks else None
     if (cut_from is not None and len(cut_from) == offsets[-1]
-            and all(map(is_, map(_CUT_FROM, chunks), repeat(cut_from)))):
+            and all(chunk._cut_from is cut_from for chunk in chunks)):
         page_epochs = cut_from
     else:
-        page_epochs = b"".join(map(_EPOCHS, chunks))
-    return MemoryImage(
-        seed=meta["seed"],
-        page_size=meta["page_size"],
-        epoch=meta["epoch"],
-        page_epochs=page_epochs,
-        churn_rate=meta["churn_rate"],
-    )
+        page_epochs = b"".join(blobs)
+    return MemoryImage(meta["seed"], meta["page_size"], meta["epoch"], page_epochs,
+                       meta["churn_rate"])

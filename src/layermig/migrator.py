@@ -23,7 +23,7 @@ wrote.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .delta_sync import (
     DEFAULT_BLOCK_SIZE,
@@ -220,10 +220,10 @@ def stage_seconds(row, theta, start: float = 0.0) -> float:
 
 @dataclass(frozen=True)
 class MigrationReport:
-    mode: MigrationMode
-    destination: DestinationState
+    """The priced stages of one migration of ``scenario``."""
+
+    scenario: MigrationScenario
     stages: tuple[StageRecord, ...]
-    scenario_echo: dict
 
     @property
     def total_seconds(self) -> float:
@@ -240,9 +240,9 @@ class MigrationReport:
     def to_json_dict(self) -> dict:
         return {
             "schema": "layermig.report/v1",
-            "scenario": self.scenario_echo,
-            "mode": self.mode.value,
-            "destination": _record_dict(self.destination),
+            "scenario": self.scenario.echo(),
+            "mode": self.scenario.mode.value,
+            "destination": _record_dict(self.scenario.destination),
             "stages": [_record_dict(s) for s in self.stages],
             "total_seconds": self.total_seconds,
             "downtime_seconds": self.downtime_seconds,
@@ -289,13 +289,13 @@ class MigrationScenario:
             "mode": self.mode.value,
             "destination": _record_dict(self.destination),
             "link": link,
-            "scale": self.scale,
-            "seed": self.seed,
-            "block_size": self.block_size,
-            "chunk_size": self.chunk_size,
-            "round_trips": self.round_trips,
-            "staleness_epochs": self.staleness_epochs,
+            **{name: getattr(self, name) for name in SCENARIO_SCALARS},
         }
+
+
+# The scalar fields of a scenario, those with a default, by name and type:
+# what a config sets directly and what ``echo`` reports as it is.
+SCENARIO_SCALARS = {f.name: f.type for f in fields(MigrationScenario) if f.default is not MISSING}
 
 
 def plan(mode: MigrationMode, dest: DestinationState) -> list[Stage]:
@@ -474,8 +474,7 @@ def price(work: tuple[StageRecord, ...], scenario: MigrationScenario) -> Migrati
         seconds = stage_seconds(stage_features(record), theta, link_s)
         records.append(StageRecord(record.stage, seconds, record.wire_bytes,
                                    record.scanned_bytes, record.local_bytes))
-    return MigrationReport(mode=scenario.mode, destination=scenario.destination,
-                           stages=tuple(records), scenario_echo=scenario.echo())
+    return MigrationReport(scenario, tuple(records))
 
 
 def run_migration(scenario: MigrationScenario) -> MigrationOutcome:

@@ -11,7 +11,7 @@ workload checkpoints roughly 100 MB of RAM but ships about 10 MB).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
 from .guest import Virtualization, profile_slug
@@ -39,8 +39,8 @@ class AppProfile:
         profile_slug(self.name)  # the directory of the profile's files
         if not all(map(is_finite, (*self.install_bytes.values(), *self.memory_wire_ratio.values()))):
             raise ValueError("per-kind values must be finite")
-        for size in (self.data_bytes, self.memory_bytes, self.instance_unique_file_bytes):
-            if size < 0:
+        for f in fields(self):
+            if f.type == "int" and getattr(self, f.name) < 0:
                 raise ValueError("profile sizes must be >= 0")
         if any(v < 0 for v in self.install_bytes.values()):
             raise ValueError("install sizes must be >= 0")

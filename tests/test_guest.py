@@ -189,6 +189,17 @@ def test_restore_rejects_malformed_metadata(malform):
         restore(tree.with_entries({path: LiteralContent(data)}))
 
 
+def test_restore_from_metadata_with_another_churn_rate_is_unequal():
+    g = build_guest(container_spec(), profile_by_name("Game Server"), seed=8, scale=0.01)
+    tree = checkpoint(g)
+    path = f"{CHECKPOINT_PREFIX}/meta.json"
+    meta = json.loads(tree.get(path).data)
+    assert meta["churn_rate"] == g.memory.churn_rate != 0.5
+    data = json.dumps({**meta, "churn_rate": 0.5}).encode()
+    restored = restore(tree.with_entries({path: LiteralContent(data)}))
+    assert restored.churn_rate == 0.5 and restored != g.memory
+
+
 def test_build_guest_rejects_bad_scale():
     with pytest.raises(ValueError):
         build_guest(container_spec(), profile_by_name("Game Server"), seed=1, scale=0.0)

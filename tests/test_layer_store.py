@@ -586,6 +586,13 @@ def test_memory_image_refuses_a_partial_page_epoch():
         MemoryImage(seed=1, page_size=4096, epoch=0, page_epochs=bytes(6), churn_rate=0.5)
 
 
+def test_memory_images_that_differ_in_churn_rate_are_unequal():
+    epochs = bytes(32)
+    image = MemoryImage(seed=1, page_size=4096, epoch=0, page_epochs=epochs, churn_rate=0.5)
+    other = MemoryImage(seed=1, page_size=4096, epoch=0, page_epochs=epochs, churn_rate=0.25)
+    assert image != other
+
+
 def test_restore_adopts_the_checkpointed_array():
     image = advance_memory(new_memory_image(3 * MB, seed=9, churn_rate=0.2), 2)
     restored = restore_memory(FileTree(serialize_memory(image, 1 * MB)))

@@ -189,13 +189,11 @@ def test_rate_with_an_infinite_reciprocal_rejected(field):
 
 def test_downtime_of_prefix_stages_is_zero():
     report = MigrationReport(
-        mode=THREE,
-        destination=DestinationState(True, True, False),
+        scenario(mode=THREE, dest=DestinationState(True, True, False)),
         stages=(
             StageRecord(Stage.SYNC_BASE_FILESYSTEM, 4.0, 100),
             StageRecord(Stage.CLONE_BASE_AS_APP, 2.0, 0),
         ),
-        scenario_echo={},
     )
     assert report.downtime_seconds == 0.0
 
