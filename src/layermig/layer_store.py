@@ -671,9 +671,6 @@ def _checkpoint_meta(tree: FileTree) -> dict:
     return meta
 
 
-_START_PAGE = attrgetter("start_page")
-
-
 def restore_memory(tree: FileTree) -> MemoryImage:
     """Rebuild a MemoryImage from a checkpoint tree: the files of
     :func:`serialize_memory`, and any other file, such as the VM save
@@ -695,7 +692,7 @@ def restore_memory(tree: FileTree) -> MemoryImage:
     """
     meta = _checkpoint_meta(tree)
     chunks = sorted((entry for _, entry in tree.items() if isinstance(entry, MemoryChunkContent)),
-                    key=_START_PAGE)
+                    key=attrgetter("start_page"))
     if any(chunk.seed != meta["seed"] or chunk.page_size != meta["page_size"] for chunk in chunks):
         raise ValueError("checkpoint chunk seed or page size differs from its metadata")
     blobs = [chunk.epochs for chunk in chunks]
