@@ -27,7 +27,7 @@ a bound, as the data do not identify it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .config import (
@@ -36,7 +36,6 @@ from .config import (
     ReferenceRecord,
     calibrated,
     calibration_block,
-    read_json,
     read_reference,
 )
 from .guest import Virtualization, container_spec, vm_spec
@@ -80,31 +79,39 @@ class CalibrationError(Exception):
     """Reference data unusable: empty or underdetermined."""
 
 
+def at_sweep_point(scenario: MigrationScenario, sweep: str, x: float) -> MigrationScenario:
+    """``scenario`` at point ``x`` of a sweep: with ``x`` MB of RAM when
+    ``sweep`` is "ram", or on an ``x`` Mbps link when it is "bandwidth".
+    The records' own checks apply; a value they refuse raises
+    ValueError, or OverflowError for an infinite RAM size."""
+    if sweep == "ram":
+        return replace(scenario, profile=scenario.profile.with_memory(int(x * MB)))
+    return replace(scenario, link=replace(scenario.link, bandwidth_bps=x * MB))
+
+
 def reference_scenario(record: ReferenceRecord, profile: AppProfile, calibration, seed: int,
                        scale: float) -> MigrationScenario:
-    """The migration that ``record`` measured, with ``profile`` at a Fig. 5
-    RAM point's memory size or on a bandwidth point's link.  It is priced
-    by ``calibration``'s model for the kind, or left without a cost model
+    """The migration that ``record`` measured, on the reference link, and
+    at the sweep point of a Fig. 5 record.  It is priced by
+    ``calibration``'s model for the kind, or left without a cost model
     or cap when ``calibration`` is None."""
     mode, destination = CONFIG_DESTS[record.configuration]
     cost_model, cap = None, math.inf
     if calibration is not None:
         cost_model, cap = calibrated(calibration, record.kind)
-    bandwidth = REFERENCE_BANDWIDTH
-    if record.figure == "fig5_ram":
-        profile = profile.with_memory(int(record.x * MB))
-    elif record.figure == "fig5_bandwidth":
-        bandwidth = record.x * MB
-    return MigrationScenario(
+    scenario = MigrationScenario(
         guest_spec=_SPECS[record.kind],
         profile=profile,
         mode=mode,
         destination=destination,
-        link=LinkSpec(bandwidth_bps=bandwidth, processing_cap_bps=cap, seed=0),
+        link=LinkSpec(bandwidth_bps=REFERENCE_BANDWIDTH, processing_cap_bps=cap, seed=0),
         cost_model=cost_model,
         scale=scale,
         seed=seed,
     )
+    if record.figure.startswith("fig5_"):  # fig5_ram or fig5_bandwidth
+        return at_sweep_point(scenario, record.figure.removeprefix("fig5_"), record.x)
+    return scenario
 
 
 def bvls(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -259,14 +266,13 @@ def calibration_to_dict(results: dict[Virtualization, FitResult]) -> dict:
     return payload
 
 
-def load_calibration(path_or_dict) -> dict[Virtualization, tuple[CostModel, float]]:
-    """Calibration file -> {virtualization: (cost model, processing cap)}.
+def load_calibration(data) -> dict[Virtualization, tuple[CostModel, float]]:
+    """A calibration file's JSON value -> {virtualization: (cost model,
+    processing cap)}.
 
-    A file that cannot be read, is not a JSON object, holds no block of
-    either kind or holds a block :func:`config.calibration_block`
-    refuses raises :class:`ConfigError`."""
-    data = path_or_dict if isinstance(path_or_dict, dict) else read_json(
-        path_or_dict, "calibration file")
+    A value that is not a JSON object, holds no block of either kind or
+    holds a block :func:`config.calibration_block` refuses raises
+    :class:`ConfigError`."""
     if not isinstance(data, dict):
         raise ConfigError("calibration file must be a JSON object")
     out = {kind: calibration_block(data[kind.value], f"calibration.{kind.value}")

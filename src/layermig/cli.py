@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -22,6 +21,7 @@ from .calibrate import (
     CONTAINER_PROCESSING_CAP,
     INITIAL_VM_PROCESSING_CAP,
     CalibrationError,
+    at_sweep_point,
     calibration_to_dict,
     fit_cost_model,
     load_calibration,
@@ -71,7 +71,7 @@ def _resolve_calibration(arg: str | None) -> tuple[dict[Virtualization, tuple[Co
     path = Path(arg)
     if not path.exists():
         raise CalibrationMissingError(f"calibration file not found: {path}")
-    return load_calibration(path), str(path)
+    return load_calibration(read_json(path, "calibration file")), str(path)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -141,16 +141,11 @@ _DEFAULT_SWEEP_CONFIG = {"profile": "RAM Simulation"}  # container, three-layer,
 
 
 def _swept(scenario: MigrationScenario, param: str, value: float) -> MigrationScenario:
-    """``scenario`` with ``param`` set to ``value``, through the same record
-    checks as a config; a value they reject is a config error."""
+    """``scenario`` with ``param`` set to ``value`` (see
+    :func:`calibrate.at_sweep_point`); a value the record checks reject
+    is a config error."""
     try:
-        if param == "ram":
-            return dataclasses.replace(
-                scenario, profile=scenario.profile.with_memory(int(value * MB))
-            )
-        return dataclasses.replace(
-            scenario, link=dataclasses.replace(scenario.link, bandwidth_bps=value * MB)
-        )
+        return at_sweep_point(scenario, param, value)
     except (ValueError, OverflowError) as exc:  # OverflowError: int() of an infinity
         raise ConfigError(f"--values {value:g}: {exc}") from exc
 

@@ -20,6 +20,10 @@ its own source, scans the target's, and feeds each patched file's scan
 straight into the rebuild of its basis, so no basis, target, literal
 or rebuilt file is held whole.
 
+The weak checksum of block bytes X[k..l] is ``a + 2^16 * b``, with
+a = sum(X) mod 2^16 and b = sum((l - i + 1) * X[i]) mod 2^16, as
+rsync defines it.
+
 A signature is two columns, as rsync keeps a basis's sums in one flat
 array: the blocks' weak checksums as uint32 and their strong digests
 back to back, each column one ``bytes`` object, about 20 bytes per
@@ -159,21 +163,6 @@ def strong_digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()[:DIGEST_WIDTH]
 
 
-def weak_checksum(block: bytes) -> tuple[int, int]:
-    """Two-component rolling checksum of one block.
-
-    For block bytes X[k..l]: a = sum(X) mod 2^16 and
-    b = sum((l - i + 1) * X[i]) mod 2^16.  The combined value is
-    ``a + 2^16 * b``.  Both sums are taken in uint16, against the
-    weights of :func:`_weights`, and wrap mod 2^16 as rsync defines
-    them, so they are exact for any length.
-    """
-    import numpy as np
-
-    x = np.frombuffer(block, dtype=np.uint8)
-    return int(x.sum(dtype=np.uint16)), int((x * _weights(len(x))).sum(dtype=np.uint16))
-
-
 def _weights(L: int) -> np.ndarray:
     """The weights (L, ..., 1) of ``b``, mod 2^16, as uint16."""
     import numpy as np
@@ -192,10 +181,6 @@ def _packed(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
     out <<= 16
     out |= a
     return out
-
-
-def combine_weak(a: int, b: int) -> int:
-    return a + (b << 16)
 
 
 @dataclass(frozen=True)
@@ -322,7 +307,8 @@ def compute_signature(data: bytes | Source, block_size: int = DEFAULT_BLOCK_SIZE
     :func:`compute_delta` takes its target.  It is read front to back in
     spans of as many whole blocks as fit in ``READ_CHUNK`` bytes (one
     block, if a block is longer), so only the last span can end in a
-    short block, the signature's last.  One digest of the spans as they
+    short block, the signature's last, which is summed like any other:
+    as one row of its own length.  One digest of the spans as they
     are read is the content digest.  Deterministic: same bytes and block
     size always give a bit-identical signature.
     """
@@ -340,8 +326,7 @@ def compute_signature(data: bytes | Source, block_size: int = DEFAULT_BLOCK_SIZE
         _add_full_blocks(weaks, strongs, view, L)
         short = len(view) % L
         if short:
-            weaks += combine_weak(*weak_checksum(view[-short:])).to_bytes(4, "little")
-            strongs += strong_digest(view[-short:])
+            _add_full_blocks(weaks, strongs, view[-short:], short)
     return FileSignature(
         block_size=block_size,
         weaks=bytes(weaks),
@@ -509,9 +494,11 @@ def _first_window(L: int) -> int:
 class _ForwardReader:
     """A source read once, front to back, ``READ_CHUNK`` bytes at a time.
 
-    Digests each piece as it reads it.  Pieces that end at or before
-    ``keep`` are dropped when the next piece is read; the caller keeps
-    ``keep`` at the first offset it will still ask for.
+    :meth:`get` is its one way to read bytes back: a view of the piece
+    that holds them, or a join across pieces.  Digests each piece as it
+    reads it.  Pieces that end at or before ``keep`` are dropped when
+    the next piece is read; the caller keeps ``keep`` at the first
+    offset it will still ask for.
     """
 
     def __init__(self, source: Source):
@@ -551,21 +538,12 @@ class _ForwardReader:
         parts[-1] = parts[-1][:stop - last * c]
         return b"".join(parts)
 
-    def piece(self, start: int) -> tuple[memoryview, int]:
-        """The read piece holding byte ``start``, with ``keep <= start <
-        length``, and the offset of its first byte."""
-        if start >= self._end:
-            self._fill(start + 1)
-        first = start // self._chunk
-        return self._held[first - self._first], first * self._chunk
-
     def views(self, start: int, stop: int) -> Iterator[memoryview]:
         """Bytes ``[start, stop)``, with ``keep <= start``, as views of
-        the read pieces, front to back."""
+        the read pieces, front to back: one :meth:`get` per piece."""
         while start < stop:
-            piece, base = self.piece(start)
-            end = min(stop, base + len(piece))
-            yield piece[start - base:end - base]
+            end = min(stop, (start // self._chunk + 1) * self._chunk)
+            yield self.get(start, end)
             start = end
 
     def digest(self) -> bytes:
@@ -598,14 +576,16 @@ def compute_delta(
     Wherever a copy run could continue (at the start, and right after
     each match) the window at the scan position is first looked up by
     strong digest alone, which skips the rolling scan for aligned
-    matches.  The ops are the same as a plain greedy scan's: equal
-    digests mean equal bytes and so equal weak checksums, and the
-    lookup keeps the earliest block per digest.  Otherwise the target is
-    scanned one window of starts at a time (see :func:`_scan_window`):
-    the first window after a match spans :func:`_first_window` starts,
-    and each window that runs out without a match doubles the next, up
-    to ``SCAN_WINDOW``.  How the starts are cut into windows does not
-    change the ops, only how far past the next match the scan reads.
+    matches; the short final basis block, which can only match the
+    target's tail, is matched by strong digest alone too.  The ops are
+    the same as a plain greedy scan's: equal digests mean equal bytes
+    and so equal weak checksums, and the lookup keeps the earliest block
+    per digest.  Otherwise the target is scanned one window of starts
+    at a time (see :func:`_scan_window`): the first window after a
+    match spans :func:`_first_window` starts, and each window that runs
+    out without a match doubles the next, up to ``SCAN_WINDOW``.  How
+    the starts are cut into windows does not change the ops, only how
+    far past the next match the scan reads.
 
     The scan streams (see :func:`_scan`).  Without ``basis``, its
     literal pieces are collected into one :class:`LiteralOp` per run,
@@ -710,14 +690,9 @@ def _scan(
         window_end = 0
         first_span = min(_first_window(L), SCAN_WINDOW)
         span = first_span  # starts in the next window
-        piece, base = reader.piece(0)  # the read piece the aligned check slices
         while pos <= last_start:
             if pos == lit_start:
-                if pos + L > base + len(piece):
-                    piece, base = reader.piece(pos)
-                end = pos + L - base
-                j = first_block.get(strong_digest(
-                    piece[pos - base:end] if end <= len(piece) else read(pos, pos + L)))
+                j = first_block.get(strong_digest(read(pos, pos + L)))
                 if j is not None:
                     yield from copied(j)
                     pos = lit_start = sent = reader.keep = pos + L
@@ -746,11 +721,11 @@ def _scan(
             span = first_span
 
     # Tail: the short final basis block can only match the very end of
-    # the target, where the remaining bytes have exactly its length.
+    # the target, where the remaining bytes have exactly its length.  As
+    # in the aligned check, equal digests mean equal bytes, so the strong
+    # digest alone decides.
     if short_len and n - lit_start >= short_len:
-        tail = read(n - short_len, n)
-        if (combine_weak(*weak_checksum(tail)) == weaks[-1]
-                and strong_digest(tail) == sig.strongs[-DIGEST_WIDTH:]):
+        if strong_digest(read(n - short_len, n)) == sig.strongs[-DIGEST_WIDTH:]:
             if lit_start < n - short_len:
                 yield from passed(n - short_len)
                 close_literal(n - short_len)

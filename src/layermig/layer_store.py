@@ -335,8 +335,10 @@ class FileTree:
     form of :meth:`with_entries` normalize the paths they store, and
     only the constructor takes arbitrary input; every other method,
     :meth:`of_groups` among them, builds its tree from groups that
-    already hold the invariant and normalizes only the paths it is
-    asked about.
+    already hold the invariant.  :meth:`get` and ``in`` look a path up
+    as given, so they take normalized paths: ``"./a/b"`` is not held
+    where ``"a/b"`` is.  :meth:`without` normalizes every path it is
+    given.
 
     A derived tree copies only the groups it changes and shares the
     rest by reference: the base layer's ``base/`` group is one object in
@@ -436,13 +438,12 @@ class FileTree:
         return FileTree._of(groups)
 
     def without(self, paths: list[str]) -> "FileTree":
-        """This tree less ``paths``; each group that loses a path is
-        copied once, and one that loses all of them is dropped."""
+        """This tree less ``paths``, each normalized first; each group
+        that loses a path is copied once, and one that loses all of them
+        is dropped."""
         groups = dict(self._groups)
         copied = set()
-        for path in paths:
-            if path not in self:  # a held path is already normalized
-                path = normalize_path(path)
+        for path in map(normalize_path, paths):
             key = _group_key(path)
             group = groups.get(key)
             if group is None or path not in group:

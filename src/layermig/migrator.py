@@ -23,7 +23,7 @@ wrote.
 from __future__ import annotations
 
 import enum
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .delta_sync import (
     DEFAULT_BLOCK_SIZE,
@@ -382,12 +382,7 @@ def simulate(
                             app_layer=app_layer, virt_nonce=0)
         dest_instance_tree = stale.instance
         dest_checkpoint = checkpoint(stale, scenario.chunk_size)
-        if scenario.staleness_epochs:
-            source = GuestInstance(
-                source.spec, source.base, source.app, source.instance,
-                advance_memory(source.memory, scenario.staleness_epochs),
-                source.seed, source.scale, source.memory_wire_ratio,
-            )
+        source = replace(source, memory=advance_memory(source.memory, scenario.staleness_epochs))
 
     source_checkpoint: FileTree | None = None
     work: list[StageRecord] = []

@@ -121,9 +121,9 @@ def is_superset(tree: FileTree, other: FileTree) -> bool:
 
 
 def weak_checksum(block: bytes) -> tuple[int, int]:
-    """:func:`layermig.delta_sync.weak_checksum` one byte at a time:
-    ``(a, b)`` with a = sum(X) mod 2^16 and b = sum((n - i) * X[i])
-    mod 2^16 over the block's bytes X[0..n-1]."""
+    """The weak checksum of one block, one byte at a time: ``(a, b)``
+    with a = sum(X) mod 2^16 and b = sum((n - i) * X[i]) mod 2^16 over
+    the block's bytes X[0..n-1]."""
     a = 0
     b = 0
     n = len(block)
@@ -131,6 +131,12 @@ def weak_checksum(block: bytes) -> tuple[int, int]:
         a += x
         b += (n - i) * x
     return a % WEAK_MOD, b % WEAK_MOD
+
+
+def combine_weak(a: int, b: int) -> int:
+    """The weak checksum ``(a, b)`` as one value, ``a + 2^16 * b``, as a
+    signature stores it."""
+    return a + (b << 16)
 
 
 def weak_roll(a: int, b: int, out_byte: int, in_byte: int, window: int) -> tuple[int, int]:

@@ -27,12 +27,10 @@ from layermig.delta_sync import (
     SyncStats,
     apply_delta,
     apply_tree_delta,
-    combine_weak,
     compute_delta,
     compute_signature,
     strong_digest,
     sync_tree,
-    weak_checksum,
 )
 from layermig.layer_store import (
     FileTree,
@@ -42,8 +40,7 @@ from layermig.layer_store import (
     new_memory_image,
     serialize_memory,
 )
-from oracles import block_length, materialize, traced_peak, weak_roll
-from oracles import weak_checksum as ref_weak_checksum
+from oracles import block_length, combine_weak, materialize, traced_peak, weak_checksum, weak_roll
 
 
 def rng(seed=0):
@@ -113,14 +110,19 @@ def test_vectorized_signature_weaks_match_reference():
     assert len(weaks) == sig.block_count == 10  # the last block is short
     for i, weak in enumerate(weaks):
         block = data[i * 512:(i + 1) * 512]
-        assert weak == combine_weak(*ref_weak_checksum(block))
+        assert weak == combine_weak(*weak_checksum(block))
         assert sig.strongs[i * DIGEST_WIDTH:(i + 1) * DIGEST_WIDTH] == strong_digest(block)
 
 
 @settings(max_examples=200, deadline=None)
 @given(block=st.binary(max_size=5000) | st.builds(lambda n: b"\xff" * n, st.integers(0, 70_000)))
-def test_weak_checksum_matches_byte_loop(block):
-    assert weak_checksum(block) == ref_weak_checksum(block)
+def test_one_block_signature_weak_matches_byte_loop(block):
+    # A block shorter than MIN_BLOCK_SIZE is a signature's short last
+    # block, summed as one row of its own length.
+    sig = compute_signature(block, max(MIN_BLOCK_SIZE, len(block)))
+    expected = [combine_weak(*weak_checksum(block))] if block else []
+    assert np.frombuffer(sig.weaks, dtype="<u4").tolist() == expected
+    assert sig.strongs == (strong_digest(block) if block else b"")
 
 
 @settings(max_examples=60, deadline=None)
@@ -142,7 +144,7 @@ def test_window_weaks_match_the_byte_loop_at_every_start(L, fill, starts, seed):
     work = delta_sync._ScanWork()
     delta_sync._window_weaks(rng(seed + 1).bytes(n + 9), L, work)
     weaks = delta_sync._window_weaks(window, L, work)
-    assert weaks.tolist() == [combine_weak(*ref_weak_checksum(window[i:i + L]))
+    assert weaks.tolist() == [combine_weak(*weak_checksum(window[i:i + L]))
                               for i in range(starts)]
 
 
@@ -154,7 +156,7 @@ def test_signature_weaks_match_the_byte_loop_above_2_16():
     sig = compute_signature(data, L)
     blocks = [data[i:i + L] for i in range(0, len(data), L)]
     assert np.frombuffer(sig.weaks, dtype="<u4").tolist() == [
-        combine_weak(*ref_weak_checksum(block)) for block in blocks]
+        combine_weak(*weak_checksum(block)) for block in blocks]
     assert sig.strongs == b"".join(map(strong_digest, blocks))
 
 
@@ -229,6 +231,19 @@ def test_identical_unaligned_target_single_copy_run():
     assert stats.literal_bytes == 0
     assert len(delta.ops) == 1
     assert apply_delta(data, delta) == data
+
+
+def test_a_tail_with_the_short_blocks_weak_checksum_but_other_bytes_is_literal():
+    # The tails share a weak checksum (a = 2, b = 4) but differ in bytes:
+    # the strong digest alone decides the tail match.
+    head = rng(71).bytes(32)
+    basis, target = head + b"\x01\x00\x01", head + b"\x00\x02\x00"
+    sig = compute_signature(basis, 16)
+    assert weak_checksum(b"\x01\x00\x01") == weak_checksum(b"\x00\x02\x00") == (2, 4)
+    assert sig.weaks[-4:] == combine_weak(2, 4).to_bytes(4, "little")
+    delta, _ = compute_delta(sig, target)
+    assert delta.ops == (CopyOp(0, 2), LiteralOp(b"\x00\x02\x00"))
+    assert apply_delta(basis, delta) == target
 
 
 def test_empty_basis_means_all_literals():
@@ -377,7 +392,7 @@ def reference_delta(basis, target, L):
     n = len(target)
     table = {}
     for i in range(len(basis) // L):
-        table.setdefault(combine_weak(*ref_weak_checksum(basis[i * L:(i + 1) * L])), []).append(i)
+        table.setdefault(combine_weak(*weak_checksum(basis[i * L:(i + 1) * L])), []).append(i)
     n_blocks = -(-len(basis) // L)
     ops = []
     stats = SyncStats(wire_bytes=n_blocks * SIG_BYTES_PER_BLOCK + FILE_WIRE_OVERHEAD,
@@ -400,7 +415,7 @@ def reference_delta(basis, target, L):
     weak = None
     while pos + L <= n:
         if weak is None:
-            weak = ref_weak_checksum(target[pos:pos + L])
+            weak = weak_checksum(target[pos:pos + L])
         ids = table.get(combine_weak(*weak), [])
         digest = strong_digest(target[pos:pos + L]) if ids else None
         match = next((j for j in ids if strong_digest(basis[j * L:(j + 1) * L]) == digest), None)

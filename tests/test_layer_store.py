@@ -449,6 +449,13 @@ def test_with_entries_normalizes_only_its_extra_paths():
         tree.with_entries({"../x": LiteralContent(b"4")})
 
 
+def test_get_and_in_take_normalized_paths_and_without_normalizes():
+    tree = FileTree({"a/b": LiteralContent(b"1")})
+    assert tree.get("./a/b") is None
+    assert "./a/b" not in tree
+    assert len(tree.without(["./a/b"])) == 0
+
+
 @pytest.mark.parametrize("prefix", ["base", "./x//{0}/"])
 def test_synthetic_files_are_one_group_in_path_order(prefix):
     # 10^5 + 3 files: names past f99999.bin sort out of index order.
