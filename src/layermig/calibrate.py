@@ -27,7 +27,7 @@ a bound, as the data do not identify it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING
 
 from .config import (
@@ -41,7 +41,6 @@ from .config import (
 from .guest import Virtualization, container_spec, vm_spec
 from .migrator import (
     COST_TERMS,
-    DOWNTIME_STAGES,
     CostModel,
     MigrationScenario,
     cost_terms,
@@ -197,18 +196,15 @@ def fit_cost_model(reference: dict, virtualization: Virtualization, *, profiles=
         )
     cell_obs = [r for r in records if r.figure == "table1" and r.metric != "wire_mb"]
 
-    # One unpriced run per (profile, configuration); each observation sums
-    # the features of the stages it measured: one stage, all, or downtime's.
+    # One unpriced run per (profile, configuration); each observation is
+    # the features of the stages its record's metric sums.
     runs, observed = {}, []
     for record in stage_obs + cell_obs:
         key = record.profile, record.configuration
         if key not in runs:
             scenario = reference_scenario(record, by_name[record.profile], None, FIT_SEED, 1.0)
-            runs[key] = [(r.stage.value, r.stage in DOWNTIME_STAGES, stage_features(r))
-                         for r in simulate(scenario)[0]]
-        observed.append([f for stage, downtime, f in runs[key]
-                         if record.metric in (stage, "total_s")
-                         or record.metric == "downtime_s" and downtime])
+            runs[key] = simulate(scenario)[0]
+        observed.append([stage_features(s) for s in record.summed_stages(runs[key])])
     measured = [r.value for r in stage_obs + cell_obs]
     rows = np.array([[sum(column) for column in zip(*features)] for features in observed])
 
@@ -233,7 +229,7 @@ def fit_cost_model(reference: dict, virtualization: Virtualization, *, profiles=
 
     # The fit's predictions come from the simulator's own stage formula.
     theta = cost_terms(cost_model, LinkSpec(REFERENCE_BANDWIDTH, processing_cap_bps=cap))
-    seconds = {f: stage_seconds(f, theta) for run in runs.values() for *_, f in run}
+    seconds = {f: stage_seconds(f, theta) for f in set().union(*observed)}
     predicted = [sum(seconds[f] for f in features) for features in observed]
     rel = [(p - m) / m for p, m in zip(predicted, measured)]
     n = len(stage_obs)
@@ -254,7 +250,7 @@ def calibration_to_dict(results: dict[Virtualization, FitResult]) -> dict:
     payload: dict = {"schema": "layermig.calibration/v1", "fitted": True}
     for virtualization, result in results.items():
         payload[virtualization.value] = {
-            "cost_model": result.cost_model.to_dict(),
+            "cost_model": asdict(result.cost_model),
             "processing_cap_bps": result.processing_cap_bps,
             "fit": {
                 "at_bound": result.at_bound,

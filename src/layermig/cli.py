@@ -203,24 +203,22 @@ def cmd_reproduce(args) -> int:
     # One row per reference record of the target.  Each distinct migration
     # is simulated once, and priced once on each link it was measured on.
     rows = {figure: [] for figure in _REPRODUCE_COLUMNS if figure.startswith(args.target)}
-    works, models = {}, {}
+    works, reports = {}, {}
     for record in records:
         if record.figure not in rows:
             continue
         measured = record.figure, record.kind, record.profile, record.configuration, record.x
-        if measured not in models:
+        if measured not in reports:
             scenario = reference_scenario(record, profiles[record.profile], calibration,
                                           derive_seed(seed_base, stable_index(record.profile)),
                                           scale)
             run = record.kind, record.profile, record.configuration, scenario.profile.memory_bytes
             if run not in works:
                 works[run] = simulate(scenario)[0]
-            report = _report(scenario, works[run])
-            models[measured] = {"total_s": report.total_seconds,
-                                "wire_mb": report.total_wire_bytes / MB,
-                                "downtime_s": report.downtime_seconds,
-                                **{stage.stage.value: stage.seconds for stage in report.stages}}
-        model = models[measured][record.metric]
+            reports[measured] = _report(scenario, works[run])
+        report = reports[measured]
+        model = (report.total_wire_bytes / MB if record.metric == "wire_mb"
+                 else sum(s.seconds for s in record.summed_stages(report.stages)))
         if record.figure == "table1":
             keys = [record.profile, record.configuration, record.metric]
         elif record.figure == "fig4":

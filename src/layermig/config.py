@@ -88,6 +88,7 @@ from typing import NamedTuple
 
 from .guest import GuestSpec, Virtualization, container_spec, vm_spec
 from .migrator import (
+    DOWNTIME_STAGES,
     SCENARIO_SCALARS,
     CostModel,
     DestinationState,
@@ -294,7 +295,8 @@ def build_scenario(
 
 
 class ReferenceRecord(NamedTuple):
-    """One measured number of the reference file."""
+    """One measured number of the reference file.  A seconds metric
+    names the stages whose seconds it sums (``summed_stages``)."""
 
     figure: str  # the reproduce CSV: "table1", "fig4", "fig5_ram" or "fig5_bandwidth"
     kind: Virtualization
@@ -303,6 +305,16 @@ class ReferenceRecord(NamedTuple):
     metric: str  # "total_s", "wire_mb", "downtime_s" or a Fig. 4 stage
     value: float
     x: float | None = None  # a Fig. 5 point's RAM in MB or bandwidth in Mbps
+
+    def summed_stages(self, stages) -> list:
+        """The stage records among ``stages`` that the metric sums, in
+        their order: all of them for ``total_s``, the downtime stages for
+        ``downtime_s``, else the one stage the metric names."""
+        if self.metric == "total_s":
+            return list(stages)
+        if self.metric == "downtime_s":
+            return [s for s in stages if s.stage in DOWNTIME_STAGES]
+        return [s for s in stages if s.stage.value == self.metric]
 
 
 def _walk(obj, keys, where: str, unread=()) -> list:

@@ -105,7 +105,6 @@ from .layer_store import ContentDescriptor, FileTree, TreeGroup, materialize_ent
 if TYPE_CHECKING:
     import numpy as np
 
-WEAK_MOD = 1 << 16
 DIGEST_WIDTH = 16  # SHA-256 truncated to 128 bits, fixed everywhere
 MIN_BLOCK_SIZE = 16
 # Largest block size.  It bounds the working memory of one block:

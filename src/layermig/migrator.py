@@ -11,13 +11,14 @@ model, so one simulation serves every link.  ``price`` then charges
 each stage one linear formula: its ``stage_features`` row over
 ``COST_TERMS`` times the ``cost_terms`` of the scenario's cost model and
 link, plus the link's round trips for a sync stage.  The calibration fit
-stacks the same rows.  Service downtime is the span from suspending the
-instance to restoring it at the destination: the suspend, instance
-filesystem sync, in-memory-state sync and restore stages.  The two
-downtime syncs move two separate trees, as the paper's framework syncs
-the instance filesystem and the in-memory state as two stages: the
-instance tree, then the checkpoint tree that suspending the instance
-wrote.
+stacks the same rows.  Every migration ends with ``CLOSING_STAGES``:
+suspend, instance filesystem sync, in-memory-state sync, restore and
+other tasks.  Service downtime is the span from suspending the instance
+to restoring it at the destination, every closing stage but the last
+(``DOWNTIME_STAGES``).  The two downtime syncs move two separate trees,
+as the paper's framework syncs the instance filesystem and the
+in-memory state as two stages: the instance tree, then the checkpoint
+tree that suspending the instance wrote.
 """
 
 from __future__ import annotations
@@ -69,15 +70,11 @@ def _record_dict(record) -> dict:
     }
 
 
-# The stages during which the service is stopped.
-DOWNTIME_STAGES = frozenset(
-    {
-        Stage.SUSPEND_INSTANCE,
-        Stage.SYNC_INSTANCE_FILESYSTEM,
-        Stage.SYNC_INSTANCE_MEMORY,
-        Stage.RESTORE_INSTANCE,
-    }
-)
+# The stages every migration ends with, in order; the service is
+# stopped during all of them but the last.
+CLOSING_STAGES = (Stage.SUSPEND_INSTANCE, Stage.SYNC_INSTANCE_FILESYSTEM,
+                  Stage.SYNC_INSTANCE_MEMORY, Stage.RESTORE_INSTANCE, Stage.OTHER_TASKS)
+DOWNTIME_STAGES = frozenset(CLOSING_STAGES[:-1])
 
 
 SYNC_STAGES = frozenset({Stage.SYNC_BASE_FILESYSTEM, Stage.SYNC_APP_FILESYSTEM,
@@ -143,9 +140,6 @@ class CostModel:
         for f in fields(self):
             if not getattr(self, f.name) >= 0:
                 raise ValueError(f"{f.name} must be >= 0")
-
-    def to_dict(self) -> dict:
-        return _record_dict(self)
 
 
 def default_cost_model(virtualization: Virtualization) -> CostModel:
@@ -300,39 +294,25 @@ SCENARIO_SCALARS = {f.name: f.type for f in fields(MigrationScenario) if f.defau
 
 def plan(mode: MigrationMode, dest: DestinationState) -> list[Stage]:
     """Stage order for one migration, as a function of what the
-    destination already holds.
+    destination already holds: a prefix that puts a clone of the lower
+    layers in place as the new instance, then ``CLOSING_STAGES``.
 
-    The closing sequence is always suspend, instance filesystem sync,
-    in-memory-state sync, restore, other tasks.  A found (stale)
-    instance skips straight to it; a found app (three-layer) or base
-    (two-layer) is cloned as the new instance first; anything missing
-    below that is synced and cloned on the way.  Two-layer mode never
-    emits application-layer stages: the clone step duplicates the base
-    and the app files travel inside the instance sync.
+    A missing base is synced, a missing app (three-layer) is cloned from
+    the base and synced, and unless a found (stale) instance is there
+    the app is cloned as the instance.  ``DestinationState.validate``
+    rules out a stale instance without the layers below it.  Two-layer
+    mode never emits application-layer stages: its app is the base, and
+    the app files travel inside the instance sync.
     """
     dest.validate(mode)
-    tail = [
-        Stage.SUSPEND_INSTANCE,
-        Stage.SYNC_INSTANCE_FILESYSTEM,
-        Stage.SYNC_INSTANCE_MEMORY,
-        Stage.RESTORE_INSTANCE,
-        Stage.OTHER_TASKS,
-    ]
-    if dest.has_stale_instance:
-        return tail
     stages: list[Stage] = []
-    if mode is MigrationMode.THREE_LAYER:
-        if not dest.has_app:
-            if not dest.has_base:
-                stages.append(Stage.SYNC_BASE_FILESYSTEM)
-            stages.append(Stage.CLONE_BASE_AS_APP)
-            stages.append(Stage.SYNC_APP_FILESYSTEM)
+    if not dest.has_base:
+        stages.append(Stage.SYNC_BASE_FILESYSTEM)
+    if mode is MigrationMode.THREE_LAYER and not dest.has_app:
+        stages += [Stage.CLONE_BASE_AS_APP, Stage.SYNC_APP_FILESYSTEM]
+    if not dest.has_stale_instance:
         stages.append(Stage.CLONE_APP_AS_INSTANCE)
-    else:
-        if not dest.has_base:
-            stages.append(Stage.SYNC_BASE_FILESYSTEM)
-        stages.append(Stage.CLONE_APP_AS_INSTANCE)  # app := base in two-layer mode
-    return stages + tail
+    return stages + list(CLOSING_STAGES)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from layermig.delta_sync import WEAK_MOD, FileSignature
+from layermig.delta_sync import FileSignature
 from layermig.layer_store import (
     FileTree,
     LiteralContent,
@@ -23,6 +23,8 @@ from layermig.layer_store import (
     _page_run_bytes,
     materialize_entry,
 )
+
+WEAK_MOD = 1 << 16  # the modulus of each weak checksum sum, a and b
 
 
 def materialize(tree: FileTree) -> dict[str, bytes]:

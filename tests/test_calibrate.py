@@ -18,9 +18,11 @@ from layermig.calibrate import (
     bvls,
     calibration_to_dict,
     fit_cost_model,
+    load_calibration,
+    reference_scenario,
 )
 from layermig.cli import _packaged_json
-from layermig.config import CONFIG_DESTS, read_reference
+from layermig.config import CONFIG_DESTS, ReferenceRecord, read_reference
 from layermig.guest import Virtualization, container_spec, vm_spec
 from layermig.migrator import (
     DOWNTIME_STAGES,
@@ -126,7 +128,9 @@ def problems():
     the packaged reference records as ``fit_cost_model`` builds them.  A
     stage observation is (profile name, stage record, measured seconds),
     a cell observation (the stage records of a total or a downtime,
-    measured seconds)."""
+    measured seconds).  The stages each observation sums are picked by a
+    rule written out here, an oracle independent of
+    ``ReferenceRecord.summed_stages``."""
     records, _ = read_reference(_packaged_json("measurements.json"))
     out = {}
     for kind, spec in ((Virtualization.CONTAINER, container_spec()),
@@ -209,6 +213,22 @@ def test_run_migration_charges_the_stage_formula(name):
             syncs += 1
         assert record.seconds == predict_stage(params, record, m["link"], link_s)
     assert syncs >= 2
+
+
+def test_summed_stages_add_up_to_the_report_sums():
+    calibration = load_calibration(_packaged_json("calibration_default.json"))
+    record = ReferenceRecord("table1", Virtualization.VM, "Face Detection",
+                             "three_layer_app_not_found", "total_s", 1.0)
+    scenario = reference_scenario(record, profile_by_name(record.profile), calibration, 3, 0.01)
+    report = run_migration(scenario).report
+    stage = next(s for s in report.stages if s.stage is Stage.SYNC_INSTANCE_MEMORY)
+    for metric, expected in (("total_s", report.total_seconds),
+                             ("downtime_s", report.downtime_seconds),
+                             (stage.stage.value, stage.seconds)):
+        summed = record._replace(metric=metric).summed_stages(report.stages)
+        assert sum(s.seconds for s in summed) == expected, metric
+    assert record._replace(metric=stage.stage.value).summed_stages(report.stages) == [stage]
+    assert len(record.summed_stages(report.stages)) == len(report.stages)
 
 
 # --- the solver ------------------------------------------------------------------
